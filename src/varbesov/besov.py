@@ -13,18 +13,19 @@ is what the experiment harness measures:
                      vanishing moments
 
 q identically inf replaces the mixed norm by a sup over scales (blocks).
-The Peetre supremum over the torus is approximated by the maximum over
-grid points; a window truncation skips far-away points whose weight
-(1 + d/t)^(-a) is below `wmin`, with an exact full sweep behind a flag.
+The Peetre supremum over the torus is taken over grid points, exactly: no
+window truncates the far points and no flag selects a slower exact sweep.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .calderon import DyadicFamily, KernelPair, LocalMeansKernels, RadialProfile
 from .exponent import ExponentField
@@ -138,55 +139,78 @@ def besov_discrete(f: GridFunction, P: BesovParams) -> float:
 
 
 def peetre_maximal(f: GridFunction, t: float, a: float, alpha: ExponentField,
-                   kernel: RadialProfile, wmin: float = 1e-8,
-                   exact: bool = False) -> GridFunction:
+                   kernel: RadialProfile) -> GridFunction:
     """max over grid y of t^(-alpha(y)) |k_t * f(y)| / (1 + d(x,y)/t)^a.
 
-    d is the periodic distance.  Grid points whose weight would fall below
-    `wmin` are skipped unless `exact` is set.
+    d is the periodic distance; the maximum is exact over all grid points.
     """
     if not a > 0:
         raise ValueError("Peetre exponent a must be positive")
     fhat = fourier(f).values
-    return _peetre_from_hat(fhat, f.spec, t, a, alpha, kernel, wmin, exact)
+    return _peetre_from_hat(fhat, f.spec, t, a, alpha, kernel)
 
 
-def _peetre_from_hat(fhat, spec, t, a, alpha, kernel, wmin=1e-8, exact=False):
+def _peetre_from_hat(fhat, spec, t, a, alpha, kernel):
     conv = inverse_fourier(GridFunction(spec, fhat * kernel(t * spec.xi_radius())))
     g = _alpha_weight(alpha, t) * np.abs(conv.values)
-    return GridFunction(spec, _weighted_sup(g, t, a, spec, wmin, exact))
+    return GridFunction(spec, _weighted_sup(g, t, a, spec))
 
 
-def _weighted_sup(g: np.ndarray, t: float, a: float, spec: GridSpec,
-                  wmin: float, exact: bool) -> np.ndarray:
-    N, h = spec.N, spec.h
-    if spec.n == 1:
-        k = np.arange(N)
-        d = h * np.minimum(k, N - k)
-        w = (1.0 + d / t) ** (-a)
-        keep = np.nonzero(w >= wmin)[0] if not exact else k
-        out = np.zeros(N)
-        idx0 = np.arange(N)
-        chunk = max(1, (1 << 22) // N)
-        for start in range(0, len(keep), chunk):
-            ks = keep[start:start + chunk]
-            cand = w[ks][:, None] * g[(idx0[None, :] - ks[:, None]) % N]
-            out = np.maximum(out, cand.max(axis=0))
-        return out
-    # n == 2: loop over kept offsets with periodic rolls
+_TILE = {1: 64, 2: 16}  # tile edge of the x grid, per dimension
+
+
+def _circulant(w: np.ndarray) -> np.ndarray:
+    """View c of shape (N,) * 2n with c[(*y, *x)] = w[(x - y) mod N]:
+    w unrolled once per axis, windowed, and reversed along the y axes."""
+    view = sliding_window_view(np.tile(w, (2,) * w.ndim), w.shape)
+    return view[(slice(w.shape[0], 0, -1),) * w.ndim]
+
+
+def _weighted_sup(g: np.ndarray, t: float, a: float, spec: GridSpec) -> np.ndarray:
+    """out[x] = max over grid y of w[(x - y) mod N] g[y], w = (1 + d/t)^(-a).
+
+    Bit-identical to the full scan over all offsets.  For each tile of x,
+    g[y] hi and g[y] lo bound every product of y over the tile (hi / lo:
+    the largest / smallest w on the offsets from y to the tile; rounding is
+    monotone).  The y are evaluated, as the same products w g the scan
+    takes, in descending upper bound, until that bound falls below the
+    tile's smallest running maximum; none of the rest can win anywhere.
+    """
+    N, n = spec.N, spec.n
     k = np.arange(N)
-    d1 = h * np.minimum(k, N - k)
-    dist = np.sqrt(d1[:, None] ** 2 + d1[None, :] ** 2)
+    d1 = spec.h * np.minimum(k, N - k)
+    dist = d1 if n == 1 else np.sqrt(d1[:, None] ** 2 + d1[None, :] ** 2)
     w = (1.0 + dist / t) ** (-a)
-    mask = np.ones_like(w, dtype=bool) if exact else (w >= wmin)
+    T = min(_TILE[n], N)
+    # hi / lo: max / min of w over the T^n periodic offsets from each index
+    # onward, by doubling the window along each axis
+    hi = lo = np.pad(w, (0, T - 1), "wrap")
+    for axis in range(n):
+        for s in (1 << j for j in range(T.bit_length() - 1)):
+            head = (slice(None),) * axis + (slice(-s),)
+            tail = (slice(None),) * axis + (slice(s, None),)
+            hi, lo = np.maximum(hi[head], hi[tail]), np.minimum(lo[head], lo[tail])
+    circ, circ_hi, circ_lo = _circulant(w), _circulant(hi), _circulant(lo)
+    gflat, chunk = g.ravel(), max(1, (1 << 16) // T**n)
     out = np.zeros_like(g)
-    for k1, k2 in zip(*np.nonzero(mask)):
-        out = np.maximum(out, w[k1, k2] * np.roll(g, (k1, k2), axis=(0, 1)))
+    for corner in itertools.product(range(0, N, T), repeat=n):
+        tile = tuple(slice(c, c + T) for c in corner)
+        at = (Ellipsis,) + corner
+        ub = (g * circ_hi[at]).ravel()
+        keep = np.flatnonzero(ub >= (g * circ_lo[at]).max())
+        keep = keep[np.argsort(-ub[keep], kind="stable")]
+        for start in range(0, keep.size, chunk):
+            if ub[keep[start]] < out[tile].min():
+                break
+            ks = keep[start:start + chunk]
+            cand = circ[np.unravel_index(ks, g.shape) + tile]
+            cand *= gflat[ks].reshape((-1,) + (1,) * n)
+            out[tile] = np.maximum(out[tile], cand.max(axis=0))
     return out
 
 
 def _maximal_norm(f: GridFunction, P: BesovParams, low_profile: RadialProfile,
-                  band_profile: RadialProfile, wmin: float, exact: bool) -> float:
+                  band_profile: RadialProfile) -> float:
     if not P.a > f.spec.n / P.p.range_min:
         raise HypothesisError(
             f"Peetre exponent a = {P.a} must exceed n/p- = "
@@ -194,24 +218,22 @@ def _maximal_norm(f: GridFunction, P: BesovParams, low_profile: RadialProfile,
         )
     fhat = fourier(f).values
     zero = ExponentField.from_constant(f.spec, 0.0)
-    low = _peetre_from_hat(fhat, f.spec, 1.0, P.a, zero, low_profile, wmin, exact)
+    low = _peetre_from_hat(fhat, f.spec, 1.0, P.a, zero, low_profile)
     low_norm = luxemburg_norm(low, P.p)
-    family = [_peetre_from_hat(fhat, f.spec, t, P.a, P.alpha, band_profile, wmin, exact)
+    family = [_peetre_from_hat(fhat, f.spec, t, P.a, P.alpha, band_profile)
               for t in P.scales.t]
     return _aggregate(low_norm, family, P)
 
 
-def besov_peetre(f: GridFunction, P: BesovParams, wmin: float = 1e-8,
-                 exact: bool = False) -> float:
+def besov_peetre(f: GridFunction, P: BesovParams) -> float:
     """Maximal-function form of the continuous norm; dominates it pointwise."""
     P.validate()
     pair = _require_kernels(P, KernelPair, "besov_peetre")
     P.scales.require_resolvable(f.spec)
-    return _maximal_norm(f, P, pair.phi0_hat, pair.phi_hat, wmin, exact)
+    return _maximal_norm(f, P, pair.phi0_hat, pair.phi_hat)
 
 
-def besov_local_means(f: GridFunction, P: BesovParams, wmin: float = 1e-8,
-                      exact: bool = False) -> float:
+def besov_local_means(f: GridFunction, P: BesovParams) -> float:
     """Local-means form: Peetre norm built from (k0, k); requires
     alpha+ < S+1 in addition to a > n/p-."""
     P.validate()
@@ -221,4 +243,4 @@ def besov_local_means(f: GridFunction, P: BesovParams, wmin: float = 1e-8,
             f"local means need alpha+ < S+1; got alpha+ = {P.alpha.range_max} "
             f"with S = {kern.S}"
         )
-    return _maximal_norm(f, P, kern.k0_hat, kern.k_hat, wmin, exact)
+    return _maximal_norm(f, P, kern.k0_hat, kern.k_hat)

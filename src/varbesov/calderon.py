@@ -8,8 +8,8 @@ side: profiles are normalised so that
     Phi_hat(xi) + integral_0^1 phi_hat(t xi) dt/t = 1        (continuous)
     sum_v psi_hat_v(xi) = 1   for |xi| <= 2^v_max            (dyadic)
 
-and applying a kernel to f means multiplying f_hat by the profile (see
-`grid.apply_multiplier`).  The continuous pair is built from a smooth
+and applying a kernel to f means multiplying f_hat by the profile at
+t|xi| and transforming back.  The continuous pair is built from a smooth
 annulus bump a(r) supported in [1/2, 2]: phi_hat = a/c with
 c = integral_0^inf a(r)/r dr, which makes the full dt/t integral equal 1
 by scale invariance, and Phi_hat(xi) = integral_1^inf phi_hat(t xi) dt/t

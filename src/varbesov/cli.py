@@ -16,7 +16,6 @@ import argparse
 import os
 import sys
 
-from .besov import HypothesisError
 from .calderon import (build_continuous_pair, build_dyadic, build_local_means,
                        export_radial_table, max_dyadic_level)
 from .corpus import boundary_mass, build_corpus
@@ -136,10 +135,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, HypothesisError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # includes ConfigError and HypothesisError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

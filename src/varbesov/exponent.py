@@ -102,11 +102,6 @@ class ExponentField:
             r = np.where(np.isinf(self.samples), 0.0, 1.0 / self.samples)
         return ExponentField(self.spec, r)
 
-    def __truediv__(self, other: "ExponentField") -> "ExponentField":
-        if self.spec != other.spec:
-            raise ValueError("exponent fields live on different grids")
-        return ExponentField(self.spec, self.samples / other.samples)
-
     # -- class checks ------------------------------------------------------
 
     def require_p0(self, name: str = "p"):

@@ -222,23 +222,6 @@ def convolve_kernel(f: GridFunction, khat: GridFunction) -> GridFunction:
     return inverse_fourier(GridFunction(f.spec, prod))
 
 
-def apply_multiplier(f: GridFunction, mult: np.ndarray) -> GridFunction:
-    """Fourier multiplier operator: inverse(mult * fhat).
-
-    Used for partition-of-unity kernels whose profiles are normalised on
-    the multiplier side (profile values sum to 1 across scales), i.e. the
-    kernel k with F(k) = (2pi)^(-n/2) * mult.
-    """
-    fhat = fourier(f)
-    return inverse_fourier(f.with_values(fhat.values * mult))
-
-
-def apply_multiplier_to_hat(fhat_values: np.ndarray, mult: np.ndarray,
-                            spec: GridSpec) -> GridFunction:
-    """Same as `apply_multiplier` but reusing a precomputed transform."""
-    return inverse_fourier(GridFunction(spec, fhat_values * mult))
-
-
 def integrate(f: GridFunction) -> complex:
     """Torus quadrature h^n * sum(values); exact for band-limited integrands."""
     return complex(f.spec.cell_volume * f.values.sum())

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from varbesov import besov
 from varbesov.besov import (
     BesovParams,
     HypothesisError,
@@ -232,12 +233,89 @@ def test_peetre_large_a_collapses_to_pointwise(spec, pair, corpus_fns):
     assert np.abs(out.values - np.abs(conv.values)).max() < 1e-6
 
 
-def test_peetre_exact_flag_matches_windowed(spec, pair, corpus_fns):
+def _reference_sup(g, t, a, spec):
+    """Brute-force Peetre supremum over every grid offset (1-D gather loop,
+    2-D roll loop): the reference the fast `besov._weighted_sup` must match
+    bit for bit."""
+    N, h = spec.N, spec.h
+    if spec.n == 1:
+        k = np.arange(N)
+        d = h * np.minimum(k, N - k)
+        w = (1.0 + d / t) ** (-a)
+        keep = k
+        out = np.zeros(N)
+        idx0 = np.arange(N)
+        chunk = max(1, (1 << 22) // N)
+        for start in range(0, len(keep), chunk):
+            ks = keep[start:start + chunk]
+            cand = w[ks][:, None] * g[(idx0[None, :] - ks[:, None]) % N]
+            out = np.maximum(out, cand.max(axis=0))
+        return out
+    k = np.arange(N)
+    d1 = h * np.minimum(k, N - k)
+    dist = np.sqrt(d1[:, None] ** 2 + d1[None, :] ** 2)
+    w = (1.0 + dist / t) ** (-a)
+    mask = np.ones_like(w, dtype=bool)
+    out = np.zeros_like(g)
+    for k1, k2 in zip(*np.nonzero(mask)):
+        out = np.maximum(out, w[k1, k2] * np.roll(g, (k1, k2), axis=(0, 1)))
+    return out
+
+
+def _random_sup_input(rng, shape, kind):
+    if kind == "zero":
+        return np.zeros(shape)
+    if kind == "constant":
+        return np.full(shape, rng.uniform(0.1, 10.0))
+    if kind == "spikes":
+        g = np.zeros(shape)
+        g.flat[rng.choice(g.size, size=3, replace=False)] = rng.uniform(0.5, 2.0, 3)
+        return g
+    if kind == "smooth":  # |band-limited| like the real maximal-function inputs
+        spec_hat = np.zeros(shape, dtype=complex)
+        spec_hat[(slice(0, 6),) * len(shape)] = rng.standard_normal((6,) * len(shape))
+        return np.abs(np.fft.ifftn(spec_hat))
+    return rng.random(shape) * np.exp(rng.uniform(-8.0, 8.0, shape))
+
+
+SUP_INPUTS = ("zero", "constant", "spikes", "smooth", "wild")
+
+
+@pytest.mark.parametrize("n,N", [(1, 16), (1, 256), (1, 1024), (2, 16), (2, 32)])
+def test_weighted_sup_bit_identical_to_reference(n, N):
+    """Seeded random g, a in [0.2, 40], t in [2^-5, 2]: exact equality."""
+    rng = np.random.default_rng(7919 * n + N)
+    spec = GridSpec(n, N, float(rng.choice([1.0, 8.0, 16.0])))
+    for trial in range(15):
+        a = math.exp(rng.uniform(math.log(0.2), math.log(40.0)))
+        t = 2.0 ** rng.uniform(-5.0, 1.0)
+        g = _random_sup_input(rng, spec.shape, SUP_INPUTS[trial % len(SUP_INPUTS)])
+        assert np.array_equal(besov._weighted_sup(g, t, a, spec),
+                              _reference_sup(g, t, a, spec))
+
+
+def test_peetre_maximal_matches_reference(spec, pair, corpus_fns, monkeypatch):
     f = GridFunction(spec, corpus_fns["mod8"])
     alpha = const(spec, 0.3)
-    w = peetre_maximal(f, 0.5, 2.5, alpha, pair.phi_hat, exact=False)
-    e = peetre_maximal(f, 0.5, 2.5, alpha, pair.phi_hat, exact=True)
-    assert np.abs(w.values - e.values).max() <= 1e-8 * np.abs(e.values).max()
+    fast = peetre_maximal(f, 0.5, 2.5, alpha, pair.phi_hat)
+    monkeypatch.setattr(besov, "_weighted_sup", _reference_sup)
+    ref = peetre_maximal(f, 0.5, 2.5, alpha, pair.phi_hat)
+    assert np.array_equal(fast.values, ref.values)
+
+
+def test_two_dimensional_maximal_norms_match_reference(monkeypatch):
+    spec = GridSpec(2, 32, 4.0)
+    scales = ScaleGrid(4, 2)
+    X, Y = spec.coords()
+    f = GridFunction(spec, np.exp(1j * 3 * X) * np.exp(-(X**2 + 2 * Y**2) / 2.0))
+    alpha = ExponentField.from_callable(
+        spec, lambda x, y: 0.5 + 0.1 * np.sin(np.pi * x / 4.0) * np.sin(np.pi * y / 4.0))
+    p = ExponentField.from_callable(spec, lambda x, y: 2.0 + 0.5 * np.cos(np.pi * y / 4.0))
+    Pc = BesovParams(alpha, p, const(spec, 2.0), 2.5, scales, build_continuous_pair(spec, scales))
+    Pl = BesovParams(alpha, p, const(spec, 2.0), 2.5, scales, build_local_means(1, 1.0, spec))
+    fast = (besov_peetre(f, Pc), besov_local_means(f, Pl))
+    monkeypatch.setattr(besov, "_weighted_sup", _reference_sup)
+    assert fast == (besov_peetre(f, Pc), besov_local_means(f, Pl))
 
 
 def test_peetre_eta_envelope_bound(spec, pair, corpus_fns):
