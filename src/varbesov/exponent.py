@@ -7,8 +7,7 @@ bound for the best such constant, which is what the convolution lemmas
 need to pick their decay orders.
 
 On the torus every continuous exponent is bounded and the decay-at-infinity
-condition is vacuous; the decay constant and limit are stored anyway so the
-API mirrors the whole-space setting.
+condition is vacuous, so only the local constant is kept.
 """
 
 from __future__ import annotations
@@ -47,15 +46,12 @@ class ExponentField:
     """Exponent samples on a grid plus cached range and regularity data.
 
     range_min / range_max are the exact grid min/max; clog_local is the
-    `estimate_clog` lower bound computed at construction.  clog_decay and
-    g_infinity describe the decay condition, vacuous on the torus.
+    `estimate_clog` lower bound computed at construction.
     """
 
     spec: GridSpec
     samples: np.ndarray
     clog_local: float = field(init=False)
-    clog_decay: float = 0.0
-    g_infinity: float = 0.0
 
     def __post_init__(self):
         v = np.asarray(self.samples, dtype=float).reshape(self.spec.shape)

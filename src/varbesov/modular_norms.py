@@ -1,17 +1,27 @@
 """Variable-exponent modulars, the Luxemburg norm solver, and mixed norms.
 
 The modular of f is the quadrature of omega_{p(x)}(|f(x)|) over the torus;
-the Luxemburg (quasi-)norm is inf{lambda > 0 : modular(f/lambda) <= 1},
-found by bisection in log(lambda) -- the modular is nonincreasing in
-lambda, and +inf values (possible where p = inf) simply count as "> 1".
+the Luxemburg (quasi-)norm is inf{lambda > 0 : modular(f/lambda) <= 1}.
+Every such solve, here and in the mixed norms, is one Newton iteration in
+u = log(lambda) on the log-modular F(u) = log(cell * sum_x exp(a_x - e_x u)),
+a log-sum-exp of affine functions: convex and decreasing in u, so Newton's
+first step lands at or below the root and the later ones climb to it
+monotonically (for a constant exponent F is linear and one step is exact).
+The result is returned a relative _REL_TOL above the root, on the feasible
+side; an iterate that is not finite, or no convergence within _MAX_STEPS,
+raises ArithmeticError.  Points with p = inf act as the constraint
+lambda >= max |f| there.
 
 Mixed sequence-space norms aggregate a family (f_v) through the modular
 sum_v ||  |f_v/mu|^{q(.)} ||_{p(.)/q(.)}  (weighted by dt/t quadrature
-weights in the scale-continuous version) with an outer Luxemburg solve in
-mu.  The inner power |f|^{q(x)} is always formed in log space after
-normalising the family by its global maximum, so no overflow occurs.
-q must be bounded for the mixed modular; the q = inf norms are handled by
-their sup-over-scales form in the `besov` module instead.
+weights in the scale-continuous version).  In s = log(mu) each inner root
+u_v(s) is convex (the set {F_v <= 0} is convex in (s, u)) with slope
+-<p>/<e> under the inner's final weights, so the outer log-modular
+H(s) = log sum_v w_v exp(u_v(s)) is convex and decreasing as well, and the
+same Newton iteration solves it; for constant q, H is linear.  Powers are
+formed in log space, so no overflow occurs.  q must be bounded for the mixed
+modular; the q = inf norms are handled by their sup-over-scales form in the
+`besov` module instead.
 """
 
 from __future__ import annotations
@@ -31,8 +41,9 @@ __all__ = [
     "mixed_norm_continuous",
 ]
 
-_TINY = 1e-12
-_REL_TOL = 1e-10  # solver tolerance; tighter than callers need
+_REL_TOL = 1e-10  # relative offset of the result above the root
+_F_TOL = 1e-12    # the Newton step taken at |log-modular| <= _F_TOL is the last
+_MAX_STEPS = 100
 
 
 def _check_field(f: GridFunction, g: ExponentField, name: str):
@@ -62,7 +73,43 @@ def modular_lp(f: GridFunction, p: ExponentField) -> float:
     return _omega_sum(a, p.samples.ravel(), f.spec.cell_volume)
 
 
-def luxemburg_norm(f: GridFunction, p: ExponentField, rel_tol: float = _REL_TOL) -> float:
+# --- the solver ------------------------------------------------------------------
+
+
+def _lse(z: np.ndarray):
+    """Log-sum-exp over the last axis and the normalised weights exp(z - lse);
+    every row needs a finite entry."""
+    m = z.max(axis=-1, keepdims=True)
+    w = np.exp(z - m)
+    s = w.sum(axis=-1, keepdims=True)
+    return (m + np.log(s))[..., 0], w / s
+
+
+def _newton(fn, u):
+    """Row-wise root of F = fn(u)[0], convex and decreasing in u; fn returns
+    (F, dF/du).  The step taken at |F| <= _F_TOL is the last one."""
+    for _ in range(_MAX_STEPS):
+        F, dF = fn(u)
+        u = u - F / dF
+        if not np.all(np.isfinite(u)):
+            raise ArithmeticError("Newton iterate in log(lambda) is not finite")
+        if np.all(np.abs(F) <= _F_TOL):
+            return u
+    raise ArithmeticError(f"Newton iteration in log(lambda) did not converge "
+                          f"in {_MAX_STEPS} steps")
+
+
+def _log_roots(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Row-wise u with log sum_x exp(a[:, x] - e[x] u) = 0, for e > 0 and no
+    row of a all -inf.  Start: the largest single term equals 1, below the root."""
+    def fn(u):
+        F, w = _lse(a - u[:, None] * e)
+        return F, -(w @ e)
+
+    return _newton(fn, np.max(a / e, axis=-1))
+
+
+def luxemburg_norm(f: GridFunction, p: ExponentField) -> float:
     """inf{lambda > 0 : modular(f/lambda) <= 1}; 0 for f identically zero."""
     _check_field(f, p, "p")
     p.require_p0("p")
@@ -70,78 +117,14 @@ def luxemburg_norm(f: GridFunction, p: ExponentField, rel_tol: float = _REL_TOL)
     amax = float(a.max())
     if amax == 0.0:
         return 0.0
-    g = a / amax
     ps = p.samples.ravel()
-    cell = f.spec.cell_volume
-    pmin = p.range_min
-    box = (2.0 * f.spec.L) ** f.spec.n
-
-    lo = _TINY
-    hi = box ** (1.0 / pmin) + 1.0
-    for _ in range(200):
-        if _omega_sum(g / hi, ps, cell) <= 1.0:
-            break
-        hi *= 2.0
-    else:
-        raise ArithmeticError("could not bracket the Luxemburg norm from above")
-    for _ in range(200):
-        if _omega_sum(g / lo, ps, cell) > 1.0:
-            break
-        lo *= 1e-2
-    while hi / lo - 1.0 > rel_tol:
-        mid = math.sqrt(lo * hi)
-        if _omega_sum(g / mid, ps, cell) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return amax * hi
-
-
-# --- batched Luxemburg solves over a family of rows ---------------------------
-
-
-def _lux_rows(A: np.ndarray, e: np.ndarray, cell: float, box: float,
-              rel_tol: float = _REL_TOL) -> np.ndarray:
-    """Row-wise Luxemburg norms with a shared finite exponent field e > 0.
-
-    A is (T, M) nonnegative; all rows are bisected jointly in log space.
-    """
-    T, M = A.shape
-    out = np.zeros(T)
-    rmax = A.max(axis=1)
-    live = rmax > 0
-    if not live.any():
-        return out
-    G = A[live] / rmax[live, None]
-    with np.errstate(divide="ignore"):
-        LG = np.log(G)  # -inf where G == 0; exp maps it back to 0
-
-    def modular(lam):
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = np.exp(e[None, :] * (LG - np.log(lam)[:, None]))
-        return cell * z.sum(axis=1)
-
-    emin = float(e.min())
-    k = G.shape[0]
-    lo = np.full(k, _TINY)
-    hi = np.full(k, box ** (1.0 / emin) + 1.0)
-    for _ in range(200):
-        bad = modular(hi) > 1.0
-        if not bad.any():
-            break
-        hi[bad] *= 2.0
-    for _ in range(200):
-        good = modular(lo) > 1.0
-        if good.all():
-            break
-        lo[~good] *= 1e-2
-    while (hi / lo - 1.0).max() > rel_tol:
-        mid = np.sqrt(lo * hi)
-        feas = modular(mid) <= 1.0
-        hi = np.where(feas, mid, hi)
-        lo = np.where(feas, lo, mid)
-    out[live] = rmax[live] * hi
-    return out
+    fin = np.isfinite(ps) & (a > 0)
+    lam = float(a[np.isinf(ps)].max(initial=0.0))
+    if fin.any():
+        pf = ps[fin]
+        u = _log_roots((math.log(f.spec.cell_volume) + pf * np.log(a[fin] / amax))[None], pf)
+        lam = max(lam, amax * math.exp(u[0] + _REL_TOL))
+    return lam
 
 
 def power_quotient_norm(f: GridFunction, p: ExponentField, q: ExponentField) -> float:
@@ -150,63 +133,41 @@ def power_quotient_norm(f: GridFunction, p: ExponentField, q: ExponentField) -> 
     _check_field(f, q, "q")
     p.require_p0("p").require_finite("p")
     q.require_p0("q").require_finite("q")
-    a = np.abs(f.values).ravel()[None, :]
-    qs = q.samples.ravel()
-    with np.errstate(divide="ignore"):
-        P = np.exp(qs[None, :] * np.log(a))
-    e = (p.samples / q.samples).ravel()
-    box = (2.0 * f.spec.L) ** f.spec.n
-    return float(_lux_rows(P, e, f.spec.cell_volume, box)[0])
+    a = np.abs(f.values).ravel()
+    live = a > 0
+    if not live.any():
+        return 0.0
+    ps = p.samples.ravel()[live]
+    e = ps / q.samples.ravel()[live]
+    u = _log_roots((math.log(f.spec.cell_volume) + ps * np.log(a[live]))[None], e)
+    return math.exp(u[0] + _REL_TOL)
 
 
 def _mixed_norm(A: np.ndarray, w: np.ndarray, p: ExponentField, q: ExponentField,
-                cell: float, box: float, rel_tol: float = _REL_TOL) -> float:
-    """Outer Luxemburg solve for the weighted mixed modular.
+                cell: float) -> float:
+    """Outer Luxemburg solve in s = log(mu) for the weighted mixed modular.
 
     A: (T, M) |f_v| samples, w: (T,) quadrature weights (all ones in the
-    discrete case).  For constant q the outer inf has the closed form
-    (sum_v w_v T_v)^(1/q) with T_v the inner norms of the unscaled family.
+    discrete case).
     """
     amax = float(A.max())
     if amax == 0.0:
         return 0.0
-    A = A / amax
-    qs = q.samples.ravel()
-    e = (p.samples / q.samples).ravel()
+    live = A.max(axis=1) > 0
+    ps = p.samples.ravel()
+    e = ps / q.samples.ravel()
     with np.errstate(divide="ignore"):
-        LA = np.log(A)
-        P = np.exp(qs[None, :] * LA)
+        a0 = math.log(cell) + ps * np.log(A[live] / amax)
+    logw = np.log(w[live])
 
-    if q.is_constant:
-        qc = q.range_min
-        T1 = _lux_rows(P, e, cell, box, rel_tol)
-        return amax * float(np.dot(w, T1)) ** (1.0 / qc)
+    def fn(s):
+        a = a0 - s * ps
+        u = _log_roots(a, e)
+        _, W = _lse(a - u[:, None] * e)
+        H, wv = _lse(logw + u)
+        return H, -(wv @ ((W @ ps) / (W @ e)))
 
-    def modular(mu):
-        with np.errstate(over="ignore", invalid="ignore"):
-            Pm = P * np.exp(-math.log(mu) * qs)[None, :]
-        vals = _lux_rows(Pm, e, cell, box, rel_tol)
-        return float(np.dot(w, vals))
-
-    lo = _TINY
-    hi = (box ** (1.0 / p.range_min) + 1.0) * (float(w.sum()) + 1.0) ** (1.0 / q.range_min)
-    for _ in range(200):
-        if modular(hi) <= 1.0:
-            break
-        hi *= 2.0
-    else:
-        raise ArithmeticError("could not bracket the mixed norm from above")
-    for _ in range(200):
-        if modular(lo) > 1.0:
-            break
-        lo *= 1e-2
-    while hi / lo - 1.0 > rel_tol:
-        mid = math.sqrt(lo * hi)
-        if modular(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return amax * hi
+    return amax * math.exp(float(_newton(fn, 0.0)) + _REL_TOL)
 
 
 def _validate_mixed(fs, p: ExponentField, q: ExponentField):
@@ -221,21 +182,17 @@ def _validate_mixed(fs, p: ExponentField, q: ExponentField):
         )
 
 
-def mixed_norm_discrete(fs, p: ExponentField, q: ExponentField,
-                        rel_tol: float = _REL_TOL) -> float:
+def mixed_norm_discrete(fs, p: ExponentField, q: ExponentField) -> float:
     """Mixed sequence-space norm of a finite family (f_v)."""
     fs = list(fs)
     if not fs:
         return 0.0
     _validate_mixed(fs, p, q)
     A = np.stack([np.abs(f.values).ravel() for f in fs])
-    spec = fs[0].spec
-    w = np.ones(len(fs))
-    return _mixed_norm(A, w, p, q, spec.cell_volume, (2.0 * spec.L) ** spec.n, rel_tol)
+    return _mixed_norm(A, np.ones(len(fs)), p, q, fs[0].spec.cell_volume)
 
 
-def mixed_norm_continuous(ft, p: ExponentField, q: ExponentField, s: ScaleGrid,
-                          rel_tol: float = _REL_TOL) -> float:
+def mixed_norm_continuous(ft, p: ExponentField, q: ExponentField, s: ScaleGrid) -> float:
     """Scale-continuous mixed norm: the discrete sum over v becomes the
     dt/t quadrature over the ScaleGrid."""
     ft = list(ft)
@@ -245,6 +202,4 @@ def mixed_norm_continuous(ft, p: ExponentField, q: ExponentField, s: ScaleGrid,
         raise ValueError(f"family has {len(ft)} members but the scale grid has {len(s)}")
     _validate_mixed(ft, p, q)
     A = np.stack([np.abs(f.values).ravel() for f in ft])
-    spec = ft[0].spec
-    return _mixed_norm(A, s.weights, p, q, spec.cell_volume,
-                       (2.0 * spec.L) ** spec.n, rel_tol)
+    return _mixed_norm(A, s.weights, p, q, ft[0].spec.cell_volume)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from varbesov.exponent import ExponentField
 from varbesov.grid import GridFunction, GridSpec, ScaleGrid
 from varbesov.modular_norms import (
+    _omega_sum,
     luxemburg_norm,
     mixed_norm_continuous,
     mixed_norm_discrete,
@@ -18,6 +19,179 @@ from varbesov.modular_norms import (
 
 def classical_lp(f, p):
     return float((f.spec.cell_volume * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
+
+
+# --- bisection reference solvers ----------------------------------------------
+# The three bisection loops the Newton solver replaced, kept unchanged apart
+# from their names as the reference the solver is checked against.
+
+_TINY = 1e-12
+_REL_TOL = 1e-10
+
+
+def _reference_luxemburg_norm(f: GridFunction, p: ExponentField, rel_tol: float = _REL_TOL) -> float:
+    """inf{lambda > 0 : modular(f/lambda) <= 1}; 0 for f identically zero."""
+    a = np.abs(f.values).ravel()
+    amax = float(a.max())
+    if amax == 0.0:
+        return 0.0
+    g = a / amax
+    ps = p.samples.ravel()
+    cell = f.spec.cell_volume
+    pmin = p.range_min
+    box = (2.0 * f.spec.L) ** f.spec.n
+
+    lo = _TINY
+    hi = box ** (1.0 / pmin) + 1.0
+    for _ in range(200):
+        if _omega_sum(g / hi, ps, cell) <= 1.0:
+            break
+        hi *= 2.0
+    else:
+        raise ArithmeticError("could not bracket the Luxemburg norm from above")
+    for _ in range(200):
+        if _omega_sum(g / lo, ps, cell) > 1.0:
+            break
+        lo *= 1e-2
+    while hi / lo - 1.0 > rel_tol:
+        mid = math.sqrt(lo * hi)
+        if _omega_sum(g / mid, ps, cell) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return amax * hi
+
+
+def _reference_lux_rows(A: np.ndarray, e: np.ndarray, cell: float, box: float,
+                        rel_tol: float = _REL_TOL) -> np.ndarray:
+    """Row-wise Luxemburg norms with a shared finite exponent field e > 0.
+
+    A is (T, M) nonnegative; all rows are bisected jointly in log space.
+    """
+    T, M = A.shape
+    out = np.zeros(T)
+    rmax = A.max(axis=1)
+    live = rmax > 0
+    if not live.any():
+        return out
+    G = A[live] / rmax[live, None]
+    with np.errstate(divide="ignore"):
+        LG = np.log(G)  # -inf where G == 0; exp maps it back to 0
+
+    def modular(lam):
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = np.exp(e[None, :] * (LG - np.log(lam)[:, None]))
+        return cell * z.sum(axis=1)
+
+    emin = float(e.min())
+    k = G.shape[0]
+    lo = np.full(k, _TINY)
+    hi = np.full(k, box ** (1.0 / emin) + 1.0)
+    for _ in range(200):
+        bad = modular(hi) > 1.0
+        if not bad.any():
+            break
+        hi[bad] *= 2.0
+    for _ in range(200):
+        good = modular(lo) > 1.0
+        if good.all():
+            break
+        lo[~good] *= 1e-2
+    while (hi / lo - 1.0).max() > rel_tol:
+        mid = np.sqrt(lo * hi)
+        feas = modular(mid) <= 1.0
+        hi = np.where(feas, mid, hi)
+        lo = np.where(feas, lo, mid)
+    out[live] = rmax[live] * hi
+    return out
+
+
+def _reference_mixed_norm(A: np.ndarray, w: np.ndarray, p: ExponentField, q: ExponentField,
+                          cell: float, box: float, rel_tol: float = _REL_TOL) -> float:
+    """Outer Luxemburg solve for the weighted mixed modular.
+
+    A: (T, M) |f_v| samples, w: (T,) quadrature weights (all ones in the
+    discrete case).  For constant q the outer inf has the closed form
+    (sum_v w_v T_v)^(1/q) with T_v the inner norms of the unscaled family.
+    """
+    amax = float(A.max())
+    if amax == 0.0:
+        return 0.0
+    A = A / amax
+    qs = q.samples.ravel()
+    e = (p.samples / q.samples).ravel()
+    with np.errstate(divide="ignore"):
+        LA = np.log(A)
+        P = np.exp(qs[None, :] * LA)
+
+    if q.is_constant:
+        qc = q.range_min
+        T1 = _reference_lux_rows(P, e, cell, box, rel_tol)
+        return amax * float(np.dot(w, T1)) ** (1.0 / qc)
+
+    def modular(mu):
+        with np.errstate(over="ignore", invalid="ignore"):
+            Pm = P * np.exp(-math.log(mu) * qs)[None, :]
+        vals = _reference_lux_rows(Pm, e, cell, box, rel_tol)
+        return float(np.dot(w, vals))
+
+    lo = _TINY
+    hi = (box ** (1.0 / p.range_min) + 1.0) * (float(w.sum()) + 1.0) ** (1.0 / q.range_min)
+    for _ in range(200):
+        if modular(hi) <= 1.0:
+            break
+        hi *= 2.0
+    else:
+        raise ArithmeticError("could not bracket the mixed norm from above")
+    for _ in range(200):
+        if modular(lo) > 1.0:
+            break
+        lo *= 1e-2
+    while hi / lo - 1.0 > rel_tol:
+        mid = math.sqrt(lo * hi)
+        if modular(mid) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return amax * hi
+
+
+def _box(spec):
+    return (2.0 * spec.L) ** spec.n
+
+
+def _reference_power_quotient(f, p, q):
+    with np.errstate(divide="ignore"):
+        P = np.exp(q.samples.ravel() * np.log(np.abs(f.values).ravel()))
+    e = (p.samples / q.samples).ravel()
+    return float(_reference_lux_rows(P[None, :], e, f.spec.cell_volume, _box(f.spec))[0])
+
+
+def _random_case(rng, rows):
+    """A grid, `rows` functions (some all zero, some half zero, amplitudes
+    e^-8..e^8) and exponents p, q in [0.3, 6], each constant or variable."""
+    L = float(rng.uniform(1.0, 8.0))
+    spec = GridSpec(2, 16, L) if rng.random() < 0.2 else GridSpec(1, int(rng.choice([16, 32, 64])), L)
+    x = spec.coords()[0]
+
+    def exponent():
+        lo, hi = np.sort(rng.uniform(0.3, 6.0, 2))
+        if rng.random() < 0.4:
+            return ExponentField.from_constant(spec, lo)
+        wave = 0.5 + 0.5 * np.sin(np.pi * x / spec.L + rng.uniform(0.0, 2.0 * np.pi))
+        return ExponentField(spec, lo + (hi - lo) * wave)
+
+    fs = []
+    for _ in range(rows):
+        vals = (rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)).ravel()
+        vals *= math.exp(rng.uniform(-8.0, 8.0))
+        kind = rng.random()
+        if kind < 0.15:
+            vals[:] = 0.0
+        elif kind < 0.35:
+            vals[rng.permutation(vals.size)[: vals.size // 2]] = 0.0
+        fs.append(GridFunction(spec, vals.reshape(spec.shape)))
+    return spec, fs, exponent(), exponent()
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +274,19 @@ def test_luxemburg_homogeneity(c):
     assert luxemburg_norm(c * f, p) == pytest.approx(c * luxemburg_norm(f, p), rel=1e-6)
 
 
+@pytest.mark.parametrize("pv", [0.01, 0.004])
+def test_small_constant_p_closed_form(pv):
+    """Tiny p: the norm is ~1e225 at p = 0.004, far beyond a linear bracket."""
+    spec = GridSpec(1, 64, 4.0)
+    f = GridFunction(spec, np.random.default_rng(7).standard_normal(64))
+    z = math.log(spec.cell_volume) + pv * np.log(np.abs(f.values))
+    m = float(z.max())
+    expect = math.exp((m + math.log(np.exp(z - m).sum())) / pv)
+    p = ExponentField.from_constant(spec, pv)
+    assert luxemburg_norm(f, p) == pytest.approx(expect, rel=1e-6)
+    assert mixed_norm_discrete([f], p, p) == pytest.approx(expect, rel=1e-6)
+
+
 def test_luxemburg_with_infinite_p_region(small_spec):
     """p = inf on part of the grid acts as a sup constraint there."""
     (x,) = small_spec.coords()
@@ -140,6 +327,25 @@ def test_mixed_rejects_unbounded_q(small_spec, noisy):
     qinf = ExponentField.from_constant(small_spec, math.inf)
     with pytest.raises(ValueError, match="q bounded"):
         mixed_norm_discrete([noisy], p, qinf)
+
+
+def test_mixed_unit_ball_variable_q():
+    rng = np.random.default_rng(31)
+    spec = GridSpec(1, 64, 4.0)
+    (x,) = spec.coords()
+    p = ExponentField(spec, 1.2 + 0.8 * np.cos(np.pi * x / 4.0))
+    q = ExponentField(spec, 0.7 + 0.4 * np.sin(np.pi * x / 4.0))
+    fam = [GridFunction(spec, rng.standard_normal(64) * math.exp(rng.uniform(-3, 3)))
+           for _ in range(5)]
+    s = ScaleGrid(2, 2)
+    for w, mu in ((np.ones(5), mixed_norm_discrete(fam, p, q)),
+                  (s.weights, mixed_norm_continuous(fam, p, q, s))):
+        A = np.stack([np.abs(f.values) / mu for f in fam])
+        P = np.exp(q.samples[None, :] * np.log(A))
+        # the inner norms by a bisection far tighter than the 1e-10 offset
+        inner = _reference_lux_rows(P, p.samples / q.samples, spec.cell_volume,
+                                    _box(spec), rel_tol=1e-14)
+        assert 1.0 - 1e-6 <= float(np.dot(w, inner)) <= 1.0
 
 
 def test_mixed_continuous_zero(small_spec):
@@ -237,3 +443,29 @@ def test_dzw_property_random_corpus(small_spec):
         assert lhs <= rhs * (1.0 + 1e-8)
         checked += 1
     assert checked >= 10
+
+
+# --- Newton solver against the bisection reference ------------------------------
+
+
+def test_luxemburg_and_power_quotient_match_reference():
+    rng = np.random.default_rng(101)
+    for _ in range(60):
+        _, (f,), p, q = _random_case(rng, 1)
+        assert luxemburg_norm(f, p) == pytest.approx(_reference_luxemburg_norm(f, p), rel=1e-8)
+        assert power_quotient_norm(f, p, q) == pytest.approx(
+            _reference_power_quotient(f, p, q), rel=1e-8)
+
+
+def test_mixed_norms_match_reference():
+    rng = np.random.default_rng(102)
+    for _ in range(40):
+        rows = int(rng.integers(1, 8))
+        spec, fs, p, q = _random_case(rng, rows)
+        A = np.stack([np.abs(f.values).ravel() for f in fs])
+        ref = _reference_mixed_norm(A, np.ones(rows), p, q, spec.cell_volume, _box(spec))
+        assert mixed_norm_discrete(fs, p, q) == pytest.approx(ref, rel=1e-8)
+        if rows >= 2:
+            s = ScaleGrid(rows - 1, 1)
+            ref = _reference_mixed_norm(A, s.weights, p, q, spec.cell_volume, _box(spec))
+            assert mixed_norm_continuous(fs, p, q, s) == pytest.approx(ref, rel=1e-8)
