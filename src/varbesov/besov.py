@@ -12,9 +12,19 @@ is what the experiment harness measures:
   besov_local_means  Peetre-style norm built from Tauberian kernels with
                      vanishing moments
 
-q identically inf replaces the mixed norm by a sup over scales (blocks).
-The Peetre supremum over the torus is taken over grid points, exactly: no
-window truncates the far points and no flag selects a slower exact sweep.
+Each evaluator measures one family over the scales, held as a (T, *shape)
+array: t^(-alpha(.)) |ifft(f_hat * bank)|, where the bank stacks the
+kernel's multipliers profile(t_j |xi|) (for the dyadic norm the blocks
+psi_v, with t_v = 2^-v).  Banks come from `calderon.multiplier_bank` and
+`calderon.dyadic_bank`, built once per (kernel, grid, scales) and shared
+by every later call; one batched inverse transform turns a bank into the
+whole family.  The maximal-function norms replace each row by its Peetre
+supremum.  The stack goes as it is to `modular_norms.mixed_norm_continuous`
+or `mixed_norm_discrete`, which aggregate it in l^q(.)(L^p(.)); q
+identically inf replaces that by the largest row norm (one row-batched
+Luxemburg solve, `modular_norms.luxemburg_rows`).  The Peetre supremum
+over the torus is taken over grid points, exactly: no window truncates the
+far points and no flag selects a slower exact sweep.
 """
 
 from __future__ import annotations
@@ -25,12 +35,13 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .calderon import DyadicFamily, KernelPair, LocalMeansKernels, RadialProfile
+from .calderon import (DyadicFamily, KernelPair, LocalMeansKernels, RadialProfile,
+                       dyadic_bank, multiplier_bank)
 from .exponent import ExponentField
-from .grid import GridFunction, GridSpec, ScaleGrid, fourier, inverse_fourier
-from .modular_norms import luxemburg_norm, mixed_norm_continuous, mixed_norm_discrete
+from .grid import GridFunction, GridSpec, ScaleGrid, _circulant, dft, fourier
+from .modular_norms import (luxemburg_norm, luxemburg_rows, mixed_norm_continuous,
+                            mixed_norm_discrete)
 
 __all__ = [
     "BesovParams",
@@ -77,62 +88,55 @@ class BesovParams:
         return self.q.range_min == math.inf
 
 
-def _require_kernels(P: BesovParams, cls, which: str):
+def _setup(f: GridFunction, P: BesovParams, cls, which: str):
+    """Validate P against f and return its kernels, which must be a `cls`."""
+    P.validate()
     if not isinstance(P.kernels, cls):
         raise TypeError(f"{which} needs kernels of type {cls.__name__}, "
                         f"got {type(P.kernels).__name__}")
+    for name in ("alpha", "p", "q"):
+        if getattr(P, name).spec != f.spec:
+            raise ValueError(f"{name} is sampled on a different grid than f")
     return P.kernels
 
 
-def _scale_family(fhat: np.ndarray, spec: GridSpec, profile: RadialProfile,
-                  scales: ScaleGrid):
-    """phi_t * f for every t on the scale grid, from a precomputed transform."""
-    radii = spec.xi_radius()
-    return [inverse_fourier(GridFunction(spec, fhat * profile(t * radii)))
-            for t in scales.t]
+def _family(f: GridFunction, bank: np.ndarray, t, alpha: ExponentField) -> np.ndarray:
+    """t_j^(-alpha(.)) |k_j * f| for every row k_j of the bank, as one
+    (T, *shape) array; a row at t_j = 1, such as the low-pass row, gets the
+    weight exactly 1."""
+    moduli = np.abs(dft(fourier(f).values * bank, f.spec, inverse=True))
+    log_t = np.log(np.asarray(t, dtype=float)).reshape((-1,) + (1,) * f.spec.n)
+    return np.exp(-log_t * alpha.samples) * moduli
 
 
-def _alpha_weight(alpha: ExponentField, t: float) -> np.ndarray:
-    """t^(-alpha(x)) as a sample array."""
-    return np.exp(-math.log(t) * alpha.samples)
-
-
-def _aggregate(low_norm: float, family, P: BesovParams) -> float:
+def _aggregate(G: np.ndarray, P: BesovParams, continuous: bool) -> float:
+    """Mixed norm of the (T, *shape) family G, over P.scales if continuous
+    and over the dyadic blocks if not, or its largest row norm for q = inf."""
     if P.q_is_inf:
-        sup = max((luxemburg_norm(g, P.p) for g in family), default=0.0)
-        return low_norm + sup
-    return low_norm + mixed_norm_continuous(family, P.p, P.q, P.scales)
+        return float(luxemburg_rows(G, P.p).max())
+    if continuous:
+        return mixed_norm_continuous(G, P.p, P.q, P.scales)
+    return mixed_norm_discrete(G, P.p, P.q)
+
+
+def _low_plus_bands(M: np.ndarray, P: BesovParams) -> float:
+    """L^p(.) norm of the low-pass row M[0] plus the aggregate of the bands M[1:]."""
+    return luxemburg_norm(GridFunction(P.p.spec, M[0]), P.p) + _aggregate(M[1:], P, True)
 
 
 def besov_continuous(f: GridFunction, P: BesovParams) -> float:
     """||Phi * f||_p(.) plus the mixed norm of (t^(-alpha(.)) phi_t * f)_t."""
-    P.validate()
-    pair = _require_kernels(P, KernelPair, "besov_continuous")
+    pair = _setup(f, P, KernelPair, "besov_continuous")
     P.scales.require_resolvable(f.spec)
-    fhat = fourier(f).values
-    radii = f.spec.xi_radius()
-    low = inverse_fourier(GridFunction(f.spec, fhat * pair.phi0_hat(radii)))
-    low_norm = luxemburg_norm(low, P.p)
-    bands = _scale_family(fhat, f.spec, pair.phi_hat, P.scales)
-    family = [g.with_values(_alpha_weight(P.alpha, t) * g.values)
-              for t, g in zip(P.scales.t, bands)]
-    return _aggregate(low_norm, family, P)
+    bank = multiplier_bank(pair.phi0_hat, pair.phi_hat, f.spec, P.scales)
+    return _low_plus_bands(_family(f, bank, (1.0, *P.scales.t), P.alpha), P)
 
 
 def besov_discrete(f: GridFunction, P: BesovParams) -> float:
     """Mixed sequence norm of (2^(v alpha(.)) psi_v * f)_v."""
-    P.validate()
-    fam = _require_kernels(P, DyadicFamily, "besov_discrete")
-    fhat = fourier(f).values
-    radii = f.spec.xi_radius()
-    blocks = []
-    for v in range(fam.v_max + 1):
-        block = inverse_fourier(GridFunction(f.spec, fhat * fam.psi_hat(v)(radii)))
-        weight = np.exp(math.log(2.0) * v * P.alpha.samples)
-        blocks.append(block.with_values(weight * block.values))
-    if P.q_is_inf:
-        return max((luxemburg_norm(b, P.p) for b in blocks), default=0.0)
-    return mixed_norm_discrete(blocks, P.p, P.q)
+    fam = _setup(f, P, DyadicFamily, "besov_discrete")
+    t = 2.0 ** -np.arange(fam.v_max + 1)
+    return _aggregate(_family(f, dyadic_bank(fam, f.spec), t, P.alpha), P, False)
 
 
 # --- Peetre maximal functions --------------------------------------------------
@@ -146,24 +150,11 @@ def peetre_maximal(f: GridFunction, t: float, a: float, alpha: ExponentField,
     """
     if not a > 0:
         raise ValueError("Peetre exponent a must be positive")
-    fhat = fourier(f).values
-    return _peetre_from_hat(fhat, f.spec, t, a, alpha, kernel)
-
-
-def _peetre_from_hat(fhat, spec, t, a, alpha, kernel):
-    conv = inverse_fourier(GridFunction(spec, fhat * kernel(t * spec.xi_radius())))
-    g = _alpha_weight(alpha, t) * np.abs(conv.values)
-    return GridFunction(spec, _weighted_sup(g, t, a, spec))
+    g = _family(f, kernel(t * f.spec.xi_radius())[None], (t,), alpha)[0]
+    return GridFunction(f.spec, _weighted_sup(g, t, a, f.spec))
 
 
 _TILE = {1: 64, 2: 16}  # tile edge of the x grid, per dimension
-
-
-def _circulant(w: np.ndarray) -> np.ndarray:
-    """View c of shape (N,) * 2n with c[(*y, *x)] = w[(x - y) mod N]:
-    w unrolled once per axis, windowed, and reversed along the y axes."""
-    view = sliding_window_view(np.tile(w, (2,) * w.ndim), w.shape)
-    return view[(slice(w.shape[0], 0, -1),) * w.ndim]
 
 
 def _weighted_sup(g: np.ndarray, t: float, a: float, spec: GridSpec) -> np.ndarray:
@@ -216,19 +207,16 @@ def _maximal_norm(f: GridFunction, P: BesovParams, low_profile: RadialProfile,
             f"Peetre exponent a = {P.a} must exceed n/p- = "
             f"{f.spec.n / P.p.range_min:.4f}"
         )
-    fhat = fourier(f).values
-    zero = ExponentField.from_constant(f.spec, 0.0)
-    low = _peetre_from_hat(fhat, f.spec, 1.0, P.a, zero, low_profile)
-    low_norm = luxemburg_norm(low, P.p)
-    family = [_peetre_from_hat(fhat, f.spec, t, P.a, P.alpha, band_profile)
-              for t in P.scales.t]
-    return _aggregate(low_norm, family, P)
+    t = (1.0, *P.scales.t)
+    bank = multiplier_bank(low_profile, band_profile, f.spec, P.scales)
+    M = _family(f, bank, t, P.alpha)
+    return _low_plus_bands(np.stack([_weighted_sup(g, tj, P.a, f.spec)
+                                     for g, tj in zip(M, t)]), P)
 
 
 def besov_peetre(f: GridFunction, P: BesovParams) -> float:
     """Maximal-function form of the continuous norm; dominates it pointwise."""
-    P.validate()
-    pair = _require_kernels(P, KernelPair, "besov_peetre")
+    pair = _setup(f, P, KernelPair, "besov_peetre")
     P.scales.require_resolvable(f.spec)
     return _maximal_norm(f, P, pair.phi0_hat, pair.phi_hat)
 
@@ -236,8 +224,7 @@ def besov_peetre(f: GridFunction, P: BesovParams) -> float:
 def besov_local_means(f: GridFunction, P: BesovParams) -> float:
     """Local-means form: Peetre norm built from (k0, k); requires
     alpha+ < S+1 in addition to a > n/p-."""
-    P.validate()
-    kern = _require_kernels(P, LocalMeansKernels, "besov_local_means")
+    kern = _setup(f, P, LocalMeansKernels, "besov_local_means")
     if not P.alpha.range_max < kern.S + 1:
         raise HypothesisError(
             f"local means need alpha+ < S+1; got alpha+ = {P.alpha.range_max} "

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +36,8 @@ __all__ = [
     "build_mu_eta_pair",
     "build_dyadic",
     "build_local_means",
+    "multiplier_bank",
+    "dyadic_bank",
     "reproducing_residual",
     "export_radial_table",
 ]
@@ -368,6 +371,38 @@ def build_local_means(S: int, eps: float, spec: GridSpec) -> LocalMeansKernels:
         S=S,
         eps=eps,
     )
+
+
+# --- multiplier banks ------------------------------------------------------------
+#
+# The evaluators apply one kernel at every scale to every function they
+# measure, so the multipliers depend only on (kernel, grid, scales): each
+# bank is built once, kept read-only and shared by every later call.  The
+# caches are small because an experiment uses at most two kernel pairs and
+# one dyadic family at a time, and each entry keeps its kernel alive.
+
+
+@lru_cache(maxsize=4)
+def multiplier_bank(low: RadialProfile, band: RadialProfile, spec: GridSpec,
+                    scales: ScaleGrid) -> np.ndarray:
+    """Read-only (1 + T, *spec.shape) stack: low(|xi|), then band(t_j |xi|)
+    for every scale t_j of `scales`."""
+    radii = spec.xi_radius()
+    bank = np.stack([low(radii)] + [band(t * radii) for t in scales.t])
+    bank.setflags(write=False)
+    return bank
+
+
+@lru_cache(maxsize=2)
+def dyadic_bank(fam: DyadicFamily, spec: GridSpec) -> np.ndarray:
+    """Read-only (v_max + 1, *spec.shape) stack of the blocks psi_hat_v(|xi|):
+    from the rows R_v = Psi(2^-v |xi|), psi_0 = R_0 and psi_v = R_v - R_(v-1),
+    the same products `DyadicFamily.psi_hat` forms."""
+    radii = spec.xi_radius()
+    rows = np.stack([fam.psi0_hat(2.0 ** -v * radii) for v in range(fam.v_max + 1)])
+    bank = np.diff(rows, axis=0, prepend=0.0)
+    bank.setflags(write=False)
+    return bank
 
 
 # --- export --------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Command-line interface.
 
-    varbesov run <experiment> [--config file] [--seed S] [--grid N,L]
+    varbesov run <experiment|all> [--config file] [--seed S] [--grid N,L]
                  [--scales K,J] [--threads T] [--threshold X] [--out DIR]
                  [--plots]
     varbesov kernels export [--out DIR] [--grid N,L]
     varbesov corpus list [--grid N,L] [--seed S]
 
-Exit codes: 0 run passed, 1 spread over threshold, 2 hypothesis or
-configuration error.
+`run all` runs every experiment, each into <out>/<name with ':' -> '_'>.
+
+Exit codes: 0 run passed (with `all`: every run passed), 1 spread over
+threshold or a failed check, 2 hypothesis or configuration error.
 """
 
 from __future__ import annotations
@@ -53,13 +55,9 @@ def _config_from_args(args) -> HarnessConfig:
     return cfg
 
 
-def cmd_run(args) -> int:
-    cfg = _config_from_args(args)
-    if args.threshold is not None:
-        key = "lemma" if args.experiment.startswith("lemma:") else args.experiment
-        cfg.thresholds[key] = args.threshold
-    report = run_experiment(args.experiment, cfg)
-    written = emit_report(report, cfg.out, plots=args.plots)
+def _run_one(name: str, cfg: HarnessConfig, out: str, plots: bool) -> bool:
+    report = run_experiment(name, cfg)
+    written = emit_report(report, out, plots=plots)
     n_ok = sum(1 for e in report.entries if not e.vacuous)
     print(f"experiment: {report.experiment}")
     print(f"entries: {len(report.entries)} ({n_ok} non-vacuous)")
@@ -69,7 +67,22 @@ def cmd_run(args) -> int:
     for path in written:
         print(f"wrote {path}")
     print("PASS" if report.passed else "FAIL")
-    return 0 if report.passed else 1
+    return report.passed
+
+
+def cmd_run(args) -> int:
+    cfg = _config_from_args(args)
+    if args.experiment == "all":
+        if args.threshold is not None:
+            raise ConfigError("--threshold sets one experiment's threshold; "
+                              "it cannot be combined with 'all'")
+        passed = [_run_one(name, cfg, os.path.join(cfg.out, name.replace(":", "_")),
+                           args.plots) for name in EXPERIMENTS]
+        return 0 if all(passed) else 1
+    if args.threshold is not None:
+        key = "lemma" if args.experiment.startswith("lemma:") else args.experiment
+        cfg.thresholds[key] = args.threshold
+    return 0 if _run_one(args.experiment, cfg, cfg.out, args.plots) else 1
 
 
 def cmd_kernels_export(args) -> int:
@@ -114,7 +127,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run an experiment and emit reports")
     p_run.add_argument("experiment",
-                       help=f"one of: {', '.join(EXPERIMENTS)}")
+                       help=f"one of: {', '.join(EXPERIMENTS)}; or all")
     p_run.add_argument("--threshold", type=float, help="spread threshold override")
     p_run.add_argument("--plots", action="store_true", help="emit plot data + script")
     _add_common(p_run)

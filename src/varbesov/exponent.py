@@ -13,7 +13,8 @@ condition is vacuous, so only the local constant is kept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,12 +47,11 @@ class ExponentField:
     """Exponent samples on a grid plus cached range and regularity data.
 
     range_min / range_max are the exact grid min/max; clog_local is the
-    `estimate_clog` lower bound computed at construction.
+    `estimate_clog` lower bound, computed on first access.
     """
 
     spec: GridSpec
     samples: np.ndarray
-    clog_local: float = field(init=False)
 
     def __post_init__(self):
         v = np.asarray(self.samples, dtype=float).reshape(self.spec.shape)
@@ -62,7 +62,6 @@ class ExponentField:
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "samples", v)
-        object.__setattr__(self, "clog_local", estimate_clog(self))
 
     # -- constructors ----------------------------------------------------
 
@@ -74,7 +73,11 @@ class ExponentField:
     def from_callable(cls, spec: GridSpec, fn) -> "ExponentField":
         return cls(spec, fn(*spec.coords()))
 
-    # -- range data -------------------------------------------------------
+    # -- range and regularity data ----------------------------------------
+
+    @cached_property
+    def clog_local(self) -> float:
+        return estimate_clog(self)
 
     @property
     def range_min(self) -> float:

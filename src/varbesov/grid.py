@@ -15,11 +15,11 @@ log t, so that the weights sum exactly to ln(2^J).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "GridSpec",
@@ -27,16 +27,13 @@ __all__ = [
     "ScaleGrid",
     "fourier",
     "inverse_fourier",
+    "dft",
     "convolve_kernel",
     "eta_pointwise",
     "eta_periodized",
     "eta_hat",
     "integrate",
     "norm_l2",
-    "write_csv",
-    "read_csv",
-    "write_binary",
-    "read_binary",
 ]
 
 
@@ -189,23 +186,40 @@ def _require_same_spec(f: GridFunction, g: GridFunction):
         raise ValueError(f"grid spec mismatch: {f.spec} vs {g.spec}")
 
 
+def dft(values: np.ndarray, spec: GridSpec, inverse: bool = False) -> np.ndarray:
+    """Transform over the last n axes of a (..., *spec.shape) array, each
+    leading index on its own: the array form of `fourier` (or, with
+    inverse=True, of `inverse_fourier`), with the same scaling and
+    ascending-frequency layout."""
+    axes = tuple(range(-spec.n, 0))
+    if inverse:
+        scale = (2.0 * np.pi) ** (spec.n / 2.0) / spec.cell_volume
+        op = np.fft.ifftn
+    else:
+        scale = spec.cell_volume * (2.0 * np.pi) ** (-spec.n / 2.0)
+        op = np.fft.fftn
+    v = np.fft.fftshift(op(np.fft.ifftshift(values, axes=axes), axes=axes), axes=axes)
+    return scale * v
+
+
 def fourier(f: GridFunction) -> GridFunction:
     """Forward transform; output samples approximate F(f) at grid frequencies.
 
     Output is ordered by ascending frequency along each axis.  Exact
     inverse is `inverse_fourier`.
     """
-    spec = f.spec
-    scale = spec.cell_volume * (2.0 * np.pi) ** (-spec.n / 2.0)
-    v = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(f.values)))
-    return GridFunction(spec, scale * v)
+    return GridFunction(f.spec, dft(f.values, f.spec))
 
 
 def inverse_fourier(g: GridFunction) -> GridFunction:
-    spec = g.spec
-    scale = (2.0 * np.pi) ** (spec.n / 2.0) / spec.cell_volume
-    v = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(g.values)))
-    return GridFunction(spec, scale * v)
+    return GridFunction(g.spec, dft(g.values, g.spec, inverse=True))
+
+
+def _circulant(w: np.ndarray) -> np.ndarray:
+    """View c of shape (N,) * 2n with c[(*y, *x)] = w[(x - y) mod N]:
+    w unrolled once per axis, windowed, and reversed along the y axes."""
+    view = sliding_window_view(np.tile(w, (2,) * w.ndim), w.shape)
+    return view[(slice(w.shape[0], 0, -1),) * w.ndim]
 
 
 def convolve_kernel(f: GridFunction, khat: GridFunction) -> GridFunction:
@@ -379,41 +393,3 @@ def _scale_nodes(K, J):
     t.setflags(write=False)
     w.setflags(write=False)
     return t, w
-
-
-# --- import / export ----------------------------------------------------------
-
-
-def write_csv(f: GridFunction, path):
-    """Columns: coordinates per axis, then re, im."""
-    spec = f.spec
-    cols = [c.ravel() for c in spec.coords()]
-    v = f.values.ravel()
-    header = ",".join(["x", "y"][: spec.n] + ["re", "im"])
-    data = np.column_stack(cols + [v.real, v.imag])
-    np.savetxt(path, data, delimiter=",", header=header, comments="")
-
-
-def read_csv(path, spec: GridSpec) -> GridFunction:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    re = data[:, spec.n]
-    im = data[:, spec.n + 1]
-    return GridFunction(spec, (re + 1j * im).reshape(spec.shape))
-
-
-_BIN_HEADER = struct.Struct("<iid")  # n, N int32; L float64, little-endian
-
-
-def write_binary(f: GridFunction, path):
-    """Header (n, N, L little-endian) followed by complex64 samples row-major."""
-    with open(path, "wb") as fh:
-        fh.write(_BIN_HEADER.pack(f.spec.n, f.spec.N, f.spec.L))
-        fh.write(np.ascontiguousarray(f.values, dtype="<c8").tobytes())
-
-
-def read_binary(path) -> GridFunction:
-    with open(path, "rb") as fh:
-        n, N, L = _BIN_HEADER.unpack(fh.read(_BIN_HEADER.size))
-        spec = GridSpec(n, N, L)
-        raw = np.frombuffer(fh.read(), dtype="<c8", count=spec.npoints)
-    return GridFunction(spec, raw.astype(complex).reshape(spec.shape))

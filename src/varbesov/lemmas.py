@@ -19,12 +19,14 @@ import warnings
 
 import numpy as np
 
-from .calderon import KernelPair, RadialProfile, annulus_bump
+from .calderon import KernelPair, RadialProfile, annulus_bump, multiplier_bank
 from .exponent import ExponentField
 from .grid import (
     GridFunction,
     ScaleGrid,
+    _circulant,
     convolve_kernel,
+    dft,
     eta_hat,
     fourier,
     inverse_fourier,
@@ -55,11 +57,6 @@ _DEN_FLOOR = 1e-30  # pointwise ratios ignore cells where both sides vanish
 def _eta_convolve(f: GridFunction, t: float, m: float) -> GridFunction:
     """eta_{t,m} * f on the torus (true convolution, mass c(m))."""
     return convolve_kernel(f, eta_hat(t, m, f.spec))
-
-
-def _multiplier(f: GridFunction, profile: RadialProfile, t: float = 1.0) -> GridFunction:
-    fhat = fourier(f)
-    return inverse_fourier(f.with_values(fhat.values * profile(t * f.spec.xi_radius())))
 
 
 def _ratio_max(num: np.ndarray, den: np.ndarray) -> float:
@@ -93,30 +90,22 @@ def check_transfer(alpha: ExponentField, t: float, m: float, R: float) -> float:
         )
     spec = alpha.spec
     a = alpha.samples
-    if spec.n == 1:
-        N, h = spec.N, spec.h
-        k = np.arange(N)
-        d = h * np.minimum(k, N - k)
-        w = (1.0 + d / t) ** (-R)
-        best = 0.0
-        for kk in range(N):
-            # max over x of alpha(y) - alpha(x) with y = x - kk*h; the sweep
-            # over all offsets covers both orientations of each pair
-            osc = (np.roll(a, kk) - a).max()
-            best = max(best, w[kk] * math.exp(-math.log(t) * osc))
-        return float(best)
-    # n == 2: sweep offsets
-    N, h = spec.N, spec.h
-    k = np.arange(N)
-    d1 = h * np.minimum(k, N - k)
-    dist = np.sqrt(d1[:, None] ** 2 + d1[None, :] ** 2)
-    w = (1.0 + dist / t) ** (-R)
-    best = 0.0
-    for k1 in range(N):
-        for k2 in range(N):
-            osc = (np.roll(a, (k1, k2), axis=(0, 1)) - a).max()
-            best = max(best, w[k1, k2] * math.exp(-math.log(t) * osc))
-    return float(best)
+    k = np.arange(spec.N)
+    d1 = spec.h * np.minimum(k, spec.N - k)
+    dist = d1 if spec.n == 1 else np.sqrt(d1[:, None] ** 2 + d1[None, :] ** 2)
+    w = ((1.0 + dist / t) ** (-R)).ravel()
+    # osc[k] = max over x of alpha(x - k h) - alpha(x); the sweep over all
+    # offsets covers both orientations of each pair.  circ[k] is alpha
+    # shifted by k, taken in blocks of about 1 MB.
+    circ = _circulant(a)
+    block = max(1, (1 << 17) // a.size)
+    osc = np.empty(a.size)
+    for start in range(0, a.size, block):
+        ks = np.arange(start, min(start + block, a.size))
+        diff = circ[np.unravel_index(ks, a.shape)]  # a gathered copy
+        diff -= a
+        osc[ks] = diff.reshape(len(ks), -1).max(axis=1)
+    return float((w * np.exp(-math.log(t) * osc)).max())
 
 
 # --- norm comparison || f ||_p^(q-) <= || |f|^q ||_(p/q) ------------------------
@@ -299,12 +288,14 @@ def check_reproducing_bounds(f: GridFunction, kernels: KernelPair, r: float,
     fhat = fourier(f).values
     radii = spec.xi_radius()
 
-    low = inverse_fourier(f.with_values(fhat * kernels.phi0_hat(radii)))
-    low_pow = GridFunction(spec, np.abs(low.values) ** r)
+    # row 0 the low-pass Phi * f, then phi_t * f for every t
+    moduli = np.abs(dft(fhat * multiplier_bank(kernels.phi0_hat, kernels.phi_hat, spec, s),
+                        spec, inverse=True))
+    low_pow = GridFunction(spec, moduli[0] ** r)
     E_low = np.abs(_eta_convolve(low_pow, 1.0, mr).values)
 
-    bands = [inverse_fourier(f.with_values(fhat * kernels.phi_hat(ti * radii))) for ti in t]
-    band_pow = [GridFunction(spec, np.abs(b.values) ** r) for b in bands]
+    bands = moduli[1:]
+    band_pow = [GridFunction(spec, b ** r) for b in bands]
     E_fixed = [np.abs(_eta_convolve(bp, 1.0, mr).values) for bp in band_pow]
     E_scale = [np.abs(_eta_convolve(bp, ti, mr).values) for ti, bp in zip(t, band_pow)]
 
@@ -322,7 +313,7 @@ def check_reproducing_bounds(f: GridFunction, kernels: KernelPair, r: float,
     c_band = 0.0
     any_valid = False
     for i, ti in enumerate(t):
-        num_i = np.abs(bands[i].values) ** r
+        num_i = bands[i] ** r
         sel = np.nonzero((t >= ti / 4.0) & (t <= min(1.0, 4.0 * ti)))[0]
         w = _subrange_weights(len(t), sel.min(), sel.max(), delta)
         den_i = E_low.copy()

@@ -22,6 +22,12 @@ same Newton iteration solves it; for constant q, H is linear.  Powers are
 formed in log space, so no overflow occurs.  q must be bounded for the mixed
 modular; the q = inf norms are handled by their sup-over-scales form in the
 `besov` module instead.
+
+`luxemburg_rows` solves every row of a (T, *shape) stack of moduli at
+once and takes its exponent as validated; `luxemburg_norm` validates one
+GridFunction and calls it.  The `mixed_norm_*` functions take a family as
+GridFunctions or as one (T, *shape) array of values, validate it and stack
+its moduli for the one mixed-norm core, `_mixed_norm`.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .grid import GridFunction, ScaleGrid
 __all__ = [
     "modular_lp",
     "luxemburg_norm",
+    "luxemburg_rows",
     "power_quotient_norm",
     "mixed_norm_discrete",
     "mixed_norm_continuous",
@@ -109,22 +116,29 @@ def _log_roots(a: np.ndarray, e: np.ndarray) -> np.ndarray:
     return _newton(fn, np.max(a / e, axis=-1))
 
 
+def luxemburg_rows(A: np.ndarray, p: ExponentField) -> np.ndarray:
+    """Luxemburg norms of the rows of A, a (T, *p.spec.shape) stack of
+    moduli |f_v|, as a (T,) array; 0 for a zero row.  p is taken as
+    validated (p- > 0)."""
+    A = A.reshape(len(A), -1)
+    ps = p.samples.ravel()
+    fin = np.isfinite(ps)
+    lam = A[:, ~fin].max(axis=1, initial=0.0)
+    live = A[:, fin].max(axis=1, initial=0.0) > 0
+    if live.any():
+        amax, pf = A[live].max(axis=1), ps[fin]
+        with np.errstate(divide="ignore"):
+            a = math.log(p.spec.cell_volume) + pf * np.log(A[live][:, fin] / amax[:, None])
+        u = _log_roots(a, pf)
+        lam[live] = np.maximum(lam[live], amax * np.exp(u + _REL_TOL))
+    return lam
+
+
 def luxemburg_norm(f: GridFunction, p: ExponentField) -> float:
     """inf{lambda > 0 : modular(f/lambda) <= 1}; 0 for f identically zero."""
     _check_field(f, p, "p")
     p.require_p0("p")
-    a = np.abs(f.values).ravel()
-    amax = float(a.max())
-    if amax == 0.0:
-        return 0.0
-    ps = p.samples.ravel()
-    fin = np.isfinite(ps) & (a > 0)
-    lam = float(a[np.isinf(ps)].max(initial=0.0))
-    if fin.any():
-        pf = ps[fin]
-        u = _log_roots((math.log(f.spec.cell_volume) + pf * np.log(a[fin] / amax))[None], pf)
-        lam = max(lam, amax * math.exp(u[0] + _REL_TOL))
-    return lam
+    return float(luxemburg_rows(np.abs(f.values)[None], p)[0])
 
 
 def power_quotient_norm(f: GridFunction, p: ExponentField, q: ExponentField) -> float:
@@ -143,13 +157,15 @@ def power_quotient_norm(f: GridFunction, p: ExponentField, q: ExponentField) -> 
     return math.exp(u[0] + _REL_TOL)
 
 
-def _mixed_norm(A: np.ndarray, w: np.ndarray, p: ExponentField, q: ExponentField,
-                cell: float) -> float:
+def _mixed_norm(A: np.ndarray, w: np.ndarray, p: ExponentField,
+                q: ExponentField) -> float:
     """Outer Luxemburg solve in s = log(mu) for the weighted mixed modular.
 
-    A: (T, M) |f_v| samples, w: (T,) quadrature weights (all ones in the
-    discrete case).
+    A: (T, *p.spec.shape) moduli |f_v|; w: (T,) quadrature weights (all
+    ones in the discrete case).  p and q are taken as validated: p finite,
+    q bounded, both bounded away from 0.
     """
+    A = A.reshape(len(A), -1)
     amax = float(A.max())
     if amax == 0.0:
         return 0.0
@@ -157,7 +173,7 @@ def _mixed_norm(A: np.ndarray, w: np.ndarray, p: ExponentField, q: ExponentField
     ps = p.samples.ravel()
     e = ps / q.samples.ravel()
     with np.errstate(divide="ignore"):
-        a0 = math.log(cell) + ps * np.log(A[live] / amax)
+        a0 = math.log(p.spec.cell_volume) + ps * np.log(A[live] / amax)
     logw = np.log(w[live])
 
     def fn(s):
@@ -170,9 +186,18 @@ def _mixed_norm(A: np.ndarray, w: np.ndarray, p: ExponentField, q: ExponentField
     return amax * math.exp(float(_newton(fn, 0.0)) + _REL_TOL)
 
 
-def _validate_mixed(fs, p: ExponentField, q: ExponentField):
-    for f in fs:
-        _check_field(f, p, "p")
+def _stack_mixed(fs, p: ExponentField, q: ExponentField) -> np.ndarray:
+    """Validate a family for the mixed norms and stack its moduli; fs is a
+    sequence of GridFunction or a (T, *p.spec.shape) array of their values."""
+    if isinstance(fs, np.ndarray):
+        if fs.shape[1:] != p.spec.shape:
+            raise ValueError("p is sampled on a different grid than the family")
+        A = np.abs(fs)
+    else:
+        fs = list(fs)
+        for f in fs:
+            _check_field(f, p, "p")
+        A = np.array([np.abs(f.values) for f in fs]).reshape((len(fs), *p.spec.shape))
     p.require_p0("p").require_finite("p")
     q.require_p0("q")
     if not q.is_finite:
@@ -180,26 +205,21 @@ def _validate_mixed(fs, p: ExponentField, q: ExponentField):
             "mixed norms require q bounded (q+ < inf); use the sup-over-scales "
             "Besov branch for q = inf"
         )
+    return A
 
 
 def mixed_norm_discrete(fs, p: ExponentField, q: ExponentField) -> float:
     """Mixed sequence-space norm of a finite family (f_v)."""
-    fs = list(fs)
-    if not fs:
-        return 0.0
-    _validate_mixed(fs, p, q)
-    A = np.stack([np.abs(f.values).ravel() for f in fs])
-    return _mixed_norm(A, np.ones(len(fs)), p, q, fs[0].spec.cell_volume)
+    A = _stack_mixed(fs, p, q)
+    return _mixed_norm(A, np.ones(len(A)), p, q) if len(A) else 0.0
 
 
 def mixed_norm_continuous(ft, p: ExponentField, q: ExponentField, s: ScaleGrid) -> float:
     """Scale-continuous mixed norm: the discrete sum over v becomes the
     dt/t quadrature over the ScaleGrid."""
-    ft = list(ft)
-    if not ft:
+    A = _stack_mixed(ft, p, q)
+    if not len(A):
         return 0.0
-    if len(ft) != len(s):
-        raise ValueError(f"family has {len(ft)} members but the scale grid has {len(s)}")
-    _validate_mixed(ft, p, q)
-    A = np.stack([np.abs(f.values).ravel() for f in ft])
-    return _mixed_norm(A, s.weights, p, q, ft[0].spec.cell_volume)
+    if len(A) != len(s):
+        raise ValueError(f"family has {len(A)} members but the scale grid has {len(s)}")
+    return _mixed_norm(A, s.weights, p, q)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from varbesov import besov
+from varbesov import besov, calderon
 from varbesov.besov import (
     BesovParams,
     HypothesisError,
@@ -14,6 +14,7 @@ from varbesov.besov import (
     peetre_maximal,
 )
 from varbesov.calderon import build_continuous_pair, build_dyadic, build_local_means
+from varbesov.corpus import make_triple
 from varbesov.exponent import ExponentField
 from varbesov.grid import (
     GridFunction,
@@ -24,6 +25,7 @@ from varbesov.grid import (
     fourier,
     inverse_fourier,
 )
+from varbesov.modular_norms import luxemburg_norm, mixed_norm_continuous, mixed_norm_discrete
 
 
 def const(spec, v):
@@ -440,3 +442,120 @@ def test_two_dimensional_smoke():
     assert 0 < nc < math.inf and 0 < nd < math.inf
     assert npe >= nc * (1.0 - 1e-12)
     assert 0.05 < nc / nd < 20.0
+
+
+# --- scale stacks vs the per-scale list path ----------------------------------------
+
+
+def _reference_besov(kind, f, P):
+    """The per-scale list path: one inverse transform, one GridFunction and,
+    for q = inf, one Luxemburg solve per scale; the stacked evaluators must
+    match it to rel 1e-12."""
+    spec, alpha = f.spec, P.alpha.samples
+    fhat = fourier(f).values
+    radii = spec.xi_radius()
+
+    def conv(profile, t):
+        return inverse_fourier(GridFunction(spec, fhat * profile(t * radii))).values
+
+    def peetre(profile, t, weight):
+        g = weight * np.abs(conv(profile, t))
+        return GridFunction(spec, besov._weighted_sup(g, t, P.a, spec))
+
+    if kind == "discrete":
+        fam = P.kernels
+        blocks = [GridFunction(spec, np.exp(math.log(2.0) * v * alpha) * conv(fam.psi_hat(v), 1.0))
+                  for v in range(fam.v_max + 1)]
+        if P.q_is_inf:
+            return max(luxemburg_norm(b, P.p) for b in blocks)
+        return mixed_norm_discrete(blocks, P.p, P.q)
+    K = P.kernels
+    low_profile, band_profile = ((K.k0_hat, K.k_hat) if kind == "local_means"
+                                 else (K.phi0_hat, K.phi_hat))
+    if kind == "continuous":
+        low = GridFunction(spec, conv(low_profile, 1.0))
+        family = [GridFunction(spec, np.exp(-math.log(t) * alpha) * conv(band_profile, t))
+                  for t in P.scales.t]
+    else:
+        low = peetre(low_profile, 1.0, 1.0)
+        family = [peetre(band_profile, t, np.exp(-math.log(t) * alpha)) for t in P.scales.t]
+    if P.q_is_inf:
+        top = max(luxemburg_norm(g, P.p) for g in family)
+    else:
+        top = mixed_norm_continuous(family, P.p, P.q, P.scales)
+    return luxemburg_norm(low, P.p) + top
+
+
+EVALUATORS = {"continuous": besov_continuous, "discrete": besov_discrete,
+              "peetre": besov_peetre, "local_means": besov_local_means}
+
+
+@pytest.fixture(scope="module")
+def kernels_1d(pair, dyadic, local_means):
+    """The kernels of each evaluator on the 1-D test grid."""
+    return {"continuous": pair, "discrete": dyadic, "peetre": pair, "local_means": local_means}
+
+
+@pytest.fixture(scope="module")
+def setups(spec, scales, kernels_1d, corpus_fns):
+    """Per dimension: f, scales and the kernels of each evaluator."""
+    spec2, scales2 = GridSpec(2, 32, 4.0), ScaleGrid(4, 2)
+    X, Y = spec2.coords()
+    f2 = GridFunction(spec2, np.exp(1j * 3 * X) * np.exp(-(X**2 + 2 * Y**2) / 2.0))
+    pair2 = build_continuous_pair(spec2, scales2)
+    return {
+        1: (GridFunction(spec, corpus_fns["mod4"]), scales, kernels_1d),
+        2: (f2, scales2,
+            {"continuous": pair2, "discrete": build_dyadic(spec2, 2), "peetre": pair2,
+             "local_means": build_local_means(1, 1.0, spec2)}),
+    }
+
+
+@pytest.mark.parametrize("triple", ["constant", "sine-alpha", "sine-p", "sine-q", "q-inf"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_stacked_evaluators_match_per_scale_reference(setups, n, triple):
+    f, scales, kernels = setups[n]
+    if triple == "q-inf":
+        alpha = make_triple(f.spec, "sine-alpha")[0]
+        p = make_triple(f.spec, "sine-p")[1]
+        q = const(f.spec, math.inf)
+    else:
+        alpha, p, q = make_triple(f.spec, triple)
+    a = f.spec.n / p.range_min + 1.0
+    for kind, evaluate in EVALUATORS.items():
+        P = BesovParams(alpha, p, q, a, scales, kernels[kind])
+        assert evaluate(f, P) == pytest.approx(_reference_besov(kind, f, P), rel=1e-12), kind
+
+
+def test_banks_built_once(spec, scales, kernels_1d, corpus_fns, monkeypatch):
+    """A second call with the same params evaluates no radial profile."""
+    calls = []
+    profile_call = calderon.RadialProfile.__call__
+
+    def counting(self, r):
+        calls.append(self.label)
+        return profile_call(self, r)
+
+    monkeypatch.setattr(calderon.RadialProfile, "__call__", counting)
+    alpha = ExponentField.from_callable(spec, lambda x: 0.5 + 0.2 * np.sin(np.pi * x / 16.0))
+    p = const(spec, 2.0)
+    for kind, evaluate in EVALUATORS.items():
+        P = BesovParams(alpha, p, p, 1.5, scales, kernels_1d[kind])
+        evaluate(GridFunction(spec, corpus_fns["gauss"]), P)
+        calls.clear()
+        evaluate(GridFunction(spec, corpus_fns["mod8"]), P)
+        assert calls == [], kind
+
+
+@pytest.mark.parametrize("name", ["alpha", "p", "q"])
+def test_exponents_on_another_grid_rejected(spec, scales, kernels_1d, corpus_fns, name):
+    """f on one grid, one exponent on a grid of the same shape but another L."""
+    other = GridSpec(1, spec.N, 2.0 * spec.L)
+    fields = {"alpha": const(spec, 0.5), "p": const(spec, 2.0), "q": const(spec, 2.0)}
+    fields[name] = const(other, fields[name].samples.flat[0])
+    f = GridFunction(spec, corpus_fns["gauss"])
+    for kind, evaluate in EVALUATORS.items():
+        P = BesovParams(fields["alpha"], fields["p"], fields["q"], 1.5, scales,
+                        kernels_1d[kind])
+        with pytest.raises(ValueError, match="different grid"):
+            evaluate(f, P)

@@ -17,10 +17,6 @@ from varbesov.grid import (
     integrate,
     inverse_fourier,
     norm_l2,
-    read_binary,
-    read_csv,
-    write_binary,
-    write_csv,
 )
 
 
@@ -201,42 +197,6 @@ def test_scale_grid_resolvability(spec):
     ScaleGrid(8, 5).require_resolvable(spec)  # 2/t_min = 64 <= 100.5
     with pytest.raises(ValueError, match="resolves only"):
         ScaleGrid(8, 7).require_resolvable(spec)
-
-
-# --- io ----------------------------------------------------------------------
-
-
-def test_csv_round_trip(tmp_path, spec, gaussian):
-    path = tmp_path / "f.csv"
-    write_csv(gaussian, path)
-    back = read_csv(path, spec)
-    assert np.abs(back.values - gaussian.values).max() < 1e-12
-    header = path.read_text().splitlines()[0]
-    assert header == "x,re,im"
-
-
-def test_binary_round_trip(tmp_path, spec):
-    rng = np.random.default_rng(2)
-    f = GridFunction(spec, rng.standard_normal(1024) + 1j * rng.standard_normal(1024))
-    path = tmp_path / "f.bin"
-    write_binary(f, path)
-    back = read_binary(path)
-    assert back.spec == spec
-    # storage is complex64
-    assert np.abs(back.values - f.values).max() < 1e-6
-    write_binary(back, tmp_path / "g.bin")
-    again = read_binary(tmp_path / "g.bin")
-    assert np.array_equal(again.values, back.values)
-
-
-def test_binary_round_trip_2d(tmp_path):
-    spec = GridSpec(2, 16, 2.0)
-    rng = np.random.default_rng(3)
-    f = GridFunction(spec, rng.standard_normal((16, 16)))
-    write_binary(f, tmp_path / "f2.bin")
-    back = read_binary(tmp_path / "f2.bin")
-    assert back.spec == spec
-    assert np.abs(back.values - f.values).max() < 1e-6
 
 
 def test_values_immutable(spec, gaussian):

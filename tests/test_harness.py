@@ -1,3 +1,4 @@
+import json
 import math
 import os
 
@@ -15,6 +16,7 @@ from varbesov.corpus import (
     make_triple,
 )
 from varbesov.harness import (
+    EXPERIMENTS,
     ConfigError,
     EntryResult,
     HarnessConfig,
@@ -253,6 +255,24 @@ def test_cli_threshold_failure(tmp_path, capsys):
                      "--out", str(tmp_path / "x")])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_cli_run_all(tmp_path, capsys):
+    out = tmp_path / "all"
+    code = cli_main(["run", "all", "--grid", "256,16", "--scales", "4,3",
+                     "--out", str(out)])
+    dirs = sorted(os.listdir(out))
+    assert dirs == sorted(name.replace(":", "_") for name in EXPERIMENTS)
+    passed = [json.loads((out / d / "report.json").read_text())["passed"] for d in dirs]
+    assert code == (0 if all(passed) else 1)
+    assert capsys.readouterr().out.count("PASS") == sum(passed)
+
+
+def test_cli_run_all_rejects_threshold(tmp_path, capsys):
+    code = cli_main(["run", "all", "--threshold", "5", "--out", str(tmp_path / "z")])
+    assert code == 2
+    assert "threshold" in capsys.readouterr().err
+    assert not (tmp_path / "z").exists()
 
 
 def test_cli_config_error(capsys):

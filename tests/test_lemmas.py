@@ -83,6 +83,44 @@ def test_transfer_warns_below_clog(alpha_sine):
         check_transfer(alpha_sine, 0.5, 2.0, R=0.0)
 
 
+def _reference_transfer(alpha, t, R):
+    """The per-offset np.roll sweep that `check_transfer` replaced."""
+    spec, a = alpha.spec, alpha.samples
+    N, h = spec.N, spec.h
+    k = np.arange(N)
+    d1 = h * np.minimum(k, N - k)
+    if spec.n == 1:
+        w = (1.0 + d1 / t) ** (-R)
+        best = 0.0
+        for kk in range(N):
+            osc = (np.roll(a, kk) - a).max()
+            best = max(best, w[kk] * math.exp(-math.log(t) * osc))
+        return float(best)
+    dist = np.sqrt(d1[:, None] ** 2 + d1[None, :] ** 2)
+    w = (1.0 + dist / t) ** (-R)
+    best = 0.0
+    for k1 in range(N):
+        for k2 in range(N):
+            osc = (np.roll(a, (k1, k2), axis=(0, 1)) - a).max()
+            best = max(best, w[k1, k2] * math.exp(-math.log(t) * osc))
+    return float(best)
+
+
+@pytest.mark.parametrize("spec", [LSPEC, GridSpec(1, 16, 2.0), GridSpec(2, 16, 2.0)],
+                         ids=["1d-1024", "1d-16", "2d-16"])
+def test_transfer_matches_roll_reference(spec):
+    rng = np.random.default_rng(spec.n * spec.N)
+    smooth = ExponentField.from_callable(
+        spec, lambda *x: 0.5 + 0.2 * np.prod([np.sin(np.pi * c / spec.L) for c in x], axis=0))
+    rough = ExponentField(spec, rng.uniform(0.0, 1.5, spec.shape))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for alpha in (smooth, rough):
+            for t, R in ((1.0, 2.0), (0.25, 0.0), (1.0 / 16.0, 0.7)):
+                assert check_transfer(alpha, t, 3.0, R) == pytest.approx(
+                    _reference_transfer(alpha, t, R), rel=1e-12)
+
+
 # --- power-quotient comparison ------------------------------------------------
 
 

@@ -385,6 +385,21 @@ def test_mixed_length_mismatch(small_spec, noisy):
         mixed_norm_continuous([noisy], p, p, s)
 
 
+def test_mixed_array_family_equals_gridfunction_family():
+    rng = np.random.default_rng(5)
+    spec = GridSpec(1, 64, 4.0)
+    (x,) = spec.coords()
+    p = ExponentField(spec, 1.2 + 0.8 * np.cos(np.pi * x / 4.0))
+    q = ExponentField(spec, 0.7 + 0.4 * np.sin(np.pi * x / 4.0))
+    s = ScaleGrid(2, 2)
+    values = rng.standard_normal((len(s), 64))
+    fam = [GridFunction(spec, v) for v in values]
+    assert mixed_norm_discrete(values, p, q) == mixed_norm_discrete(fam, p, q)
+    assert mixed_norm_continuous(values, p, q, s) == mixed_norm_continuous(fam, p, q, s)
+    with pytest.raises(ValueError, match="different grid"):
+        mixed_norm_discrete(values[:, :32], p, q)
+
+
 # --- structural properties -------------------------------------------------------
 
 
