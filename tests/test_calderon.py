@@ -1,9 +1,15 @@
 import csv
+import inspect
+import math
 
 import numpy as np
 import pytest
 
+from varbesov import calderon
 from varbesov.calderon import (
+    KernelPair,
+    RadialProfile,
+    annulus_bump,
     build_continuous_pair,
     build_dyadic,
     build_local_means,
@@ -54,9 +60,17 @@ def test_construction_rejects_unresolvable():
 
 
 def test_coarse_construction_rejected(spec, scales):
-    # 8 scales per octave cannot reach the 1e-6 identity residual
-    with pytest.raises(ValueError, match="residual"):
-        build_continuous_pair(spec, scales, construction_K=8)
+    # 8 scales per octave cannot reach the 1e-6 identity residual; the pair
+    # is shared after the first call, the check still runs on the second
+    for _ in range(2):
+        with pytest.raises(ValueError, match="residual"):
+            build_continuous_pair(spec, scales, construction_K=8)
+
+
+def test_leaky_bump_rejected_on_every_call(spec, scales):
+    for _ in range(2):
+        with pytest.raises(ValueError, match="leak"):
+            build_continuous_pair(spec, scales, profile="gauss", width=0.3)
 
 
 @pytest.mark.parametrize("profile", ["mollifier", "gauss", "mu-eta"])
@@ -78,6 +92,95 @@ def test_calderon_reconstruction(spec, profile):
         acc = acc + w * fhat * p.phi_hat(t * rr)
     rec = inverse_fourier(GridFunction(spec, acc))
     assert norm_l2(rec - f) / norm_l2(f) < 1e-4
+
+
+def _reference_bump_pair(bump, label, construction_K):
+    """Full-table construction: every upward shift evaluates the bump on the
+    whole table.  Reference for `calderon._normalised_bump_pair`."""
+    s_grid = np.linspace(-1.0, 1.0, calderon._DENSE + 1)
+    vals = bump(2.0**s_grid)
+    c = math.log(2.0) * np.trapezoid(vals, s_grid)
+    if not c > 0:
+        raise ValueError("annulus bump integrates to zero")
+
+    phi_fn = lambda r: bump(r) / c
+
+    # Dense radial table of Phi_hat in s = log2(r) over the transition zone.
+    K = construction_K
+    delta = math.log(2.0) / K
+    n_up = int(math.ceil(2.2 * K))  # covers 2^(j/K) r past the outer support
+    s_tab = np.linspace(-1.02, 1.02, (1 << 16) + 1)
+    shifts = np.arange(1, n_up + 1) / K
+    acc = 0.5 * bump(2.0**s_tab)
+    for sh in shifts:
+        acc = acc + bump(2.0 ** (s_tab + sh))
+    phi0_tab = delta * acc / c
+
+    def phi0_fn(r):
+        r = np.asarray(r, dtype=float)
+        out = np.ones_like(r)
+        with np.errstate(divide="ignore"):
+            s = np.where(r > 0, np.log2(np.where(r > 0, r, 1.0)), -np.inf)
+        mid = (s > -1.0) & (s < 1.0)
+        out[mid] = np.interp(s[mid], s_tab, phi0_tab)
+        out[s >= 1.0] = 0.0
+        return np.clip(out, 0.0, 1.0)
+
+    return KernelPair(
+        phi0_hat=RadialProfile(phi0_fn, (0.0, calderon.OUTER_RADIUS), f"Phi[{label}]"),
+        phi_hat=RadialProfile(phi_fn, calderon.ANNULUS, f"phi[{label}]"),
+        label=label,
+        construction_K=construction_K,
+    )
+
+
+BUMPS = {"mollifier": ("mollifier", {}), "gauss": ("gauss", {}),
+         "gauss-w0.2-c0.1": ("gauss", {"width": 0.2, "center": 0.1}),
+         "mu-eta": ("mu-eta", {})}
+
+
+@pytest.mark.parametrize("K", [8, 16, 64])
+@pytest.mark.parametrize("kind", list(BUMPS))
+def test_bump_pair_bit_identical_to_reference(kind, K):
+    """The support-cut accumulation gives the full-table profiles exactly,
+    on every node of the Phi_hat table and around the support edges."""
+    profile, params = BUMPS[kind]
+    ref = _reference_bump_pair(annulus_bump(profile, **params), profile, K)
+    fast = calderon._normalised_bump_pair(profile, K, tuple(sorted(params.items())))
+    r = np.concatenate([
+        [0.0, 2.0**-1.02, 2.0**1.02, 0.5, 1.0, 2.0, np.nextafter(2.0, 0.0), np.nextafter(2.0, 4.0)],
+        np.linspace(0.0, 4.0, 40001),
+        2.0 ** np.linspace(-1.02, 1.02, (1 << 16) + 1),
+    ])
+    assert np.array_equal(fast.phi0_hat(r), ref.phi0_hat(r))
+    assert np.array_equal(fast.phi_hat(r), ref.phi_hat(r))
+
+
+def test_pair_built_once_per_process(monkeypatch, scales):
+    """The pair depends on (profile, construction_K, params) only: another
+    grid reuses it, another rate or other params construct again."""
+    calderon._normalised_bump_pair.cache_clear()
+    built = []
+    bump = calderon.annulus_bump
+    monkeypatch.setattr(calderon, "annulus_bump",
+                        lambda kind, **kw: built.append(kind) or bump(kind, **kw))
+    a = build_continuous_pair(GridSpec(1, 1024, 8.0), scales)
+    b = build_continuous_pair(GridSpec(1, 2048, 8.0), scales)
+    assert built == ["mollifier"]
+    assert a.phi0_hat is b.phi0_hat and a.phi_hat is b.phi_hat
+    build_continuous_pair(GridSpec(1, 1024, 8.0), scales, construction_K=32)
+    g = build_continuous_pair(GridSpec(1, 1024, 8.0), scales, profile="gauss",
+                              width=0.2, center=0.1)
+    assert build_continuous_pair(GridSpec(1, 1024, 8.0), scales, profile="gauss",
+                                 center=0.1, width=0.2).phi_hat is g.phi_hat
+    assert built == ["mollifier", "mollifier", "gauss"]
+
+
+def test_shared_tables_read_only(pair):
+    tables = inspect.getclosurevars(pair.phi0_hat._fn).nonlocals
+    for name in ("s_tab", "phi0_tab"):
+        with pytest.raises(ValueError, match="read-only"):
+            tables[name][0] = 0.0
 
 
 # --- dyadic family --------------------------------------------------------------
