@@ -24,7 +24,6 @@ from .calderon import (
     DyadicFamily,
     LocalMeansKernels,
     build_continuous_pair,
-    build_mu_eta_pair,
     build_dyadic,
     build_local_means,
 )

@@ -35,7 +35,6 @@ __all__ = [
     "DyadicFamily",
     "LocalMeansKernels",
     "build_continuous_pair",
-    "build_mu_eta_pair",
     "build_dyadic",
     "build_local_means",
     "multiplier_bank",
@@ -48,6 +47,7 @@ ANNULUS = (0.5, 2.0)
 OUTER_RADIUS = 2.0
 
 _DENSE = 1 << 17  # radial table resolution for the cumulative integral
+_RESIDUAL_TOL = 1e-6  # reproducing residual a built pair must reach
 
 
 class RadialProfile:
@@ -60,10 +60,6 @@ class RadialProfile:
 
     def __call__(self, r):
         return self._fn(np.asarray(r, dtype=float))
-
-    def table(self, rmax: float, npoints: int = 4096):
-        r = np.linspace(0.0, rmax, npoints)
-        return r, self(r)
 
 
 def _mollifier(z):
@@ -136,24 +132,29 @@ def annulus_bump(kind: str = "mollifier", **params) -> RadialProfile:
 @dataclass(frozen=True)
 class KernelPair:
     """Resolution-of-unity pair: low-pass profile Phi_hat and annulus
-    profile phi_hat, with phi_hat supported in [1/2, 2] and Phi_hat in
-    [0, 2].  construction_K records the scales-per-octave of the quadrature
-    that built Phi_hat: a downward dt/t sum at the same rate joins it with
-    no seam at t = 1."""
+    profile phi_hat, with phi_hat supported in ANNULUS = [1/2, 2] and
+    Phi_hat in [0, OUTER_RADIUS]."""
 
     phi0_hat: RadialProfile
     phi_hat: RadialProfile
-    annulus: tuple = ANNULUS
-    outer_radius: float = OUTER_RADIUS
     label: str = ""
-    construction_K: int = 64
+
+
+def _support_leak(profile: RadialProfile, lo: float, hi: float) -> float:
+    parts = [np.linspace(hi, 4.0 * hi, 2048)]
+    if lo > 0:
+        parts.append(np.linspace(0.0, lo, 2048, endpoint=False))
+    vals = np.abs(profile(np.concatenate(parts)))
+    return float(vals.max())
 
 
 @lru_cache(maxsize=4)
 def _normalised_bump_pair(profile: str, construction_K: int, params: tuple) -> KernelPair:
     """Normalise the bump annulus_bump(profile, **dict(params)) and
     accumulate the low-pass profile; built once per (profile,
-    construction_K, params) per process, its tables read-only.
+    construction_K, params) per process, its tables read-only.  Raises if
+    either profile leaks outside its support; an exception is not cached,
+    so a leaking pair raises on every call.
 
     phi_hat = a/c with c = integral_0^inf a(r)/r dr.  Phi_hat is the upward
     scale integral integral_1^inf phi_hat(t .) dt/t evaluated by the same
@@ -199,12 +200,16 @@ def _normalised_bump_pair(profile: str, construction_K: int, params: tuple) -> K
         out[s >= 1.0] = 0.0
         return np.clip(out, 0.0, 1.0)
 
-    return KernelPair(
+    pair = KernelPair(
         phi0_hat=RadialProfile(phi0_fn, (0.0, OUTER_RADIUS), f"Phi[{profile}]"),
         phi_hat=RadialProfile(phi_fn, ANNULUS, f"phi[{profile}]"),
         label=profile,
-        construction_K=construction_K,
     )
+    leak = max(_support_leak(pair.phi_hat, *ANNULUS),
+               _support_leak(pair.phi0_hat, 0.0, OUTER_RADIUS))
+    if leak > 1e-12:
+        raise ValueError(f"kernel support leaks outside its annulus: {leak:.2e}")
+    return pair
 
 
 def reproducing_residual(pair: KernelPair, radii, check_K: int = 64) -> float:
@@ -221,50 +226,27 @@ def reproducing_residual(pair: KernelPair, radii, check_K: int = 64) -> float:
     return float(np.abs(acc - 1.0).max())
 
 
-def _support_leak(profile: RadialProfile, lo: float, hi: float) -> float:
-    parts = [np.linspace(hi, 4.0 * hi, 2048)]
-    if lo > 0:
-        parts.append(np.linspace(0.0, lo, 2048, endpoint=False))
-    vals = np.abs(profile(np.concatenate(parts)))
-    return float(vals.max())
-
-
 def build_continuous_pair(spec: GridSpec, s: ScaleGrid, profile: str = "mollifier",
-                          check_K: int = None, residual_tol: float = 1e-6,
                           construction_K: int = 64, **bump_params) -> KernelPair:
     """Construct and verify a resolution-of-unity pair usable on `spec`.
 
-    Raises if the scale grid cannot resolve its smallest annulus on the
-    grid, if the annulus bump leaks outside [1/2, 2], or if the
-    reproducing residual on the resolvable frequencies exceeds
-    `residual_tol` under a check_K-per-octave quadrature (by default the
-    construction quadrature rate, whose seam at t = 1 cancels exactly).
-    The pair itself is shared per (profile, construction_K, params); the
-    checks run on every call.
+    The pair itself is shared per (profile, construction_K, params), and
+    its support check (phi_hat inside [1/2, 2], Phi_hat inside [0, 2])
+    runs where it is built.  The checks that depend on the grid run on
+    every call: raises if the scale grid cannot resolve its smallest
+    annulus on the grid, or if the reproducing residual on the grid
+    frequencies exceeds 1e-6 under a quadrature at the construction rate,
+    whose seam at t = 1 cancels exactly.
     """
     s.require_resolvable(spec)
-    if check_K is None:
-        check_K = construction_K
     pair = _normalised_bump_pair(profile, construction_K, tuple(sorted(bump_params.items())))
-    lo, hi = pair.annulus
-    leak = max(_support_leak(pair.phi_hat, lo, hi),
-               _support_leak(pair.phi0_hat, 0.0, pair.outer_radius))
-    if leak > 1e-12:
-        raise ValueError(f"kernel support leaks outside its annulus: {leak:.2e}")
-    radii = spec.xi_radius().ravel()
-    res = reproducing_residual(pair, radii, check_K)
-    if res > residual_tol:
+    res = reproducing_residual(pair, spec.xi_radius().ravel(), construction_K)
+    if res > _RESIDUAL_TOL:
         raise ValueError(
-            f"reproducing residual {res:.2e} exceeds {residual_tol:.0e}; "
+            f"reproducing residual {res:.2e} exceeds {_RESIDUAL_TOL:.0e}; "
             "construction quadrature too coarse"
         )
     return pair
-
-
-def build_mu_eta_pair(spec: GridSpec, s: ScaleGrid, **kw) -> KernelPair:
-    """Alternate construction from a positive ring kernel times a strictly
-    interior bump (normalised); cross-validates `build_continuous_pair`."""
-    return build_continuous_pair(spec, s, profile="mu-eta", **kw)
 
 
 # --- dyadic family -------------------------------------------------------------
@@ -338,10 +320,12 @@ class LocalMeansKernels:
     S: int
     eps: float
 
-    def tauberian_margins(self, samples: int = 4096) -> tuple:
-        r0 = np.linspace(0.0, 2.0 * self.eps, samples, endpoint=False)
+    def tauberian_margins(self) -> tuple:
+        """Smallest |k0_hat| on [0, 2 eps) and |k_hat| on (eps/2, 2 eps),
+        each over 4096 samples."""
+        r0 = np.linspace(0.0, 2.0 * self.eps, 4096, endpoint=False)
         m0 = float(np.abs(self.k0_hat(r0)).min())
-        r1 = np.linspace(0.5 * self.eps, 2.0 * self.eps, samples + 2)[1:-1]
+        r1 = np.linspace(0.5 * self.eps, 2.0 * self.eps, 4098)[1:-1]
         m1 = float(np.abs(self.k_hat(r1)).min())
         return m0, m1
 
@@ -421,10 +405,11 @@ def dyadic_bank(fam: DyadicFamily, spec: GridSpec) -> np.ndarray:
 # --- export --------------------------------------------------------------------
 
 
-def export_radial_table(profile: RadialProfile, path, rmax: float,
-                        npoints: int = 4096):
-    """CSV radial table (r, value) for plotting and debugging."""
-    r, v = profile.table(rmax, npoints)
+def export_radial_table(profile: RadialProfile, path, rmax: float):
+    """CSV radial table (r, value) at 4096 radii in [0, rmax], for plotting
+    and debugging."""
+    r = np.linspace(0.0, rmax, 4096)
+    v = profile(r)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["r", "value"])

@@ -3,8 +3,9 @@
     varbesov run <experiment|all> [--config file] [--seed S] [--grid N,L]
                  [--scales K,J] [--threads T] [--threshold X] [--out DIR]
                  [--plots]
-    varbesov kernels export [--out DIR] [--grid N,L]
-    varbesov corpus list [--grid N,L] [--seed S]
+    varbesov kernels export [--config file] [--grid N,L] [--scales K,J]
+                            [--out DIR]
+    varbesov corpus list [--config file] [--grid N,L] [--seed S]
 
 `run all` runs every experiment, each into <out>/<name with ':' -> '_'>.
 
@@ -24,13 +25,20 @@ from .corpus import boundary_mass, build_corpus
 from .harness import ConfigError, EXPERIMENTS, HarnessConfig, emit_report, run_experiment
 
 
-def _add_common(p):
-    p.add_argument("--config", help="INI config file")
-    p.add_argument("--seed", type=int, help="corpus RNG seed")
-    p.add_argument("--grid", help="N,L   (points per axis, half-period)")
-    p.add_argument("--scales", help="K,J   (scales per octave, octaves)")
-    p.add_argument("--threads", type=int, help="parallel corpus workers")
-    p.add_argument("--out", help="output directory")
+_FLAGS = {
+    "config": dict(help="INI config file"),
+    "seed": dict(type=int, help="corpus RNG seed"),
+    "grid": dict(help="N,L   (points per axis, half-period)"),
+    "scales": dict(help="K,J   (scales per octave, octaves)"),
+    "threads": dict(type=int, help="parallel corpus workers"),
+    "out": dict(help="output directory"),
+}
+
+
+def _add_flags(p, *names):
+    """Give a subcommand the config flags it reads, and no others."""
+    for name in names:
+        p.add_argument(f"--{name}", **_FLAGS[name])
 
 
 def _parse_pair(text, name, types):
@@ -41,16 +49,17 @@ def _parse_pair(text, name, types):
 
 
 def _config_from_args(args) -> HarnessConfig:
+    flags = vars(args)  # holds only the flags of the subcommand run
     cfg = HarnessConfig.from_ini(args.config) if args.config else HarnessConfig()
-    if args.seed is not None:
+    if flags.get("seed") is not None:
         cfg.seed = args.seed
-    if args.grid:
+    if flags.get("grid"):
         cfg.N, cfg.L = _parse_pair(args.grid, "grid", (int, float))
-    if args.scales:
+    if flags.get("scales"):
         cfg.K, cfg.J = _parse_pair(args.scales, "scales", (int, int))
-    if args.threads is not None:
+    if flags.get("threads") is not None:
         cfg.threads = args.threads
-    if args.out:
+    if flags.get("out"):
         cfg.out = args.out
     return cfg
 
@@ -130,19 +139,19 @@ def main(argv=None) -> int:
                        help=f"one of: {', '.join(EXPERIMENTS)}; or all")
     p_run.add_argument("--threshold", type=float, help="spread threshold override")
     p_run.add_argument("--plots", action="store_true", help="emit plot data + script")
-    _add_common(p_run)
+    _add_flags(p_run, "config", "seed", "grid", "scales", "threads", "out")
     p_run.set_defaults(fn=cmd_run)
 
     p_k = sub.add_parser("kernels", help="kernel table utilities")
     sub_k = p_k.add_subparsers(dest="kcommand", required=True)
     p_ke = sub_k.add_parser("export", help="export radial kernel tables as CSV")
-    _add_common(p_ke)
+    _add_flags(p_ke, "config", "grid", "scales", "out")
     p_ke.set_defaults(fn=cmd_kernels_export)
 
     p_c = sub.add_parser("corpus", help="corpus utilities")
     sub_c = p_c.add_subparsers(dest="ccommand", required=True)
     p_cl = sub_c.add_parser("list", help="list corpus entries and boundary masses")
-    _add_common(p_cl)
+    _add_flags(p_cl, "config", "grid", "seed")
     p_cl.set_defaults(fn=cmd_corpus_list)
 
     args = parser.parse_args(argv)

@@ -18,6 +18,8 @@ from .grid import GridFunction, GridSpec
 __all__ = ["Corpus", "build_corpus", "boundary_mass", "make_exponent",
            "EXPONENT_PRESETS", "TRIPLE_PRESETS", "make_triple"]
 
+_BOUNDARY_TOL = 1e-10  # largest relative boundary mass a corpus entry may carry
+
 DEFAULT_ENTRIES = (
     "gaussian",
     "gaussian_wide",
@@ -32,19 +34,20 @@ DEFAULT_ENTRIES = (
 )
 
 
-def boundary_mass(f: GridFunction, shell: float = 0.9) -> float:
-    """Fraction of the squared mass in the outer (1-shell) band of the torus."""
+def boundary_mass(f: GridFunction) -> float:
+    """Fraction of the squared mass in the outer tenth of the torus,
+    |x_i| >= 0.9 L along some axis."""
     spec = f.spec
     a2 = np.abs(f.values) ** 2
     total = a2.sum()
     if total == 0.0:
         return 0.0
-    outer = np.zeros(spec.shape, dtype=bool)
+    edge = 0.9 * spec.L
     x = np.abs(spec.axis())
     if spec.n == 1:
-        outer = x >= shell * spec.L
+        outer = x >= edge
     else:
-        outer = (x[:, None] >= shell * spec.L) | (x[None, :] >= shell * spec.L)
+        outer = (x[:, None] >= edge) | (x[None, :] >= edge)
     return float(a2[outer].sum() / total)
 
 
@@ -119,18 +122,14 @@ class Corpus:
     def names(self):
         return [n for n, _ in self.entries]
 
-    def scaled(self, c: float) -> "Corpus":
-        return Corpus(tuple((n, c * f) for n, f in self.entries))
 
-
-def build_corpus(spec: GridSpec, seed: int = 0, names=None,
-                 boundary_tol: float = 1e-10) -> Corpus:
+def build_corpus(spec: GridSpec, seed: int = 0, names=None) -> Corpus:
     names = list(names) if names is not None else list(DEFAULT_ENTRIES)
     entries = []
     for name in names:
         f = make_entry(spec, name, seed)
         bm = boundary_mass(f)
-        if bm > boundary_tol:
+        if bm > _BOUNDARY_TOL:
             raise ValueError(f"corpus entry {name!r} has boundary mass {bm:.2e}")
         entries.append((name, f))
     return Corpus(tuple(entries))

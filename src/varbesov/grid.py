@@ -257,19 +257,22 @@ def eta_pointwise(t: float, m: float, dist, n: int):
     return t ** (-n) * (1.0 + np.asarray(dist) / t) ** (-m)
 
 
-def eta_periodized(t: float, m: float, spec: GridSpec,
-                   tail_tol: float = 1e-12) -> GridFunction:
+_ETA_TAIL_TOL = 1e-12  # last image shell added, relative to the peak value
+
+
+def eta_periodized(t: float, m: float, spec: GridSpec) -> GridFunction:
     """Spatial samples of sum_j eta_{t,m}(x + 2Lj), image shells added until
-    the last shell contributes less than `tail_tol` of the peak value."""
+    the last shell contributes less than 1e-12 of the peak value (past a
+    shell cap, the remaining images are added as their continuum density)."""
     if not m > spec.n:
         raise ValueError(f"eta_{{t,m}} requires m > n, got m={m}, n={spec.n}")
     if not 0 < t <= 1:
         raise ValueError(f"scale t must lie in (0, 1], got {t}")
-    return _eta_periodized_cached(t, m, spec.n, spec.N, spec.L, tail_tol)
+    return _eta_periodized_cached(t, m, spec.n, spec.N, spec.L)
 
 
 @lru_cache(maxsize=256)
-def _eta_periodized_cached(t, m, n, N, L, tail_tol):
+def _eta_periodized_cached(t, m, n, N, L):
     spec = GridSpec(n, N, L)
     period = 2.0 * L
     peak = t ** (-n)
@@ -283,7 +286,7 @@ def _eta_periodized_cached(t, m, n, N, L, tail_tol):
             add = (eta_pointwise(t, m, np.abs(x + period * j), n)
                    + eta_pointwise(t, m, np.abs(x - period * j), n))
             acc = acc + add
-            if add.max() < tail_tol * peak:
+            if add.max() < _ETA_TAIL_TOL * peak:
                 break
             if j >= max_shells:
                 hit_cap = True
@@ -309,7 +312,7 @@ def _eta_periodized_cached(t, m, n, N, L, tail_tol):
                     d = np.sqrt((X + period * jx) ** 2 + (Y + period * jy) ** 2)
                     add += eta_pointwise(t, m, d, n)
             acc = acc + add
-            if add.max() < tail_tol * peak:
+            if add.max() < _ETA_TAIL_TOL * peak:
                 break
             if j >= max_shells_2d:
                 hit_cap = True

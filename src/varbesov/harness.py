@@ -118,7 +118,7 @@ class HarnessConfig:
         cfg = cls()
         g = parser["grid"] if "grid" in parser else {}
         cfg.n = int(g.get("n", cfg.n))
-        cfg.N = int(g.get("N", g.get("points", cfg.N)))
+        cfg.N = int(g.get("N", cfg.N))
         cfg.L = float(g.get("L", cfg.L))
         s = parser["scales"] if "scales" in parser else {}
         cfg.K = int(s.get("K", cfg.K))
@@ -242,21 +242,15 @@ class RatioReport:
         return buf.getvalue()
 
 
-def emit_report(report: RatioReport, out_dir, formats=("json", "csv"),
-                plots: bool = False):
-    """Write report.json / report.csv (and optionally a plots/ directory
+def emit_report(report: RatioReport, out_dir, plots: bool = False):
+    """Write report.json and report.csv (and optionally a plots/ directory
     with the ratio data and a ready-to-run plotting script)."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    if "json" in formats:
-        path = os.path.join(out_dir, "report.json")
+    for name, text in (("report.json", report.to_json()), ("report.csv", report.to_csv())):
+        path = os.path.join(out_dir, name)
         with open(path, "w") as fh:
-            fh.write(report.to_json())
-        written.append(path)
-    if "csv" in formats:
-        path = os.path.join(out_dir, "report.csv")
-        with open(path, "w") as fh:
-            fh.write(report.to_csv())
+            fh.write(text)
         written.append(path)
     if plots:
         pdir = os.path.join(out_dir, "plots")
@@ -419,11 +413,13 @@ def _config_snapshot(cfg: HarnessConfig) -> dict:
 # --- lemma sweeps ----------------------------------------------------------------
 
 
-def _band_noise(spec: GridSpec, seed: int, band: float = 8.0) -> GridFunction:
-    """Seeded band-limited noise whose coefficients live on the integer
-    frequency indices; refining N reproduces the same continuum function,
-    which is what the refinement-stability checks compare against."""
+def _band_noise(spec: GridSpec, seed: int) -> GridFunction:
+    """Seeded noise band-limited to |xi| < 8, whose coefficients live on
+    the integer frequency indices; refining N reproduces the same
+    continuum function, which is what the refinement-stability checks
+    compare against."""
     from .grid import inverse_fourier
+    band = 8.0
     kmax = int(band * spec.L / math.pi)
     rng = np.random.default_rng(seed)
     coefs = rng.standard_normal(2 * kmax + 1) + 1j * rng.standard_normal(2 * kmax + 1)

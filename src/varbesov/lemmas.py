@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from .calderon import KernelPair, RadialProfile, annulus_bump, multiplier_bank
+from .calderon import KernelPair, RadialProfile, _smoothstep, annulus_bump, multiplier_bank
 from .exponent import ExponentField
 from .grid import (
     GridFunction,
@@ -52,6 +52,19 @@ __all__ = [
 ]
 
 _DEN_FLOOR = 1e-30  # pointwise ratios ignore cells where both sides vanish
+
+# r-trick profiles: theta is any Schwartz profile; omega is the annulus
+# bump squeezed into [1/4, 7/8], inside the unit ball
+_RTRICK_THETA = RadialProfile(lambda rr: np.exp(-np.asarray(rr, dtype=float) ** 2 / 2.0),
+                              (0.0, math.inf), "theta")
+_MOLLIFIER_BUMP = annulus_bump("mollifier")
+_RTRICK_OMEGA = RadialProfile(
+    lambda rr: _MOLLIFIER_BUMP(np.asarray(rr, dtype=float) * (2.0 / 0.875)),
+    (0.25, 0.875), "omega")
+# smooth low-pass profile supported in |xi| <= 2, for the reproducing bounds
+_REPRODUCING_THETA = RadialProfile(lambda rr: _smoothstep(2.0 - np.asarray(rr, dtype=float)),
+                                   (0.0, 2.0), "theta")
+_RYCHKOV_T_FIT_MAX = 0.125  # the decay fit uses t <= this, where the power law is clean
 
 
 def _eta_convolve(f: GridFunction, t: float, m: float) -> GridFunction:
@@ -169,32 +182,25 @@ def check_hardy(eps: np.ndarray, s_exp: float, scales: ScaleGrid) -> float:
 # --- band-limited self-improvement (the r-trick) --------------------------------
 
 
-def check_rtrick(g: GridFunction, N_dil: float, r: float, m: float,
-                 theta: RadialProfile = None, omega: RadialProfile = None) -> float:
+def check_rtrick(g: GridFunction, N_dil: float, r: float, m: float) -> float:
     """max_x |theta_N * omega_N * g| / (eta_{1/N,m} * |omega_N * g|^r)^(1/r).
 
-    omega is band-limited to the unit ball; theta is any Schwartz profile.
+    omega is band-limited to the unit ball (the annulus bump squeezed into
+    [1/4, 7/8]); theta is the Gaussian exp(-|xi|^2/2), a Schwartz profile.
     The constant should be stable in the dilation N (scale uniformity).
     """
     if not (r > 0 and m > g.spec.n and N_dil >= 1):
         raise ValueError("need r > 0, m > n and N_dil >= 1")
-    if theta is None:
-        theta = RadialProfile(lambda rr: np.exp(-np.asarray(rr, dtype=float) ** 2 / 2.0),
-                              (0.0, math.inf), "theta")
-    if omega is None:
-        base = annulus_bump("mollifier")
-        # squeeze the annulus bump into [1/4, 7/8], inside the unit ball
-        omega = RadialProfile(lambda rr: base(np.asarray(rr, dtype=float) * (2.0 / 0.875)),
-                              (0.25, 0.875), "omega")
     t = 1.0 / N_dil
     spec = g.spec
     radii = spec.xi_radius()
     ghat = fourier(g).values
-    u = inverse_fourier(g.with_values(ghat * omega(t * radii) * (2 * np.pi) ** (spec.n / 2)))
+    u = inverse_fourier(
+        g.with_values(ghat * _RTRICK_OMEGA(t * radii) * (2 * np.pi) ** (spec.n / 2)))
     if float(np.abs(u.values).max()) == 0.0:
         return math.nan
     num_f = inverse_fourier(
-        u.with_values(fourier(u).values * theta(t * radii) * (2 * np.pi) ** (spec.n / 2)))
+        u.with_values(fourier(u).values * _RTRICK_THETA(t * radii) * (2 * np.pi) ** (spec.n / 2)))
     num = np.abs(num_f.values)
     pw = GridFunction(spec, np.abs(u.values) ** r)
     den = np.abs(_eta_convolve(pw, t, m).values) ** (1.0 / r)
@@ -264,24 +270,18 @@ def check_averaged(ft, p: ExponentField, q: ExponentField, m: float,
 
 
 def check_reproducing_bounds(f: GridFunction, kernels: KernelPair, r: float,
-                             m: float, s: ScaleGrid,
-                             theta: RadialProfile = None) -> tuple:
+                             m: float, s: ScaleGrid) -> tuple:
     """Empirical constants (c_low, c_band) for the two pointwise bounds.
 
     c_low:  |theta * f|^r against eta_{1,mr} * |Phi * f|^r plus the dt/t
             aggregate of eta_{1,mr} * |phi_tau * f|^r over tau in [1/4, 1],
-            for a theta band-limited to |xi| <= 2.
+            for a smooth low-pass theta band-limited to |xi| <= 2.
     c_band: the scale-indexed analogue with omega_t = phi_t and the
             aggregate over tau in [t/4, min(1, 4t)] of eta_{tau,mr} terms.
     """
     if not (r > 0 and m > max(f.spec.n, f.spec.n / r)):
         raise ValueError("need r > 0 and m > max(n, n/r)")
     spec = f.spec
-    if theta is None:
-        # smooth low-pass profile supported in |xi| <= 2
-        from .calderon import _smoothstep
-        theta = RadialProfile(lambda rr: _smoothstep(2.0 - np.asarray(rr, dtype=float)),
-                              (0.0, 2.0), "theta")
     mr = m * r
     t = s.t
     delta = math.log(2.0) / s.K
@@ -300,7 +300,7 @@ def check_reproducing_bounds(f: GridFunction, kernels: KernelPair, r: float,
     E_scale = [np.abs(_eta_convolve(bp, ti, mr).values) for ti, bp in zip(t, band_pow)]
 
     # low-pass bound
-    theta_f = inverse_fourier(f.with_values(fhat * theta(radii)))
+    theta_f = inverse_fourier(f.with_values(fhat * _REPRODUCING_THETA(radii)))
     num = np.abs(theta_f.values) ** r
     sel = np.nonzero(t >= 0.25)[0]
     w = _subrange_weights(len(t), sel.min(), sel.max(), delta)
@@ -330,13 +330,12 @@ def check_reproducing_bounds(f: GridFunction, kernels: KernelPair, r: float,
 
 
 def check_rychkov_decay(mu_hat: RadialProfile, rho: GridFunction, M: int,
-                        N_w: float, scales: ScaleGrid,
-                        t_fit_max: float = 0.125) -> float:
+                        N_w: float, scales: ScaleGrid) -> float:
     """Fitted log-log slope of D(t) = sup_z |mu_t * rho(z)| (1+|z|)^N_w.
 
     mu has M+1 vanishing moments (|xi|^(M+1) factor in its profile), so
     D(t) should decay at least like t^(M+1); the fit is restricted to
-    t <= t_fit_max where the pure power law is clean, and to scales whose
+    t <= 1/8 where the pure power law is clean, and to scales whose
     dilated profile the grid still resolves.
     """
     spec = rho.spec
@@ -347,7 +346,7 @@ def check_rychkov_decay(mu_hat: RadialProfile, rho: GridFunction, M: int,
     rhohat = fourier(rho).values
     tvals, dvals = [], []
     for t in scales.t:
-        if t > t_fit_max or 1.0 / t > 0.5 * spec.xi_max:
+        if t > _RYCHKOV_T_FIT_MAX or 1.0 / t > 0.5 * spec.xi_max:
             continue
         conv = inverse_fourier(
             rho.with_values(rhohat * mu_hat(t * radii) * (2 * np.pi) ** (spec.n / 2)))

@@ -13,7 +13,6 @@ from varbesov.calderon import (
     build_continuous_pair,
     build_dyadic,
     build_local_means,
-    build_mu_eta_pair,
     export_radial_table,
     max_dyadic_level,
     reproducing_residual,
@@ -49,7 +48,7 @@ def test_reproducing_residual_all_profiles(spec, scales, profile):
 
 
 def test_mu_eta_alias(spec, scales):
-    p = build_mu_eta_pair(spec, scales)
+    p = build_continuous_pair(spec, scales, profile="mu-eta")
     assert p.label == "mu-eta"
 
 
@@ -71,6 +70,23 @@ def test_leaky_bump_rejected_on_every_call(spec, scales):
     for _ in range(2):
         with pytest.raises(ValueError, match="leak"):
             build_continuous_pair(spec, scales, profile="gauss", width=0.3)
+
+
+def test_support_leak_raised_where_pair_is_built(monkeypatch, spec, scales):
+    """annulus_bump rejects leaking parameters itself, so a bump non-zero
+    past r = 2 takes a replaced annulus_bump.  The pair construction then
+    finds the leak, and, as no exception is cached, on every call."""
+    def leaky_bump(kind, **params):
+        def fn(r):
+            out = np.zeros_like(r)
+            pos = r > 0
+            out[pos] = np.exp(-np.log2(r[pos]) ** 2)
+            return out
+        return RadialProfile(fn, calderon.ANNULUS, "leaky")
+    monkeypatch.setattr(calderon, "annulus_bump", leaky_bump)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="kernel support leaks"):
+            build_continuous_pair(spec, scales, profile="leaky")
 
 
 @pytest.mark.parametrize("profile", ["mollifier", "gauss", "mu-eta"])
@@ -130,7 +146,6 @@ def _reference_bump_pair(bump, label, construction_K):
         phi0_hat=RadialProfile(phi0_fn, (0.0, calderon.OUTER_RADIUS), f"Phi[{label}]"),
         phi_hat=RadialProfile(phi_fn, calderon.ANNULUS, f"phi[{label}]"),
         label=label,
-        construction_K=construction_K,
     )
 
 
@@ -253,11 +268,11 @@ def test_local_means_rejects_bad_inputs(spec):
 
 def test_radial_table_export(tmp_path, pair):
     path = tmp_path / "phi.csv"
-    export_radial_table(pair.phi_hat, path, rmax=2.5, npoints=512)
+    export_radial_table(pair.phi_hat, path, rmax=2.5)
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["r", "value"]
-    assert len(rows) == 513
+    assert len(rows) == 4097
     r = np.array([float(x[0]) for x in rows[1:]])
     v = np.array([float(x[1]) for x in rows[1:]])
     assert np.abs(v - pair.phi_hat(r)).max() < 1e-15

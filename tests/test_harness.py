@@ -306,6 +306,20 @@ def test_cli_corpus_list(capsys):
     assert "gaussian" in out and "boundary mass" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernels", "export", "--seed", "1"],
+    ["kernels", "export", "--threads", "2"],
+    ["corpus", "list", "--scales", "4,3"],
+    ["corpus", "list", "--threads", "2"],
+    ["corpus", "list", "--out", "x"],
+])
+def test_cli_rejects_flags_the_subcommand_ignores(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_threads_do_not_change_results():
     cfg1 = HarnessConfig(**SMALL)
     cfg2 = HarnessConfig(**{**SMALL, "threads": 4})
