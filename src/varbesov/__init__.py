@@ -9,7 +9,6 @@ from .grid import (
     fourier,
     inverse_fourier,
     convolve_kernel,
-    eta_hat,
     integrate,
 )
 from .exponent import ExponentField, omega, estimate_clog

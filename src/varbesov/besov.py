@@ -168,10 +168,7 @@ def _weighted_sup(g: np.ndarray, t: float, a: float, spec: GridSpec) -> np.ndarr
     tile's smallest running maximum; none of the rest can win anywhere.
     """
     N, n = spec.N, spec.n
-    k = np.arange(N)
-    d1 = spec.h * np.minimum(k, N - k)
-    dist = d1 if n == 1 else np.sqrt(d1[:, None] ** 2 + d1[None, :] ** 2)
-    w = (1.0 + dist / t) ** (-a)
+    w = (1.0 + spec.offset_distance() / t) ** (-a)
     T = min(_TILE[n], N)
     # hi / lo: max / min of w over the T^n periodic offsets from each index
     # onward, by doubling the window along each axis

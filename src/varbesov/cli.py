@@ -140,21 +140,24 @@ def main(argv=None) -> int:
     p_run.add_argument("--threshold", type=float, help="spread threshold override")
     p_run.add_argument("--plots", action="store_true", help="emit plot data + script")
     _add_flags(p_run, "config", "seed", "grid", "scales", "threads", "out")
-    p_run.set_defaults(fn=cmd_run)
+    p_run.set_defaults(fn=cmd_run, parser=p_run)
 
     p_k = sub.add_parser("kernels", help="kernel table utilities")
     sub_k = p_k.add_subparsers(dest="kcommand", required=True)
     p_ke = sub_k.add_parser("export", help="export radial kernel tables as CSV")
     _add_flags(p_ke, "config", "grid", "scales", "out")
-    p_ke.set_defaults(fn=cmd_kernels_export)
+    p_ke.set_defaults(fn=cmd_kernels_export, parser=p_ke)
 
     p_c = sub.add_parser("corpus", help="corpus utilities")
     sub_c = p_c.add_subparsers(dest="ccommand", required=True)
     p_cl = sub_c.add_parser("list", help="list corpus entries and boundary masses")
     _add_flags(p_cl, "config", "grid", "seed")
-    p_cl.set_defaults(fn=cmd_corpus_list)
+    p_cl.set_defaults(fn=cmd_corpus_list, parser=p_cl)
 
-    args = parser.parse_args(argv)
+    # a flag the subcommand does not take is reported with its own usage line
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.fn(args)
     except ValueError as exc:  # includes ConfigError and HypothesisError

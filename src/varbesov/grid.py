@@ -31,7 +31,6 @@ __all__ = [
     "convolve_kernel",
     "eta_pointwise",
     "eta_periodized",
-    "eta_hat",
     "integrate",
     "norm_l2",
 ]
@@ -103,6 +102,11 @@ class GridSpec:
         """Periodic distance from the origin at every spatial sample."""
         return _periodic_radius(self.n, self.N, self.L)
 
+    def offset_distance(self) -> np.ndarray:
+        """Periodic length of every grid offset k: h * min(k, N - k) per
+        axis, combined as the Euclidean norm in 2-D."""
+        return _offset_distance(self.n, self.N, self.L)
+
 
 @lru_cache(maxsize=64)
 def _axis(n, N, L):
@@ -139,6 +143,15 @@ def _periodic_radius(n, N, L):
         r = np.sqrt(d[:, None] ** 2 + d[None, :] ** 2)
     r.setflags(write=False)
     return r
+
+
+@lru_cache(maxsize=64)
+def _offset_distance(n, N, L):
+    k = np.arange(N)
+    d1 = (2.0 * L / N) * np.minimum(k, N - k)
+    d = d1 if n == 1 else np.sqrt(d1[:, None] ** 2 + d1[None, :] ** 2)
+    d.setflags(write=False)
+    return d
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,12 +338,6 @@ def _eta_periodized_cached(t, m, n, N, L):
             tail = (1.0 + A) ** (2.0 - m) / (m - 2.0) - (1.0 + A) ** (1.0 - m) / (m - 1.0)
             acc = acc + (2.0 * np.pi / period**2) * tail
     return GridFunction(spec, acc)
-
-
-def eta_hat(t: float, m: float, spec: GridSpec) -> GridFunction:
-    """Frequency side of the periodised eta_{t,m}; feed to `convolve_kernel`
-    to realise eta_{t,m} * f on the torus."""
-    return fourier(eta_periodized(t, m, spec))
 
 
 # --- geometric scale grid for integral_0^1 ... dt/t --------------------------

@@ -445,8 +445,7 @@ def _lemma_inputs(spec: GridSpec, scales: ScaleGrid, seed: int):
         spec, lambda x: 2.0 + 0.3 * np.cos(np.pi * x / spec.L))
     g = GridFunction(spec, np.exp(-x**2 / 2.0))
     noisy = _band_noise(spec, seed + 17)
-    fam_t = [GridFunction(spec, np.exp(1j * x / t) * np.exp(-x**2 / 2.0))
-             for t in scales.t]
+    fam_t = np.exp(1j * x / scales.t[:, None]) * np.exp(-x**2 / 2.0)
     return dict(alpha=alpha, p=p, q=q, g=g, noisy=noisy, fam_t=fam_t)
 
 
@@ -482,8 +481,8 @@ def _lemma_constants(lemma: str, spec: GridSpec, scales: ScaleGrid, seed: int,
         for Nd in (1.0, 2.0, 4.0):
             out[f"N={Nd}"] = lemmas.check_rtrick(inp["g"], Nd, 0.5, m)
     elif lemma == "eta-conv-discrete":
-        fam = [GridFunction(spec, np.exp(1j * (2.0**v) * spec.axis())
-                            * np.exp(-spec.axis() ** 2 / 2.0)) for v in range(4)]
+        fam = (np.exp(1j * (2.0 ** np.arange(4))[:, None] * spec.axis())
+               * np.exp(-spec.axis() ** 2 / 2.0))
         out["waves"] = lemmas.check_eta_conv_discrete(fam, p, q, m)
     elif lemma == "eta-conv-continuous":
         out["waves"] = lemmas.check_eta_conv_continuous(inp["fam_t"], p, q, m, scales)

@@ -8,6 +8,10 @@ constants, so the testable rendering is: the constant is finite, stable
 under grid refinement, and visibly degrades when a hypothesis is broken.
 Ratios are homogeneous of degree zero in the input functions.
 
+Families over the scales are (T, *shape) stacks, row j at scale t_j, on
+the grid of the exponent fields; each is convolved with eta_{t,m} in one
+batched transform and band-averaged through one (T, T) weight matrix.
+
 Vacuous cases (identically zero inputs) return NaN, except where a zero
 limit is the natural value of the ratio.
 """
@@ -23,11 +27,11 @@ from .calderon import KernelPair, RadialProfile, _smoothstep, annulus_bump, mult
 from .exponent import ExponentField
 from .grid import (
     GridFunction,
+    GridSpec,
     ScaleGrid,
     _circulant,
-    convolve_kernel,
     dft,
-    eta_hat,
+    eta_periodized,
     fourier,
     inverse_fourier,
 )
@@ -67,9 +71,15 @@ _REPRODUCING_THETA = RadialProfile(lambda rr: _smoothstep(2.0 - np.asarray(rr, d
 _RYCHKOV_T_FIT_MAX = 0.125  # the decay fit uses t <= this, where the power law is clean
 
 
-def _eta_convolve(f: GridFunction, t: float, m: float) -> GridFunction:
-    """eta_{t,m} * f on the torus (true convolution, mass c(m))."""
-    return convolve_kernel(f, eta_hat(t, m, f.spec))
+def _eta_convolve(F: np.ndarray, t, m: float, spec: GridSpec) -> np.ndarray:
+    """Row j is eta_{t_j,m} * F_j on the torus (true convolution, mass c(m));
+    t is one scale for every row or one scale per row.  The product is
+    formed as in `convolve_kernel`, so each row equals
+    convolve_kernel(F_j, fourier(eta_periodized(t_j, m, spec)))."""
+    t = np.atleast_1d(t)
+    kernels = np.stack([eta_periodized(tj, m, spec).values for tj in t])
+    prod = (2.0 * np.pi) ** (spec.n / 2.0) * dft(F.astype(complex), spec) * dft(kernels, spec)
+    return dft(prod, spec, inverse=True)
 
 
 def _ratio_max(num: np.ndarray, den: np.ndarray) -> float:
@@ -103,10 +113,7 @@ def check_transfer(alpha: ExponentField, t: float, m: float, R: float) -> float:
         )
     spec = alpha.spec
     a = alpha.samples
-    k = np.arange(spec.N)
-    d1 = spec.h * np.minimum(k, spec.N - k)
-    dist = d1 if spec.n == 1 else np.sqrt(d1[:, None] ** 2 + d1[None, :] ** 2)
-    w = ((1.0 + dist / t) ** (-R)).ravel()
+    w = ((1.0 + spec.offset_distance() / t) ** (-R)).ravel()
     # osc[k] = max over x of alpha(x - k h) - alpha(x); the sweep over all
     # offsets covers both orientations of each pair.  circ[k] is alpha
     # shifted by k, taken in blocks of about 1 MB.
@@ -202,67 +209,74 @@ def check_rtrick(g: GridFunction, N_dil: float, r: float, m: float) -> float:
     num_f = inverse_fourier(
         u.with_values(fourier(u).values * _RTRICK_THETA(t * radii) * (2 * np.pi) ** (spec.n / 2)))
     num = np.abs(num_f.values)
-    pw = GridFunction(spec, np.abs(u.values) ** r)
-    den = np.abs(_eta_convolve(pw, t, m).values) ** (1.0 / r)
+    pw = np.abs(u.values) ** r
+    den = np.abs(_eta_convolve(pw[None], t, m, spec)[0]) ** (1.0 / r)
     return _ratio_max(num, den)
 
 
 # --- convolution bounds on mixed norms ------------------------------------------
 
 
-def check_eta_conv_discrete(fv, p: ExponentField, q: ExponentField, m: float) -> float:
-    """Mixed-norm ratio of (eta_{2^-v,m} * f_v)_v to (f_v)_v."""
-    fv = list(fv)
-    den = mixed_norm_discrete(fv, p, q)
+def check_eta_conv_discrete(F: np.ndarray, p: ExponentField, q: ExponentField,
+                            m: float) -> float:
+    """Mixed-norm ratio of (eta_{2^-v,m} * f_v)_v to (f_v)_v, F the (V, *shape)
+    stack of the f_v."""
+    den = mixed_norm_discrete(F, p, q)
     if den == 0.0:
         return 0.0
-    conv = [_eta_convolve(f, 2.0 ** (-v), m) for v, f in enumerate(fv)]
+    conv = _eta_convolve(F, 2.0 ** -np.arange(len(F)), m, p.spec)
     return mixed_norm_discrete(conv, p, q) / den
 
 
-def check_eta_conv_continuous(ft, p: ExponentField, q: ExponentField, m: float,
-                              s: ScaleGrid) -> float:
+def check_eta_conv_continuous(F: np.ndarray, p: ExponentField, q: ExponentField,
+                              m: float, s: ScaleGrid) -> float:
     """Continuous version: eta_{t,m} * f_t against f_t over the scale grid."""
-    ft = list(ft)
-    den = mixed_norm_continuous(ft, p, q, s)
+    den = mixed_norm_continuous(F, p, q, s)
     if den == 0.0:
         return 0.0
-    conv = [_eta_convolve(f, t, m) for t, f in zip(s.t, ft)]
-    return mixed_norm_continuous(conv, p, q, s) / den
+    return mixed_norm_continuous(_eta_convolve(F, s.t, m, p.spec), p, q, s) / den
 
 
-def averaged_family(ft, m: float, band: tuple, s: ScaleGrid):
+def _band_weights(band: tuple, s: ScaleGrid) -> np.ndarray:
+    """(T, T) matrix whose row i holds the trapezoid dt/t weights over
+    tau in [band[0] * t_i, band[1] * t_i] on the scale grid (clipped to its
+    range; a row that meets fewer than two nodes is zero)."""
+    lo, hi = band
+    t = s.t
+    delta = math.log(2.0) / s.K
+    W = np.zeros((len(t), len(t)))
+    for i, ti in enumerate(t):
+        sel = np.nonzero((t >= lo * ti) & (t <= hi * ti))[0]
+        if len(sel):
+            W[i] = _subrange_weights(len(t), sel.min(), sel.max(), delta)
+    return W
+
+
+def _band_sum(W: np.ndarray, X: np.ndarray, acc) -> np.ndarray:
+    """acc + sum_j W[:, j] X_j in ascending j; a zero weight adds an exact
+    zero, so each row is summed as a loop over its band alone would."""
+    for j in range(len(X)):
+        acc = acc + W[:, j].reshape((-1,) + (1,) * (X.ndim - 1)) * X[j]
+    return acc
+
+
+def averaged_family(F: np.ndarray, spec: GridSpec, m: float, band: tuple,
+                    s: ScaleGrid) -> np.ndarray:
     """g_t = integral over tau in [band[0]*t, band[1]*t] of eta_{tau,m} * f_tau
     dtau/tau, quadratured on the scale grid (clipped to its range)."""
     lo, hi = band
     if not 0 < lo < hi:
         raise ValueError("need 0 < alpha < beta in the averaging band")
-    ft = list(ft)
-    t = s.t
-    delta = math.log(2.0) / s.K
-    conv = [_eta_convolve(f, tau, m) for tau, f in zip(t, ft)]
-    out = []
-    for ti in t:
-        sel = np.nonzero((t >= lo * ti) & (t <= hi * ti))[0]
-        if len(sel) == 0:
-            out.append(GridFunction(ft[0].spec, np.zeros(ft[0].spec.shape)))
-            continue
-        w = _subrange_weights(len(t), sel.min(), sel.max(), delta)
-        acc = np.zeros(ft[0].spec.shape, dtype=complex)
-        for j in sel:
-            acc = acc + w[j] * conv[j].values
-        out.append(GridFunction(ft[0].spec, acc))
-    return out
+    return _band_sum(_band_weights(band, s), _eta_convolve(F, s.t, m, spec), 0.0)
 
 
-def check_averaged(ft, p: ExponentField, q: ExponentField, m: float,
+def check_averaged(F: np.ndarray, p: ExponentField, q: ExponentField, m: float,
                    band: tuple, s: ScaleGrid) -> float:
     """Mixed-norm ratio of the scale-averaged family to the original one."""
-    ft = list(ft)
-    den = mixed_norm_continuous(ft, p, q, s)
+    den = mixed_norm_continuous(F, p, q, s)
     if den == 0.0:
         return 0.0
-    g = averaged_family(ft, m, band, s)
+    g = averaged_family(F, p.spec, m, band, s)
     return mixed_norm_continuous(g, p, q, s) / den
 
 
@@ -283,47 +297,26 @@ def check_reproducing_bounds(f: GridFunction, kernels: KernelPair, r: float,
         raise ValueError("need r > 0 and m > max(n, n/r)")
     spec = f.spec
     mr = m * r
-    t = s.t
-    delta = math.log(2.0) / s.K
     fhat = fourier(f).values
-    radii = spec.xi_radius()
 
-    # row 0 the low-pass Phi * f, then phi_t * f for every t
-    moduli = np.abs(dft(fhat * multiplier_bank(kernels.phi0_hat, kernels.phi_hat, spec, s),
-                        spec, inverse=True))
-    low_pow = GridFunction(spec, moduli[0] ** r)
-    E_low = np.abs(_eta_convolve(low_pow, 1.0, mr).values)
-
-    bands = moduli[1:]
-    band_pow = [GridFunction(spec, b ** r) for b in bands]
-    E_fixed = [np.abs(_eta_convolve(bp, 1.0, mr).values) for bp in band_pow]
-    E_scale = [np.abs(_eta_convolve(bp, ti, mr).values) for ti, bp in zip(t, band_pow)]
+    # row 0 |Phi * f|^r, then |phi_t * f|^r for every t
+    P = np.abs(dft(fhat * multiplier_bank(kernels.phi0_hat, kernels.phi_hat, spec, s),
+                   spec, inverse=True)) ** r
+    E_fixed = np.abs(_eta_convolve(P, 1.0, mr, spec))
+    E_low = E_fixed[0]
+    E_scale = np.abs(_eta_convolve(P[1:], s.t, mr, spec))
+    # since t_0 = 1 and every t <= 1, row 0 of the (1/4, 4) band is
+    # tau in [1/4, 1] and row i is tau in [t_i/4, min(1, 4 t_i)]
+    W = _band_weights((0.25, 4.0), s)
 
     # low-pass bound
-    theta_f = inverse_fourier(f.with_values(fhat * _REPRODUCING_THETA(radii)))
-    num = np.abs(theta_f.values) ** r
-    sel = np.nonzero(t >= 0.25)[0]
-    w = _subrange_weights(len(t), sel.min(), sel.max(), delta)
-    den = E_low.copy()
-    for j in sel:
-        den = den + w[j] * E_fixed[j]
-    c_low = _ratio_max(num, den)
+    theta_f = inverse_fourier(f.with_values(fhat * _REPRODUCING_THETA(spec.xi_radius())))
+    c_low = _ratio_max(np.abs(theta_f.values) ** r, _band_sum(W[:1], E_fixed[1:], E_low)[0])
 
     # band bound, swept over the scale grid
-    c_band = 0.0
-    any_valid = False
-    for i, ti in enumerate(t):
-        num_i = bands[i] ** r
-        sel = np.nonzero((t >= ti / 4.0) & (t <= min(1.0, 4.0 * ti)))[0]
-        w = _subrange_weights(len(t), sel.min(), sel.max(), delta)
-        den_i = E_low.copy()
-        for j in sel:
-            den_i = den_i + w[j] * E_scale[j]
-        ci = _ratio_max(num_i, den_i)
-        if not math.isnan(ci):
-            c_band = max(c_band, ci)
-            any_valid = True
-    return c_low, (c_band if any_valid else math.nan)
+    den = _band_sum(W, E_scale, E_low)
+    cs = [c for c in map(_ratio_max, P[1:], den) if not math.isnan(c)]
+    return c_low, (max(0.0, *cs) if cs else math.nan)
 
 
 # --- moment-driven decay of dilated kernels --------------------------------------

@@ -26,8 +26,8 @@ modular; the q = inf norms are handled by their sup-over-scales form in the
 `luxemburg_rows` solves every row of a (T, *shape) stack of moduli at
 once and takes its exponent as validated; `luxemburg_norm` validates one
 GridFunction and calls it.  The `mixed_norm_*` functions take a family as
-GridFunctions or as one (T, *shape) array of values, validate it and stack
-its moduli for the one mixed-norm core, `_mixed_norm`.
+one (T, *shape) array of values, validate it and take its moduli for the
+one mixed-norm core, `_mixed_norm`.
 """
 
 from __future__ import annotations
@@ -186,18 +186,14 @@ def _mixed_norm(A: np.ndarray, w: np.ndarray, p: ExponentField,
     return amax * math.exp(float(_newton(fn, 0.0)) + _REL_TOL)
 
 
-def _stack_mixed(fs, p: ExponentField, q: ExponentField) -> np.ndarray:
-    """Validate a family for the mixed norms and stack its moduli; fs is a
-    sequence of GridFunction or a (T, *p.spec.shape) array of their values."""
-    if isinstance(fs, np.ndarray):
-        if fs.shape[1:] != p.spec.shape:
-            raise ValueError("p is sampled on a different grid than the family")
-        A = np.abs(fs)
-    else:
-        fs = list(fs)
-        for f in fs:
-            _check_field(f, p, "p")
-        A = np.array([np.abs(f.values) for f in fs]).reshape((len(fs), *p.spec.shape))
+def _stack_mixed(fs: np.ndarray, p: ExponentField, q: ExponentField) -> np.ndarray:
+    """Validate a family for the mixed norms and return its moduli; fs is a
+    (T, *p.spec.shape) array of the members' values."""
+    if not isinstance(fs, np.ndarray):
+        raise TypeError("a family is one (T, *shape) array of values, not a sequence")
+    if fs.shape[1:] != p.spec.shape:
+        raise ValueError("p is sampled on a different grid than the family")
+    A = np.abs(fs)
     p.require_p0("p").require_finite("p")
     q.require_p0("q")
     if not q.is_finite:
@@ -208,13 +204,14 @@ def _stack_mixed(fs, p: ExponentField, q: ExponentField) -> np.ndarray:
     return A
 
 
-def mixed_norm_discrete(fs, p: ExponentField, q: ExponentField) -> float:
+def mixed_norm_discrete(fs: np.ndarray, p: ExponentField, q: ExponentField) -> float:
     """Mixed sequence-space norm of a finite family (f_v)."""
     A = _stack_mixed(fs, p, q)
     return _mixed_norm(A, np.ones(len(A)), p, q) if len(A) else 0.0
 
 
-def mixed_norm_continuous(ft, p: ExponentField, q: ExponentField, s: ScaleGrid) -> float:
+def mixed_norm_continuous(ft: np.ndarray, p: ExponentField, q: ExponentField,
+                          s: ScaleGrid) -> float:
     """Scale-continuous mixed norm: the discrete sum over v becomes the
     dt/t quadrature over the ScaleGrid."""
     A = _stack_mixed(ft, p, q)

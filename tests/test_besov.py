@@ -20,8 +20,8 @@ from varbesov.grid import (
     GridFunction,
     GridSpec,
     ScaleGrid,
-    eta_hat,
     convolve_kernel,
+    eta_periodized,
     fourier,
     inverse_fourier,
 )
@@ -329,7 +329,8 @@ def test_peetre_eta_envelope_bound(spec, pair, corpus_fns):
     out = peetre_maximal(f, t, a, alpha, pair.phi_hat).values.real
     conv = inverse_fourier(GridFunction(spec, fourier(f).values * pair.phi_hat(t * spec.xi_radius())))
     weighted = (t ** (-0.5) * np.abs(conv.values)) ** p_minus
-    smooth = convolve_kernel(GridFunction(spec, weighted), eta_hat(t, a * p_minus, spec))
+    smooth = convolve_kernel(GridFunction(spec, weighted),
+                             fourier(eta_periodized(t, a * p_minus, spec)))
     rhs = np.abs(smooth.values) ** (1.0 / p_minus)
     c = (out / rhs).max()
     assert math.isfinite(c) and c > 0
@@ -468,7 +469,7 @@ def _reference_besov(kind, f, P):
                   for v in range(fam.v_max + 1)]
         if P.q_is_inf:
             return max(luxemburg_norm(b, P.p) for b in blocks)
-        return mixed_norm_discrete(blocks, P.p, P.q)
+        return mixed_norm_discrete(np.stack([b.values for b in blocks]), P.p, P.q)
     K = P.kernels
     low_profile, band_profile = ((K.k0_hat, K.k_hat) if kind == "local_means"
                                  else (K.phi0_hat, K.phi_hat))
@@ -482,7 +483,7 @@ def _reference_besov(kind, f, P):
     if P.q_is_inf:
         top = max(luxemburg_norm(g, P.p) for g in family)
     else:
-        top = mixed_norm_continuous(family, P.p, P.q, P.scales)
+        top = mixed_norm_continuous(np.stack([g.values for g in family]), P.p, P.q, P.scales)
     return luxemburg_norm(low, P.p) + top
 
 
@@ -525,6 +526,32 @@ def test_stacked_evaluators_match_per_scale_reference(setups, n, triple):
     for kind, evaluate in EVALUATORS.items():
         P = BesovParams(alpha, p, q, a, scales, kernels[kind])
         assert evaluate(f, P) == pytest.approx(_reference_besov(kind, f, P), rel=1e-12), kind
+
+
+@pytest.mark.parametrize("triple", ["sine-alpha", "sine-p", "sine-q"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_evaluators_invariant_under_translation_and_conjugation(setups, n, triple):
+    """Rolling f, alpha, p and q by one torus offset, or conjugating f,
+    leaves every evaluator unchanged up to rounding."""
+    f, scales, kernels = setups[n]
+    spec = f.spec
+    axes = tuple(range(spec.n))
+    shift = (37, 11)[:spec.n]
+
+    def roll(v):
+        return np.roll(v, shift, axis=axes)
+
+    fields = make_triple(spec, triple)
+    moved = tuple(ExponentField(spec, roll(e.samples)) for e in fields)
+    a = spec.n / fields[1].range_min + 1.0
+    for kind, evaluate in EVALUATORS.items():
+        base = evaluate(f, BesovParams(*fields, a, scales, kernels[kind]))
+        translated = evaluate(f.with_values(roll(f.values)),
+                              BesovParams(*moved, a, scales, kernels[kind]))
+        conjugated = evaluate(f.with_values(np.conj(f.values)),
+                              BesovParams(*fields, a, scales, kernels[kind]))
+        assert translated == pytest.approx(base, rel=1e-12), kind
+        assert conjugated == pytest.approx(base, rel=1e-12), kind
 
 
 def test_banks_built_once(spec, scales, kernels_1d, corpus_fns, monkeypatch):

@@ -10,7 +10,6 @@ from varbesov.grid import (
     GridSpec,
     ScaleGrid,
     convolve_kernel,
-    eta_hat,
     eta_periodized,
     eta_pointwise,
     fourier,
@@ -160,13 +159,13 @@ def test_eta_at_origin_and_monotone():
 
 def test_eta_rejects_small_m(spec):
     with pytest.raises(ValueError, match="m > n"):
-        eta_hat(0.5, 1.0, spec)
+        fourier(eta_periodized(0.5, 1.0, spec))
 
 
 def test_eta_hat_realises_convolution(spec, gaussian):
     # convolving with eta approximates integral eta(y) f(x-y) dy; for the
     # wide Gaussian the result must stay between c(m)*min f and c(m)*max f
-    out = convolve_kernel(gaussian, eta_hat(0.5, 3.0, spec)).values.real
+    out = convolve_kernel(gaussian, fourier(eta_periodized(0.5, 3.0, spec))).values.real
     assert out.max() <= 1.0 * 1.01  # c(3) = 1 for n = 1
     assert out.min() >= -1e-12
 

@@ -317,7 +317,9 @@ def test_cli_rejects_flags_the_subcommand_ignores(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli_main(argv)
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err
+    assert err.startswith(f"usage: varbesov {argv[0]} {argv[1]} ")  # the subcommand's own
 
 
 def test_threads_do_not_change_results():

@@ -4,10 +4,22 @@ import warnings
 import numpy as np
 import pytest
 
-from varbesov.calderon import build_continuous_pair, build_local_means
+from varbesov.calderon import build_continuous_pair, build_local_means, multiplier_bank
 from varbesov.exponent import ExponentField
-from varbesov.grid import GridFunction, GridSpec, ScaleGrid
+from varbesov.grid import (
+    GridFunction,
+    GridSpec,
+    ScaleGrid,
+    convolve_kernel,
+    dft,
+    eta_periodized,
+    fourier,
+    inverse_fourier,
+)
 from varbesov.lemmas import (
+    _REPRODUCING_THETA,
+    _ratio_max,
+    _subrange_weights,
     averaged_family,
     check_averaged,
     check_dzw,
@@ -19,7 +31,7 @@ from varbesov.lemmas import (
     check_rychkov_decay,
     check_transfer,
 )
-from varbesov.modular_norms import power_quotient_norm
+from varbesov.modular_norms import mixed_norm_continuous, mixed_norm_discrete, power_quotient_norm
 
 # lemma sweeps need the grid fine relative to the smallest scale so the
 # kernel quadrature converges; h = 1/64, t_min = 1/8
@@ -50,8 +62,8 @@ def p2(lspec):
 @pytest.fixture(scope="module")
 def wave_family(lspec, lscales):
     (x,) = lspec.coords()
-    return [GridFunction(lspec, np.exp(1j * x / t) * np.exp(-(x**2) / 2.0))
-            for t in lscales.t]
+    return np.stack([GridFunction(lspec, np.exp(1j * x / t) * np.exp(-(x**2) / 2.0)).values
+                     for t in lscales.t])
 
 
 # --- transfer ---------------------------------------------------------------
@@ -230,15 +242,16 @@ def test_eta_conv_single_term_young_bound(lspec, p2):
     fam = [GridFunction.zeros(lspec),
            GridFunction(lspec, np.exp(-(x**2) / 2.0)),
            GridFunction.zeros(lspec)]
-    ratio = check_eta_conv_discrete(fam, p2, p2, 3.0)
+    ratio = check_eta_conv_discrete(np.stack([f.values for f in fam]), p2, p2, 3.0)
     assert 0 < ratio <= 1.05
 
 
 def test_eta_conv_zero_family(lspec, p2, lscales):
     fam = [GridFunction.zeros(lspec) for _ in range(3)]
-    assert check_eta_conv_discrete(fam, p2, p2, 3.0) == 0.0
+    assert check_eta_conv_discrete(np.stack([f.values for f in fam]), p2, p2, 3.0) == 0.0
     famc = [GridFunction.zeros(lspec) for _ in lscales.t]
-    assert check_eta_conv_continuous(famc, p2, p2, 3.0, lscales) == 0.0
+    assert check_eta_conv_continuous(np.stack([f.values for f in famc]), p2, p2, 3.0,
+                                     lscales) == 0.0
 
 
 def test_eta_conv_sine_exponents_finite(lspec, lscales, wave_family):
@@ -261,9 +274,9 @@ def test_averaged_support_bookkeeping(lspec, lscales):
     fam = [GridFunction.zeros(lspec) for _ in lscales.t]
     i0 = 6
     fam[i0] = GridFunction(lspec, np.exp(-(x**2) / 2.0))
-    g = averaged_family(fam, 3.0, (0.25, 4.0), lscales)
+    g = averaged_family(np.stack([f.values for f in fam]), lspec, 3.0, (0.25, 4.0), lscales)
     tau0 = lscales.t[i0]
-    active = {i for i, gi in enumerate(g) if np.abs(gi.values).max() > 0}
+    active = {i for i, gi in enumerate(g) if np.abs(gi).max() > 0}
     expected = {i for i, t in enumerate(lscales.t)
                 if tau0 / 4.0 - 1e-15 <= t <= 4.0 * tau0 + 1e-15}
     assert active == expected
@@ -338,6 +351,198 @@ def test_reproducing_annulus_support_bookkeeping(lspec, lscales, lpair):
             assert not active
 
 
+# --- stacked families vs the per-row list path ------------------------------------
+#
+# The list implementations the stacked oracles replaced, kept verbatim except
+# that the eta kernel transform is spelled out and the families are stacked
+# where they reach the mixed norms.  The stacks must match them exactly.
+
+
+def _reference_eta_convolve(f, t, m):
+    return convolve_kernel(f, fourier(eta_periodized(t, m, f.spec)))
+
+
+def _reference_eta_conv_discrete(fv, p, q, m):
+    fv = list(fv)
+    den = mixed_norm_discrete(np.stack([f.values for f in fv]), p, q)
+    if den == 0.0:
+        return 0.0
+    conv = [_reference_eta_convolve(f, 2.0 ** (-v), m) for v, f in enumerate(fv)]
+    return mixed_norm_discrete(np.stack([f.values for f in conv]), p, q) / den
+
+
+def _reference_eta_conv_continuous(ft, p, q, m, s):
+    ft = list(ft)
+    den = mixed_norm_continuous(np.stack([f.values for f in ft]), p, q, s)
+    if den == 0.0:
+        return 0.0
+    conv = [_reference_eta_convolve(f, t, m) for t, f in zip(s.t, ft)]
+    return mixed_norm_continuous(np.stack([f.values for f in conv]), p, q, s) / den
+
+
+def _reference_averaged_family(ft, m, band, s):
+    lo, hi = band
+    if not 0 < lo < hi:
+        raise ValueError("need 0 < alpha < beta in the averaging band")
+    ft = list(ft)
+    t = s.t
+    delta = math.log(2.0) / s.K
+    conv = [_reference_eta_convolve(f, tau, m) for tau, f in zip(t, ft)]
+    out = []
+    for ti in t:
+        sel = np.nonzero((t >= lo * ti) & (t <= hi * ti))[0]
+        if len(sel) == 0:
+            out.append(GridFunction(ft[0].spec, np.zeros(ft[0].spec.shape)))
+            continue
+        w = _subrange_weights(len(t), sel.min(), sel.max(), delta)
+        acc = np.zeros(ft[0].spec.shape, dtype=complex)
+        for j in sel:
+            acc = acc + w[j] * conv[j].values
+        out.append(GridFunction(ft[0].spec, acc))
+    return out
+
+
+def _reference_check_averaged(ft, p, q, m, band, s):
+    ft = list(ft)
+    den = mixed_norm_continuous(np.stack([f.values for f in ft]), p, q, s)
+    if den == 0.0:
+        return 0.0
+    g = _reference_averaged_family(ft, m, band, s)
+    return mixed_norm_continuous(np.stack([f.values for f in g]), p, q, s) / den
+
+
+def _reference_reproducing_bounds(f, kernels, r, m, s):
+    if not (r > 0 and m > max(f.spec.n, f.spec.n / r)):
+        raise ValueError("need r > 0 and m > max(n, n/r)")
+    spec = f.spec
+    mr = m * r
+    t = s.t
+    delta = math.log(2.0) / s.K
+    fhat = fourier(f).values
+    radii = spec.xi_radius()
+
+    # row 0 the low-pass Phi * f, then phi_t * f for every t
+    moduli = np.abs(dft(fhat * multiplier_bank(kernels.phi0_hat, kernels.phi_hat, spec, s),
+                        spec, inverse=True))
+    low_pow = GridFunction(spec, moduli[0] ** r)
+    E_low = np.abs(_reference_eta_convolve(low_pow, 1.0, mr).values)
+
+    bands = moduli[1:]
+    band_pow = [GridFunction(spec, b ** r) for b in bands]
+    E_fixed = [np.abs(_reference_eta_convolve(bp, 1.0, mr).values) for bp in band_pow]
+    E_scale = [np.abs(_reference_eta_convolve(bp, ti, mr).values) for ti, bp in zip(t, band_pow)]
+
+    # low-pass bound
+    theta_f = inverse_fourier(f.with_values(fhat * _REPRODUCING_THETA(radii)))
+    num = np.abs(theta_f.values) ** r
+    sel = np.nonzero(t >= 0.25)[0]
+    w = _subrange_weights(len(t), sel.min(), sel.max(), delta)
+    den = E_low.copy()
+    for j in sel:
+        den = den + w[j] * E_fixed[j]
+    c_low = _ratio_max(num, den)
+
+    # band bound, swept over the scale grid
+    c_band = 0.0
+    any_valid = False
+    for i, ti in enumerate(t):
+        num_i = bands[i] ** r
+        sel = np.nonzero((t >= ti / 4.0) & (t <= min(1.0, 4.0 * ti)))[0]
+        w = _subrange_weights(len(t), sel.min(), sel.max(), delta)
+        den_i = E_low.copy()
+        for j in sel:
+            den_i = den_i + w[j] * E_scale[j]
+        ci = _ratio_max(num_i, den_i)
+        if not math.isnan(ci):
+            c_band = max(c_band, ci)
+            any_valid = True
+    return c_low, (c_band if any_valid else math.nan)
+
+
+def _same(a, b):
+    """Exact equality, NaN matching NaN."""
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+# (spec, scales, m): the lemma grid at N and 2N, and one small 2-D grid whose
+# eta periodisation stays cheap (few scales, fast kernel decay)
+STACK_GRIDS = {
+    "1d-1024": (GridSpec(1, 1024, 8.0), ScaleGrid(4, 3), 3.0),
+    "1d-2048": (GridSpec(1, 2048, 8.0), ScaleGrid(4, 3), 3.0),
+    "2d-32": (GridSpec(2, 32, 2.0), ScaleGrid(2, 2), 8.0),
+}
+
+
+def _stack_exponents(spec, kind):
+    """Constant p = q, or sine p and cosine q with the lemma sweeps' shapes."""
+    if kind == "constant":
+        p = ExponentField.from_constant(spec, 2.0)
+        return p, p
+    x = spec.coords()
+    sin = np.prod([np.sin(np.pi * c / spec.L) for c in x], axis=0)
+    cos = np.prod([np.cos(np.pi * c / spec.L) for c in x], axis=0)
+    return ExponentField(spec, 2.0 + 0.5 * sin), ExponentField(spec, 2.0 + 0.3 * cos)
+
+
+def _seeded_family(spec, rows, kind, seed):
+    """Seeded complex noise under a Gaussian envelope; `zero-rows` zeroes
+    about half the rows, `single-row` keeps one row."""
+    rng = np.random.default_rng(seed)
+    env = np.exp(-sum(c**2 for c in spec.coords()) / 4.0)
+    F = (rng.standard_normal((rows, *spec.shape))
+         + 1j * rng.standard_normal((rows, *spec.shape))) * env
+    F *= np.exp(rng.uniform(-2.0, 2.0, rows)).reshape((rows,) + (1,) * spec.n)
+    if kind == "zero-rows":
+        F[rng.permutation(rows)[: rows // 2]] = 0.0
+    elif kind == "single-row":
+        keep = int(rng.integers(rows))
+        F[np.arange(rows) != keep] = 0.0
+    return F
+
+
+def _as_list(spec, F):
+    return [GridFunction(spec, row) for row in F]
+
+
+@pytest.mark.parametrize("kind", ["dense", "zero-rows", "single-row"])
+@pytest.mark.parametrize("exps", ["constant", "sine"])
+@pytest.mark.parametrize("grid", list(STACK_GRIDS))
+def test_stacked_family_oracles_equal_list_reference(grid, exps, kind):
+    spec, s, m = STACK_GRIDS[grid]
+    p, q = _stack_exponents(spec, exps)
+    seed = 1000 * spec.n + spec.N + len(kind)
+    Fv = _seeded_family(spec, 4, kind, seed)
+    assert check_eta_conv_discrete(Fv, p, q, m) == _reference_eta_conv_discrete(
+        _as_list(spec, Fv), p, q, m)
+    Ft = _seeded_family(spec, len(s), kind, seed + 1)
+    ft = _as_list(spec, Ft)
+    assert check_eta_conv_continuous(Ft, p, q, m, s) == _reference_eta_conv_continuous(
+        ft, p, q, m, s)
+    for band in ((0.25, 4.0), (0.5, 2.0), (0.125, 8.0)):
+        ref = _reference_averaged_family(ft, m, band, s)
+        assert np.array_equal(averaged_family(Ft, spec, m, band, s),
+                              np.stack([g.values for g in ref]))
+        assert check_averaged(Ft, p, q, m, band, s) == _reference_check_averaged(
+            ft, p, q, m, band, s)
+
+
+@pytest.mark.parametrize("kind", ["noise", "low-pass", "zero"])
+@pytest.mark.parametrize("grid", list(STACK_GRIDS))
+def test_stacked_reproducing_bounds_equal_list_reference(grid, kind):
+    spec, s, m = STACK_GRIDS[grid]
+    pair = build_continuous_pair(spec, s)
+    f = GridFunction(spec, _seeded_family(spec, 1, "dense", spec.N)[0])
+    if kind == "low-pass":  # spectrum inside |xi| <= 1/4: every band vanishes
+        rr = spec.xi_radius()
+        f = inverse_fourier(GridFunction(spec, np.where(rr <= 0.25, np.exp(-(rr**2)), 0.0)))
+    elif kind == "zero":
+        f = GridFunction.zeros(spec)
+    for r, mr in ((0.5, m), (1.0, m + 1.0)):  # eta_{t,mr}: the grid's m, and one above
+        got = check_reproducing_bounds(f, pair, r, mr / r, s)
+        ref = _reference_reproducing_bounds(f, pair, r, mr / r, s)
+        assert all(map(_same, got, ref)), (got, ref)
+
+
 # --- moment-driven decay --------------------------------------------------------------
 
 
@@ -365,10 +570,11 @@ def test_oracle_constants_scale_invariant(lspec, lscales, lpair, alpha_sine, p2,
     c = 8.0  # exact binary scaling
     pairs = [
         (check_rtrick(f, 2.0, 0.5, 3.0), check_rtrick(c * f, 2.0, 0.5, 3.0)),
-        (check_eta_conv_discrete([f, f], p2, p2, 3.0),
-         check_eta_conv_discrete([c * f, c * f], p2, p2, 3.0)),
+        (check_eta_conv_discrete(np.stack([f.values, f.values]), p2, p2, 3.0),
+         check_eta_conv_discrete(np.stack([(c * f).values, (c * f).values]), p2, p2, 3.0)),
         (check_averaged(wave_family, p2, p2, 3.0, (0.25, 4.0), lscales),
-         check_averaged([c * g for g in wave_family], p2, p2, 3.0, (0.25, 4.0), lscales)),
+         check_averaged(np.stack([c * g for g in wave_family]), p2, p2, 3.0, (0.25, 4.0),
+                        lscales)),
     ]
     cl, cb = check_reproducing_bounds(f, lpair, 0.5, 3.0, lscales)
     cl8, cb8 = check_reproducing_bounds(c * f, lpair, 0.5, 3.0, lscales)
@@ -387,7 +593,8 @@ def test_oracle_refinement_stability(alpha_sine):
         p = ExponentField.from_constant(spec, 2.0)
         g = GridFunction(spec, np.exp(-(x**2) / 2.0))
         s = ScaleGrid(4, 3)
-        fam = [GridFunction(spec, np.exp(1j * x / t) * np.exp(-(x**2) / 2.0)) for t in s.t]
+        fam = np.stack([GridFunction(spec, np.exp(1j * x / t) * np.exp(-(x**2) / 2.0)).values
+                        for t in s.t])
         vals.setdefault("transfer", []).append(
             check_transfer(a, 0.25, 3.0, a.clog_local + 0.5))
         vals.setdefault("rtrick", []).append(check_rtrick(g, 2.0, 0.5, 3.0))

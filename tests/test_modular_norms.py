@@ -284,7 +284,7 @@ def test_small_constant_p_closed_form(pv):
     expect = math.exp((m + math.log(np.exp(z - m).sum())) / pv)
     p = ExponentField.from_constant(spec, pv)
     assert luxemburg_norm(f, p) == pytest.approx(expect, rel=1e-6)
-    assert mixed_norm_discrete([f], p, p) == pytest.approx(expect, rel=1e-6)
+    assert mixed_norm_discrete(np.stack([f.values]), p, p) == pytest.approx(expect, rel=1e-6)
 
 
 def test_luxemburg_with_infinite_p_region(small_spec):
@@ -301,7 +301,7 @@ def test_luxemburg_with_infinite_p_region(small_spec):
 
 def test_mixed_single_term_reduction(small_spec, noisy):
     p = ExponentField.from_constant(small_spec, 2.0)
-    got = mixed_norm_discrete([noisy], p, p)
+    got = mixed_norm_discrete(np.stack([noisy.values]), p, p)
     assert got == pytest.approx(classical_lp(noisy, 2.0), rel=1e-6)
 
 
@@ -310,23 +310,23 @@ def test_mixed_classical_three_terms(small_spec):
     fam = [GridFunction(small_spec, np.exp(-((x - c) ** 2))) for c in (0.0, 1.0, 2.0)]
     p = ExponentField.from_constant(small_spec, 1.5)
     q = ExponentField.from_constant(small_spec, 3.0)
-    got = mixed_norm_discrete(fam, p, q)
+    got = mixed_norm_discrete(np.stack([f.values for f in fam]), p, q)
     expect = (sum(classical_lp(f, 1.5) ** 3 for f in fam)) ** (1.0 / 3.0)
     assert got == pytest.approx(expect, rel=1e-6)
 
 
 def test_mixed_zero_and_empty(small_spec):
     p = ExponentField.from_constant(small_spec, 2.0)
-    assert mixed_norm_discrete([], p, p) == 0.0
+    assert mixed_norm_discrete(np.zeros((0, *small_spec.shape)), p, p) == 0.0
     zeros = [GridFunction.zeros(small_spec) for _ in range(3)]
-    assert mixed_norm_discrete(zeros, p, p) == 0.0
+    assert mixed_norm_discrete(np.stack([f.values for f in zeros]), p, p) == 0.0
 
 
 def test_mixed_rejects_unbounded_q(small_spec, noisy):
     p = ExponentField.from_constant(small_spec, 2.0)
     qinf = ExponentField.from_constant(small_spec, math.inf)
     with pytest.raises(ValueError, match="q bounded"):
-        mixed_norm_discrete([noisy], p, qinf)
+        mixed_norm_discrete(np.stack([noisy.values]), p, qinf)
 
 
 def test_mixed_unit_ball_variable_q():
@@ -338,8 +338,8 @@ def test_mixed_unit_ball_variable_q():
     fam = [GridFunction(spec, rng.standard_normal(64) * math.exp(rng.uniform(-3, 3)))
            for _ in range(5)]
     s = ScaleGrid(2, 2)
-    for w, mu in ((np.ones(5), mixed_norm_discrete(fam, p, q)),
-                  (s.weights, mixed_norm_continuous(fam, p, q, s))):
+    for w, mu in ((np.ones(5), mixed_norm_discrete(np.stack([f.values for f in fam]), p, q)),
+                  (s.weights, mixed_norm_continuous(np.stack([f.values for f in fam]), p, q, s))):
         A = np.stack([np.abs(f.values) / mu for f in fam])
         P = np.exp(q.samples[None, :] * np.log(A))
         # the inner norms by a bisection far tighter than the 1e-10 offset
@@ -352,7 +352,7 @@ def test_mixed_continuous_zero(small_spec):
     s = ScaleGrid(4, 3)
     p = ExponentField.from_constant(small_spec, 2.0)
     fam = [GridFunction.zeros(small_spec) for _ in range(len(s))]
-    assert mixed_norm_continuous(fam, p, p, s) == 0.0
+    assert mixed_norm_continuous(np.stack([f.values for f in fam]), p, p, s) == 0.0
 
 
 def test_mixed_continuous_t_independent_closed_form(small_spec, gaussian_256=None):
@@ -360,7 +360,7 @@ def test_mixed_continuous_t_independent_closed_form(small_spec, gaussian_256=Non
     g = GridFunction(small_spec, np.exp(-(x**2) / 2.0))
     s = ScaleGrid(8, 5)
     p = ExponentField.from_constant(small_spec, 2.0)
-    got = mixed_norm_continuous([g] * len(s), p, p, s)
+    got = mixed_norm_continuous(np.stack([g.values] * len(s)), p, p, s)
     expect = classical_lp(g, 2.0) * float(s.weights.sum()) ** 0.5
     assert got == pytest.approx(expect, rel=1e-8)
 
@@ -374,7 +374,7 @@ def test_mixed_continuous_refinement_stable(small_spec):
     for K in (8, 16):
         s = ScaleGrid(K, 3)
         fam = [GridFunction(small_spec, t**0.4 * np.exp(-(x**2) / 2.0)) for t in s.t]
-        vals.append(mixed_norm_continuous(fam, p, q, s))
+        vals.append(mixed_norm_continuous(np.stack([f.values for f in fam]), p, q, s))
     assert abs(vals[1] - vals[0]) / vals[0] < 0.01
 
 
@@ -382,7 +382,7 @@ def test_mixed_length_mismatch(small_spec, noisy):
     s = ScaleGrid(4, 3)
     p = ExponentField.from_constant(small_spec, 2.0)
     with pytest.raises(ValueError, match="scale grid"):
-        mixed_norm_continuous([noisy], p, p, s)
+        mixed_norm_continuous(np.stack([noisy.values]), p, p, s)
 
 
 def test_mixed_array_family_equals_gridfunction_family():
@@ -394,10 +394,13 @@ def test_mixed_array_family_equals_gridfunction_family():
     s = ScaleGrid(2, 2)
     values = rng.standard_normal((len(s), 64))
     fam = [GridFunction(spec, v) for v in values]
-    assert mixed_norm_discrete(values, p, q) == mixed_norm_discrete(fam, p, q)
-    assert mixed_norm_continuous(values, p, q, s) == mixed_norm_continuous(fam, p, q, s)
+    stacked = np.stack([f.values for f in fam])  # complex, as GridFunction holds them
+    assert mixed_norm_discrete(values, p, q) == mixed_norm_discrete(stacked, p, q)
+    assert mixed_norm_continuous(values, p, q, s) == mixed_norm_continuous(stacked, p, q, s)
     with pytest.raises(ValueError, match="different grid"):
         mixed_norm_discrete(values[:, :32], p, q)
+    with pytest.raises(TypeError, match="not a sequence"):
+        mixed_norm_continuous(fam, p, q, s)
 
 
 # --- structural properties -------------------------------------------------------
@@ -411,8 +414,9 @@ def test_quasi_triangle_p_q_at_least_one(small_spec):
         fam_f = [GridFunction(small_spec, rng.standard_normal(256)) for _ in range(3)]
         fam_g = [GridFunction(small_spec, rng.standard_normal(256)) for _ in range(3)]
         fam_s = [GridFunction(small_spec, a.values + b.values) for a, b in zip(fam_f, fam_g)]
-        lhs = mixed_norm_discrete(fam_s, p, q)
-        rhs = mixed_norm_discrete(fam_f, p, q) + mixed_norm_discrete(fam_g, p, q)
+        lhs = mixed_norm_discrete(np.stack([f.values for f in fam_s]), p, q)
+        rhs = (mixed_norm_discrete(np.stack([f.values for f in fam_f]), p, q)
+               + mixed_norm_discrete(np.stack([f.values for f in fam_g]), p, q))
         assert lhs <= rhs * (1.0 + 1e-6)
 
 
@@ -425,8 +429,9 @@ def test_r_power_triangle_below_one(small_spec):
         fam_f = [GridFunction(small_spec, rng.standard_normal(256)) for _ in range(2)]
         fam_g = [GridFunction(small_spec, rng.standard_normal(256)) for _ in range(2)]
         fam_s = [GridFunction(small_spec, a.values + b.values) for a, b in zip(fam_f, fam_g)]
-        lhs = mixed_norm_discrete(fam_s, p, q) ** r
-        rhs = mixed_norm_discrete(fam_f, p, q) ** r + mixed_norm_discrete(fam_g, p, q) ** r
+        lhs = mixed_norm_discrete(np.stack([f.values for f in fam_s]), p, q) ** r
+        rhs = (mixed_norm_discrete(np.stack([f.values for f in fam_f]), p, q) ** r
+               + mixed_norm_discrete(np.stack([f.values for f in fam_g]), p, q) ** r)
         assert lhs <= rhs * (1.0 + 1e-6)
 
 
@@ -438,7 +443,8 @@ def test_lattice_monotonicity(small_spec, noisy):
     q = ExponentField.from_constant(small_spec, 2.0)
     fam_small = [smaller, smaller]
     fam_big = [bigger, bigger]
-    assert mixed_norm_discrete(fam_small, p, q) <= mixed_norm_discrete(fam_big, p, q) * (1 + 1e-10)
+    assert (mixed_norm_discrete(np.stack([f.values for f in fam_small]), p, q)
+            <= mixed_norm_discrete(np.stack([f.values for f in fam_big]), p, q) * (1 + 1e-10))
 
 
 def test_dzw_property_random_corpus(small_spec):
@@ -479,8 +485,10 @@ def test_mixed_norms_match_reference():
         spec, fs, p, q = _random_case(rng, rows)
         A = np.stack([np.abs(f.values).ravel() for f in fs])
         ref = _reference_mixed_norm(A, np.ones(rows), p, q, spec.cell_volume, _box(spec))
-        assert mixed_norm_discrete(fs, p, q) == pytest.approx(ref, rel=1e-8)
+        assert mixed_norm_discrete(np.stack([f.values for f in fs]), p, q) == pytest.approx(
+            ref, rel=1e-8)
         if rows >= 2:
             s = ScaleGrid(rows - 1, 1)
             ref = _reference_mixed_norm(A, s.weights, p, q, spec.cell_volume, _box(spec))
-            assert mixed_norm_continuous(fs, p, q, s) == pytest.approx(ref, rel=1e-8)
+            assert mixed_norm_continuous(np.stack([f.values for f in fs]), p, q, s) == pytest.approx(
+                ref, rel=1e-8)
