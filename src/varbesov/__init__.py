@@ -11,7 +11,7 @@ from .grid import (
     convolve_kernel,
     integrate,
 )
-from .exponent import ExponentField, omega, estimate_clog
+from .exponent import ExponentField, estimate_clog
 from .modular_norms import (
     modular_lp,
     luxemburg_norm,

@@ -14,15 +14,17 @@ is what the experiment harness measures:
 
 Each evaluator measures one family over the scales, held as a (T, *shape)
 array: t^(-alpha(.)) |ifft(f_hat * bank)|, where the bank stacks the
-kernel's multipliers profile(t_j |xi|) (for the dyadic norm the blocks
-psi_v, with t_v = 2^-v).  Banks come from `calderon.multiplier_bank` and
-`calderon.dyadic_bank`, built once per (kernel, grid, scales) and shared
-by every later call; one batched inverse transform turns a bank into the
-whole family.  The maximal-function norms replace each row by its Peetre
-supremum.  The stack goes as it is to `modular_norms.mixed_norm_continuous`
-or `mixed_norm_discrete`, which aggregate it in l^q(.)(L^p(.)); q
-identically inf replaces that by the largest row norm (one row-batched
-Luxemburg solve, `modular_norms.luxemburg_rows`).  The Peetre supremum
+kernel's low-pass multiplier at t_0 = 1 and its band multipliers
+band(t_j |xi|) (for the dyadic norm the blocks psi_v, the band
+Psi - Psi(2 .) at t_v = 2^-v).  All three kernel families go through the
+one `calderon.multiplier_bank`, built once per (kernel, grid, scales) and
+shared by every later call; one batched inverse transform turns a bank
+into the whole family.  The maximal-function norms replace each row by
+its Peetre supremum.  The stack goes as it is to
+`modular_norms.mixed_norm_continuous` or `mixed_norm_discrete`, which
+aggregate it in l^q(.)(L^p(.)); q identically inf replaces that by the
+largest row norm (one row-batched Luxemburg solve,
+`modular_norms.luxemburg_rows`).  The Peetre supremum
 over the torus is taken over grid points, exactly: no window truncates the
 far points and no flag selects a slower exact sweep.
 """
@@ -37,7 +39,7 @@ from typing import Union
 import numpy as np
 
 from .calderon import (DyadicFamily, KernelPair, LocalMeansKernels, RadialProfile,
-                       dyadic_bank, multiplier_bank)
+                       multiplier_bank)
 from .exponent import ExponentField
 from .grid import GridFunction, GridSpec, ScaleGrid, _circulant, dft, fourier
 from .modular_norms import (luxemburg_norm, luxemburg_rows, mixed_norm_continuous,
@@ -128,15 +130,17 @@ def besov_continuous(f: GridFunction, P: BesovParams) -> float:
     """||Phi * f||_p(.) plus the mixed norm of (t^(-alpha(.)) phi_t * f)_t."""
     pair = _setup(f, P, KernelPair, "besov_continuous")
     P.scales.require_resolvable(f.spec)
-    bank = multiplier_bank(pair.phi0_hat, pair.phi_hat, f.spec, P.scales)
-    return _low_plus_bands(_family(f, bank, (1.0, *P.scales.t), P.alpha), P)
+    t = (1.0, *P.scales.t)
+    bank = multiplier_bank(pair.phi0_hat, pair.phi_hat, f.spec, t)
+    return _low_plus_bands(_family(f, bank, t, P.alpha), P)
 
 
 def besov_discrete(f: GridFunction, P: BesovParams) -> float:
     """Mixed sequence norm of (2^(v alpha(.)) psi_v * f)_v."""
     fam = _setup(f, P, DyadicFamily, "besov_discrete")
-    t = 2.0 ** -np.arange(fam.v_max + 1)
-    return _aggregate(_family(f, dyadic_bank(fam, f.spec), t, P.alpha), P, False)
+    t = tuple(2.0 ** -np.arange(fam.v_max + 1))
+    bank = multiplier_bank(fam.psi0_hat, fam.band, f.spec, t)
+    return _aggregate(_family(f, bank, t, P.alpha), P, False)
 
 
 # --- Peetre maximal functions --------------------------------------------------
@@ -205,7 +209,7 @@ def _maximal_norm(f: GridFunction, P: BesovParams, low_profile: RadialProfile,
             f"{f.spec.n / P.p.range_min:.4f}"
         )
     t = (1.0, *P.scales.t)
-    bank = multiplier_bank(low_profile, band_profile, f.spec, P.scales)
+    bank = multiplier_bank(low_profile, band_profile, f.spec, t)
     M = _family(f, bank, t, P.alpha)
     return _low_plus_bands(np.stack([_weighted_sup(g, tj, P.a, f.spec)
                                      for g, tj in zip(M, t)]), P)

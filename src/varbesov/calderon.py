@@ -9,7 +9,10 @@ side: profiles are normalised so that
     sum_v psi_hat_v(xi) = 1   for |xi| <= 2^v_max            (dyadic)
 
 and applying a kernel to f means multiplying f_hat by the profile at
-t|xi| and transforming back.  The continuous pair is built from a smooth
+t|xi| and transforming back.  Each family is one low-pass profile plus one
+band profile dilated to every scale: (Phi_hat, phi_hat), (Psi,
+Psi - Psi(2 .)) at t = 2^-v, and (k0_hat, k_hat); `multiplier_bank`
+samples any of them on a grid.  The continuous pair is built from a smooth
 annulus bump a(r) supported in [1/2, 2]: phi_hat = a/c with
 c = integral_0^inf a(r)/r dr, which makes the full dt/t integral equal 1
 by scale invariance, and Phi_hat(xi) = integral_1^inf phi_hat(t xi) dt/t
@@ -38,7 +41,6 @@ __all__ = [
     "build_dyadic",
     "build_local_means",
     "multiplier_bank",
-    "dyadic_bank",
     "reproducing_residual",
     "export_radial_table",
 ]
@@ -252,13 +254,21 @@ def build_continuous_pair(spec: GridSpec, s: ScaleGrid, profile: str = "mollifie
 # --- dyadic family -------------------------------------------------------------
 
 
+# Psi: smooth radial cutoff, 1 on r <= 1 and 0 on r >= 2; the band
+# Psi - Psi(2 .) is 0 outside (1/2, 2)
+_PSI = RadialProfile(lambda r: _smoothstep(2.0 - np.asarray(r, dtype=float)), (0.0, 2.0), "Psi")
+_PSI_BAND = RadialProfile(lambda r: _PSI(r) - _PSI(2.0 * np.asarray(r, dtype=float)),
+                          (0.5, 2.0), "Psi-Psi(2.)")
+
+
 @dataclass(frozen=True)
 class DyadicFamily:
     """Dyadic partition of unity: psi_hat_0 = Psi, and for v >= 1
-    psi_hat_v(xi) = Psi(2^-v xi) - Psi(2^(1-v) xi); Psi is a smooth radial
-    cutoff equal to 1 on r <= 1 and 0 on r >= 2."""
+    psi_hat_v(xi) = band(2^-v xi) = Psi(2^-v xi) - Psi(2^(1-v) xi), the band
+    profile at scale t = 2^-v."""
 
     psi0_hat: RadialProfile
+    band: RadialProfile
     v_max: int
 
     def psi_hat(self, v: int):
@@ -267,12 +277,8 @@ class DyadicFamily:
             raise ValueError(f"block index {v} outside 0..{self.v_max}")
         if v == 0:
             return self.psi0_hat
-        Psi = self.psi0_hat
-        return RadialProfile(
-            lambda r, _v=v: Psi(np.asarray(r) * 2.0**-_v) - Psi(np.asarray(r) * 2.0 ** (1 - _v)),
-            (2.0 ** (v - 1), 2.0 ** (v + 1)),
-            f"psi_{v}",
-        )
+        return RadialProfile(lambda r: self.band(np.asarray(r) * 2.0**-v),
+                             (2.0 ** (v - 1), 2.0 ** (v + 1)), f"psi_{v}")
 
     @property
     def coverage_radius(self) -> float:
@@ -294,9 +300,7 @@ def build_dyadic(spec: GridSpec, v_max: int) -> DyadicFamily:
             f"top annulus needs |xi| up to {2.0 ** (v_max + 1):.0f} but the grid "
             f"resolves only {spec.xi_max:.1f}"
         )
-    Psi = RadialProfile(lambda r: _smoothstep(2.0 - np.asarray(r, dtype=float)),
-                        (0.0, 2.0), "Psi")
-    return DyadicFamily(psi0_hat=Psi, v_max=v_max)
+    return DyadicFamily(psi0_hat=_PSI, band=_PSI_BAND, v_max=v_max)
 
 
 def max_dyadic_level(spec: GridSpec) -> int:
@@ -375,29 +379,17 @@ def build_local_means(S: int, eps: float, spec: GridSpec) -> LocalMeansKernels:
 # The evaluators apply one kernel at every scale to every function they
 # measure, so the multipliers depend only on (kernel, grid, scales): each
 # bank is built once, kept read-only and shared by every later call.  The
-# caches are small because an experiment uses at most two kernel pairs and
-# one dyadic family at a time, and each entry keeps its kernel alive.
+# cache is small because an experiment uses at most two kernels at a time,
+# and each entry keeps its kernel alive.
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=6)
 def multiplier_bank(low: RadialProfile, band: RadialProfile, spec: GridSpec,
-                    scales: ScaleGrid) -> np.ndarray:
-    """Read-only (1 + T, *spec.shape) stack: low(|xi|), then band(t_j |xi|)
-    for every scale t_j of `scales`."""
+                    t: tuple) -> np.ndarray:
+    """Read-only (len(t), *spec.shape) stack: low(|xi|), then band(t_j |xi|)
+    for every scale t_j, j >= 1, of `t` (t_0 = 1 belongs to the low row)."""
     radii = spec.xi_radius()
-    bank = np.stack([low(radii)] + [band(t * radii) for t in scales.t])
-    bank.setflags(write=False)
-    return bank
-
-
-@lru_cache(maxsize=2)
-def dyadic_bank(fam: DyadicFamily, spec: GridSpec) -> np.ndarray:
-    """Read-only (v_max + 1, *spec.shape) stack of the blocks psi_hat_v(|xi|):
-    from the rows R_v = Psi(2^-v |xi|), psi_0 = R_0 and psi_v = R_v - R_(v-1),
-    the same products `DyadicFamily.psi_hat` forms."""
-    radii = spec.xi_radius()
-    rows = np.stack([fam.psi0_hat(2.0 ** -v * radii) for v in range(fam.v_max + 1)])
-    bank = np.diff(rows, axis=0, prepend=0.0)
+    bank = np.stack([low(radii)] + [band(tj * radii) for tj in t[1:]])
     bank.setflags(write=False)
     return bank
 

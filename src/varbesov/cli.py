@@ -2,12 +2,12 @@
 
     varbesov run <experiment|all> [--config file] [--seed S] [--grid N,L]
                  [--scales K,J] [--threads T] [--threshold X] [--out DIR]
-                 [--plots]
     varbesov kernels export [--config file] [--grid N,L] [--scales K,J]
                             [--out DIR]
     varbesov corpus list [--config file] [--grid N,L] [--seed S]
 
-`run all` runs every experiment, each into <out>/<name with ':' -> '_'>.
+`run` writes report.json and report.csv into --out; `run all` runs every
+experiment, each into <out>/<name with ':' -> '_'>.
 
 Exit codes: 0 run passed (with `all`: every run passed), 1 spread over
 threshold or a failed check, 2 hypothesis or configuration error.
@@ -64,9 +64,9 @@ def _config_from_args(args) -> HarnessConfig:
     return cfg
 
 
-def _run_one(name: str, cfg: HarnessConfig, out: str, plots: bool) -> bool:
+def _run_one(name: str, cfg: HarnessConfig, out: str) -> bool:
     report = run_experiment(name, cfg)
-    written = emit_report(report, out, plots=plots)
+    written = emit_report(report, out)
     n_ok = sum(1 for e in report.entries if not e.vacuous)
     print(f"experiment: {report.experiment}")
     print(f"entries: {len(report.entries)} ({n_ok} non-vacuous)")
@@ -85,13 +85,13 @@ def cmd_run(args) -> int:
         if args.threshold is not None:
             raise ConfigError("--threshold sets one experiment's threshold; "
                               "it cannot be combined with 'all'")
-        passed = [_run_one(name, cfg, os.path.join(cfg.out, name.replace(":", "_")),
-                           args.plots) for name in EXPERIMENTS]
+        passed = [_run_one(name, cfg, os.path.join(cfg.out, name.replace(":", "_")))
+                  for name in EXPERIMENTS]
         return 0 if all(passed) else 1
     if args.threshold is not None:
         key = "lemma" if args.experiment.startswith("lemma:") else args.experiment
         cfg.thresholds[key] = args.threshold
-    return 0 if _run_one(args.experiment, cfg, cfg.out, args.plots) else 1
+    return 0 if _run_one(args.experiment, cfg, cfg.out) else 1
 
 
 def cmd_kernels_export(args) -> int:
@@ -138,7 +138,6 @@ def main(argv=None) -> int:
     p_run.add_argument("experiment",
                        help=f"one of: {', '.join(EXPERIMENTS)}; or all")
     p_run.add_argument("--threshold", type=float, help="spread threshold override")
-    p_run.add_argument("--plots", action="store_true", help="emit plot data + script")
     _add_flags(p_run, "config", "seed", "grid", "scales", "threads", "out")
     p_run.set_defaults(fn=cmd_run, parser=p_run)
 

@@ -8,14 +8,13 @@ are reproducible from the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .calderon import _mollifier
 from .exponent import ExponentField
 from .grid import GridFunction, GridSpec
 
-__all__ = ["Corpus", "build_corpus", "boundary_mass", "make_exponent",
+__all__ = ["build_corpus", "boundary_mass", "make_exponent",
            "EXPONENT_PRESETS", "TRIPLE_PRESETS", "make_triple"]
 
 _BOUNDARY_TOL = 1e-10  # largest relative boundary mass a corpus entry may carry
@@ -49,14 +48,6 @@ def boundary_mass(f: GridFunction) -> float:
     else:
         outer = (x[:, None] >= edge) | (x[None, :] >= edge)
     return float(a2[outer].sum() / total)
-
-
-def _mollifier_bump(u):
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    ui = u[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - ui * ui))
-    return out
 
 
 def _radial2(spec: GridSpec):
@@ -94,10 +85,10 @@ def make_entry(spec: GridSpec, name: str, seed: int = 0) -> GridFunction:
         k = float(name.split("_")[1])
         return GridFunction(spec, np.exp(1j * k * x1) * np.exp(-r2 / 2.0))
     if name == "bump":
-        return GridFunction(spec, _mollifier_bump(np.sqrt(r2) / (spec.L / 4.0)))
+        return GridFunction(spec, _mollifier(np.sqrt(r2) / (spec.L / 4.0)))
     if name == "bump_shifted":
         shifted = np.sqrt((x1 - spec.L / 8.0) ** 2 + (r2 - x1 * x1))
-        return GridFunction(spec, _mollifier_bump(shifted / (spec.L / 8.0)))
+        return GridFunction(spec, _mollifier(shifted / (spec.L / 8.0)))
     if name.startswith("random_band_"):
         idx = int(name.split("_")[-1])
         rng = np.random.default_rng(seed * 1000 + idx)
@@ -107,23 +98,9 @@ def make_entry(spec: GridSpec, name: str, seed: int = 0) -> GridFunction:
     raise ValueError(f"unknown corpus entry {name!r}")
 
 
-@dataclass(frozen=True)
-class Corpus:
-    """Named test functions; iteration yields (name, GridFunction)."""
-
-    entries: tuple
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def names(self):
-        return [n for n, _ in self.entries]
-
-
-def build_corpus(spec: GridSpec, seed: int = 0, names=None) -> Corpus:
+def build_corpus(spec: GridSpec, seed: int = 0, names=None) -> tuple:
+    """Named test functions as a tuple of (name, GridFunction) pairs, in
+    the order of `names` (default: DEFAULT_ENTRIES)."""
     names = list(names) if names is not None else list(DEFAULT_ENTRIES)
     entries = []
     for name in names:
@@ -132,7 +109,7 @@ def build_corpus(spec: GridSpec, seed: int = 0, names=None) -> Corpus:
         if bm > _BOUNDARY_TOL:
             raise ValueError(f"corpus entry {name!r} has boundary mass {bm:.2e}")
         entries.append((name, f))
-    return Corpus(tuple(entries))
+    return tuple(entries)
 
 
 # --- exponent families -----------------------------------------------------------
@@ -161,7 +138,7 @@ def make_exponent(spec: GridSpec, kind: str = "constant", base: float = 2.0,
         def fn(*coords):
             r2 = sum(c * c for c in coords)
             u = np.sqrt(r2) / (width * spec.L)
-            return base + amplitude * _mollifier_bump(u)
+            return base + amplitude * _mollifier(u)
         return ExponentField.from_callable(spec, fn)
     raise ValueError(f"unknown exponent kind {kind!r}")
 

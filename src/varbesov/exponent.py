@@ -1,4 +1,4 @@
-"""Variable exponents alpha(.), p(.), q(.) and the scalar modular kernel.
+"""Variable exponents alpha(.), p(.), q(.) and their log-Holder constant.
 
 An ExponentField is a real-valued function sampled on the same grid as the
 functions it measures.  Regularity enters through the log-Holder modulus
@@ -12,7 +12,6 @@ condition is vacuous, so only the local constant is kept.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,26 +19,9 @@ import numpy as np
 
 from .grid import GridSpec
 
-__all__ = ["ExponentField", "omega", "estimate_clog"]
+__all__ = ["ExponentField", "estimate_clog"]
 
 _PAIR_BUDGET = 100_000  # random pairs when the grid is too large for all pairs
-
-
-def omega(p: float, t: float) -> float:
-    """Scalar modular kernel: t^p for finite p; the {0, inf} step for p = inf.
-
-    Accepts any p in (0, inf]; the power extends the classical p >= 1 kernel
-    to the quasi-norm range p < 1.
-    """
-    if not p > 0:
-        raise ValueError(f"exponent p must be positive, got {p}")
-    if t < 0:
-        raise ValueError(f"argument t must be nonnegative, got {t}")
-    if math.isinf(p):
-        return 0.0 if t <= 1.0 else math.inf
-    if t == 0.0:
-        return 0.0
-    return float(t) ** float(p)
 
 
 @dataclass(frozen=True, eq=False)

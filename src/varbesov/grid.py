@@ -332,8 +332,6 @@ def _eta_periodized_cached(t, m, n, N, L):
                 break
             j += 1
         if hit_cap:
-            if not m > 2:
-                raise ValueError("2d eta periodisation needs m > 2")
             A = (j + 0.5) * period / t
             tail = (1.0 + A) ** (2.0 - m) / (m - 2.0) - (1.0 + A) ** (1.0 - m) / (m - 1.0)
             acc = acc + (2.0 * np.pi / period**2) * tail
@@ -370,12 +368,6 @@ class ScaleGrid:
     def t_min(self) -> float:
         return 2.0 ** (-self.J)
 
-    @property
-    def resolvable_radius(self) -> float:
-        """Largest |xi| whose full annulus of scales [1/(2|xi|), 2/|xi|]
-        is covered by the grid: 2^(J-1)."""
-        return 0.5 / self.t_min
-
     def __len__(self):
         return self.J * self.K + 1
 
@@ -385,12 +377,6 @@ class ScaleGrid:
                 f"smallest scale 2^-{self.J} needs frequencies up to "
                 f"{2.0 / self.t_min:.1f} but the grid resolves only {spec.xi_max:.1f}"
             )
-
-    def octave_sums(self) -> np.ndarray:
-        """Per-octave trapezoid weight sums; each equals ln 2."""
-        w = np.full(self.K + 1, np.log(2.0) / self.K)
-        w[0] = w[-1] = 0.5 * np.log(2.0) / self.K
-        return np.array([w.sum() for _ in range(self.J)])
 
 
 @lru_cache(maxsize=64)

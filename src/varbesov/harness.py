@@ -30,7 +30,7 @@ from .besov import BesovParams, HypothesisError, besov_continuous, besov_discret
     besov_local_means, besov_peetre
 from .calderon import build_continuous_pair, build_dyadic, build_local_means, \
     max_dyadic_level
-from .corpus import Corpus, build_corpus, make_triple
+from .corpus import build_corpus, make_triple
 from .exponent import ExponentField
 from .grid import GridFunction, GridSpec, ScaleGrid
 
@@ -191,8 +191,11 @@ class RatioReport:
 
     @property
     def spread(self) -> float:
+        """max ratio / min ratio; inf when the smallest ratio is 0."""
         r = self.ratios
-        return (max(r) / min(r)) if r else math.nan
+        if not r:
+            return math.nan
+        return max(r) / min(r) if min(r) != 0 else math.inf
 
     @property
     def passed(self) -> bool:
@@ -220,18 +223,6 @@ class RatioReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2,
                           allow_nan=True) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "RatioReport":
-        d = json.loads(text)
-        return cls(
-            experiment=d["experiment"],
-            entries=[EntryResult(**e) for e in d["entries"]],
-            threshold=d["threshold"],
-            hypothesis=d["hypothesis"],
-            config=d["config"],
-            checks_ok=d["checks_ok"],
-        )
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -242,9 +233,8 @@ class RatioReport:
         return buf.getvalue()
 
 
-def emit_report(report: RatioReport, out_dir, plots: bool = False):
-    """Write report.json and report.csv (and optionally a plots/ directory
-    with the ratio data and a ready-to-run plotting script)."""
+def emit_report(report: RatioReport, out_dir):
+    """Write report.json and report.csv into out_dir; returns their paths."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for name, text in (("report.json", report.to_json()), ("report.csv", report.to_csv())):
@@ -252,60 +242,26 @@ def emit_report(report: RatioReport, out_dir, plots: bool = False):
         with open(path, "w") as fh:
             fh.write(text)
         written.append(path)
-    if plots:
-        pdir = os.path.join(out_dir, "plots")
-        os.makedirs(pdir, exist_ok=True)
-        data = os.path.join(pdir, "ratio_data.csv")
-        with open(data, "w") as fh:
-            fh.write(report.to_csv())
-        script = os.path.join(pdir, "plot_ratios.py")
-        with open(script, "w") as fh:
-            fh.write(_PLOT_SCRIPT)
-        written.extend([data, script])
     return written
-
-
-_PLOT_SCRIPT = '''"""Plot per-entry equivalence ratios from ratio_data.csv."""
-import csv
-import matplotlib.pyplot as plt
-
-names, ratios = [], []
-with open("ratio_data.csv") as fh:
-    for row in csv.DictReader(fh):
-        if int(row["vacuous"]):
-            continue
-        names.append(row["entry"])
-        ratios.append(float(row["ratio"]))
-
-fig, ax = plt.subplots(figsize=(10, 4))
-ax.plot(range(len(ratios)), ratios, "o")
-ax.set_xticks(range(len(names)))
-ax.set_xticklabels(names, rotation=75, fontsize=7)
-ax.set_ylabel("norm_a / norm_b")
-ax.set_yscale("log")
-fig.tight_layout()
-fig.savefig("ratios.png", dpi=150)
-print("wrote ratios.png")
-'''
 
 
 # --- experiment drivers ----------------------------------------------------------
 
 
-def _corpus(cfg: HarnessConfig, spec: GridSpec) -> Corpus:
+def _corpus(cfg: HarnessConfig, spec: GridSpec) -> tuple:
     names = cfg.corpus_names
     if names is not None and len(names) == 0:
         raise ConfigError("empty corpus")
     return build_corpus(spec, seed=cfg.seed, names=names)
 
 
-def _entry_map(cfg: HarnessConfig, corpus: Corpus, fn):
-    """Ordered map over corpus entries, optionally threaded."""
-    items = list(corpus)
+def _entry_map(cfg: HarnessConfig, corpus: tuple, fn):
+    """Ordered map over the (name, GridFunction) corpus entries, optionally
+    threaded."""
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(lambda nf: fn(*nf), items))
-    return [fn(name, f) for name, f in items]
+            return list(pool.map(lambda nf: fn(*nf), corpus))
+    return [fn(name, f) for name, f in corpus]
 
 
 def _ratio_entry(name, na, nb):

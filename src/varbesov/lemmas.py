@@ -23,7 +23,7 @@ import warnings
 
 import numpy as np
 
-from .calderon import KernelPair, RadialProfile, _smoothstep, annulus_bump, multiplier_bank
+from .calderon import _PSI, KernelPair, RadialProfile, annulus_bump, multiplier_bank
 from .exponent import ExponentField
 from .grid import (
     GridFunction,
@@ -65,9 +65,9 @@ _MOLLIFIER_BUMP = annulus_bump("mollifier")
 _RTRICK_OMEGA = RadialProfile(
     lambda rr: _MOLLIFIER_BUMP(np.asarray(rr, dtype=float) * (2.0 / 0.875)),
     (0.25, 0.875), "omega")
-# smooth low-pass profile supported in |xi| <= 2, for the reproducing bounds
-_REPRODUCING_THETA = RadialProfile(lambda rr: _smoothstep(2.0 - np.asarray(rr, dtype=float)),
-                                   (0.0, 2.0), "theta")
+# smooth low-pass profile supported in |xi| <= 2, for the reproducing bounds:
+# the dyadic cutoff Psi
+_REPRODUCING_THETA = _PSI
 _RYCHKOV_T_FIT_MAX = 0.125  # the decay fit uses t <= this, where the power law is clean
 
 
@@ -300,8 +300,8 @@ def check_reproducing_bounds(f: GridFunction, kernels: KernelPair, r: float,
     fhat = fourier(f).values
 
     # row 0 |Phi * f|^r, then |phi_t * f|^r for every t
-    P = np.abs(dft(fhat * multiplier_bank(kernels.phi0_hat, kernels.phi_hat, spec, s),
-                   spec, inverse=True)) ** r
+    bank = multiplier_bank(kernels.phi0_hat, kernels.phi_hat, spec, (1.0, *s.t))
+    P = np.abs(dft(fhat * bank, spec, inverse=True)) ** r
     E_fixed = np.abs(_eta_convolve(P, 1.0, mr, spec))
     E_low = E_fixed[0]
     E_scale = np.abs(_eta_convolve(P[1:], s.t, mr, spec))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from varbesov import calderon
+from varbesov.besov import BesovParams, besov_discrete
 from varbesov.calderon import (
     KernelPair,
     RadialProfile,
@@ -17,6 +18,7 @@ from varbesov.calderon import (
     max_dyadic_level,
     reproducing_residual,
 )
+from varbesov.exponent import ExponentField
 from varbesov.grid import GridFunction, GridSpec, ScaleGrid, fourier, inverse_fourier, norm_l2
 
 
@@ -235,6 +237,57 @@ def test_dyadic_reconstruction(spec, dyadic):
         acc = acc + fhat * dyadic.psi_hat(v)(rr)
     rec = inverse_fourier(GridFunction(spec, acc))
     assert norm_l2(rec - f) / norm_l2(f) < 1e-8
+
+
+def _reference_psi_hat(fam, v):
+    """Block v as the difference of two dilated cutoffs, Psi(2^-v r) - Psi(2^(1-v) r)."""
+    Psi = fam.psi0_hat
+    if v == 0:
+        return Psi
+    return lambda r: Psi(np.asarray(r) * 2.0**-v) - Psi(np.asarray(r) * 2.0 ** (1 - v))
+
+
+def _reference_dyadic_bank(fam, spec):
+    """From the rows R_v = Psi(2^-v |xi|): psi_0 = R_0 and psi_v = R_v - R_(v-1)."""
+    radii = spec.xi_radius()
+    rows = np.stack([fam.psi0_hat(2.0 ** -v * radii) for v in range(fam.v_max + 1)])
+    return np.diff(rows, axis=0, prepend=0.0)
+
+
+@pytest.mark.parametrize("n,N", [(1, 256), (1, 1024), (2, 32), (2, 64)])
+def test_dyadic_bank_bit_identical_to_reference(n, N):
+    """The blocks are the band Psi - Psi(2 .) at t = 2^-v, sampled through the
+    one multiplier bank, bit for bit the differences of dilated cutoffs."""
+    spec = GridSpec(n, N, 16.0 if n == 1 else 4.0)
+    fam = build_dyadic(spec, max_dyadic_level(spec))
+    bank = calderon.multiplier_bank(fam.psi0_hat, fam.band, spec,
+                                    tuple(2.0 ** -np.arange(fam.v_max + 1)))
+    assert np.array_equal(bank, _reference_dyadic_bank(fam, spec))
+    radii = spec.xi_radius()
+    for v in range(fam.v_max + 1):
+        assert np.array_equal(fam.psi_hat(v)(radii), _reference_psi_hat(fam, v)(radii)), v
+
+
+def test_dyadic_bank_built_once_across_builds(monkeypatch):
+    """Two build_dyadic calls share one bank: the discrete norm with the
+    second family evaluates no radial profile."""
+    calls = []
+    profile_call = RadialProfile.__call__
+
+    def counting(self, r):
+        calls.append(self.label)
+        return profile_call(self, r)
+
+    monkeypatch.setattr(RadialProfile, "__call__", counting)
+    calderon.multiplier_bank.cache_clear()
+    spec = GridSpec(1, 256, 16.0)
+    f = GridFunction.from_callable(spec, lambda x: np.exp(-x**2 / 2.0))
+    alpha, p = ExponentField.from_constant(spec, 0.5), ExponentField.from_constant(spec, 2.0)
+    for first in (True, False):
+        fam = build_dyadic(spec, 3)
+        calls.clear()
+        besov_discrete(f, BesovParams(alpha, p, p, 0.0, ScaleGrid(4, 3), fam))
+        assert bool(calls) == first
 
 
 # --- local means -----------------------------------------------------------------

@@ -5,15 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varbesov.exponent import ExponentField, omega
-from varbesov.grid import GridSpec
+from varbesov.exponent import ExponentField
+from varbesov.grid import GridFunction, GridSpec
+from varbesov.modular_norms import modular_lp
 
 
-# --- omega ---------------------------------------------------------------------
+# --- the modular kernel omega_p(t) ------------------------------------------------
+#
+# A one-point function of modulus t on a grid with unit cell volume has
+# modular omega_p(t): t^p for finite p, the {0, inf} step for p = inf.
+
+_UNIT_CELL = GridSpec(1, 16, 8.0)  # h = 1
+
+
+def omega(p: float, t: float) -> float:
+    values = np.zeros(_UNIT_CELL.shape)
+    values[3] = t
+    return modular_lp(GridFunction(_UNIT_CELL, values),
+                      ExponentField.from_constant(_UNIT_CELL, p))
 
 
 def test_omega_power_case():
-    assert omega(2.0, 3.0) == 9.0
+    assert omega(2.0, 3.0) == pytest.approx(9.0, rel=1e-14)
 
 
 def test_omega_infinite_exponent():
@@ -36,21 +49,23 @@ def test_omega_rejects_bad_inputs():
         omega(0.0, 1.0)
     with pytest.raises(ValueError):
         omega(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        omega(2.0, -0.1)
+    other = GridSpec(1, 16, 4.0)
+    with pytest.raises(ValueError, match="different grid"):
+        modular_lp(GridFunction.zeros(_UNIT_CELL), ExponentField.from_constant(other, 2.0))
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.floats(0.1, 50.0), st.floats(0.0, 10.0), st.floats(0.0, 10.0))
 def test_omega_nondecreasing(p, t1, t2):
     lo, hi = sorted((t1, t2))
-    assert omega(p, lo) <= omega(p, hi)
+    # t^p is formed as exp(p log t): allow the last bit of rounding
+    assert omega(p, lo) <= omega(p, hi) * (1.0 + 4 * np.finfo(float).eps)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.floats(0.1, 50.0))
 def test_omega_normalised_at_one(p):
-    assert omega(p, 1.0) == pytest.approx(1.0)
+    assert omega(p, 1.0) == 1.0
 
 
 # --- estimate_clog ---------------------------------------------------------------

@@ -199,9 +199,12 @@ def test_scale_grid_weight_sum(K, J):
 
 
 def test_scale_grid_octave_telescope():
-    s = ScaleGrid(8, 5)
-    for osum in s.octave_sums():
-        assert abs(osum - math.log(2.0)) < 1e-15
+    """Trapezoid dt/t weights: ln2/K inside, half that at both ends, so each
+    octave carries ln 2."""
+    K = 8
+    s = ScaleGrid(K, 5)
+    assert np.all(s.weights[1:-1] == math.log(2.0) / K)
+    assert s.weights[0] == s.weights[-1] == math.log(2.0) / (2 * K)
 
 
 def test_scale_grid_resolvability(spec):

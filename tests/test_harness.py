@@ -21,6 +21,7 @@ from varbesov.harness import (
     EntryResult,
     HarnessConfig,
     RatioReport,
+    _ratio_entry,
     emit_report,
     run_experiment,
 )
@@ -35,7 +36,7 @@ SMALL = dict(N=256, L=16.0, K=4, J=3,
 
 def test_default_corpus_boundary_mass(spec):
     corpus = build_corpus(spec, seed=0)
-    assert corpus.names() == list(DEFAULT_ENTRIES)
+    assert [name for name, _ in corpus] == list(DEFAULT_ENTRIES)
     for name, f in corpus:
         assert boundary_mass(f) < 1e-10, name
 
@@ -79,13 +80,23 @@ def test_report_roundtrip_and_csv(tmp_path):
     assert rep.spread == 1.0
     assert rep.passed
     text = rep.to_json()
-    back = RatioReport.from_json(text)
-    assert back.to_json() == text
-    files = emit_report(rep, tmp_path, plots=True)
+    d = json.loads(text)
+    assert d["spread"] == 1.0 and d["passed"] and len(d["entries"]) == 2
+    files = emit_report(rep, tmp_path)
+    assert (tmp_path / "report.json").read_text() == text
     csv_text = (tmp_path / "report.csv").read_text()
     assert len(csv_text.splitlines()) == len(rep.entries) + 1
-    assert (tmp_path / "plots" / "plot_ratios.py").exists()
-    assert len(files) == 4
+    assert len(files) == 2
+
+
+def test_zero_ratio_fails_report():
+    """A non-vacuous ratio of 0 makes the spread infinite, and the report fails."""
+    zero = _ratio_entry("x", 0.0, 2.0)
+    assert not zero.vacuous and zero.ratio == 0.0
+    rep = RatioReport("demo", [zero, _ratio_entry("y", 1.0, 2.0)], 10.0)
+    assert rep.spread == math.inf
+    assert not rep.passed
+    assert json.loads(rep.to_json())["spread"] == math.inf
 
 
 def test_spread_at_least_one():
@@ -235,8 +246,7 @@ def test_cli_run_pass_and_outputs(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "PASS" in captured
     assert (out / "report.json").exists() and (out / "report.csv").exists()
-    rep = RatioReport.from_json((out / "report.json").read_text())
-    assert rep.passed
+    assert json.loads((out / "report.json").read_text())["passed"]
 
 
 def test_cli_determinism(tmp_path):

@@ -422,8 +422,8 @@ def _reference_reproducing_bounds(f, kernels, r, m, s):
     radii = spec.xi_radius()
 
     # row 0 the low-pass Phi * f, then phi_t * f for every t
-    moduli = np.abs(dft(fhat * multiplier_bank(kernels.phi0_hat, kernels.phi_hat, spec, s),
-                        spec, inverse=True))
+    bank = multiplier_bank(kernels.phi0_hat, kernels.phi_hat, spec, (1.0, *s.t))
+    moduli = np.abs(dft(fhat * bank, spec, inverse=True))
     low_pow = GridFunction(spec, moduli[0] ** r)
     E_low = np.abs(_reference_eta_convolve(low_pow, 1.0, mr).values)
 
