@@ -16,8 +16,8 @@ samples any of them on a grid.  The continuous pair is built from a smooth
 annulus bump a(r) supported in [1/2, 2]: phi_hat = a/c with
 c = integral_0^inf a(r)/r dr, which makes the full dt/t integral equal 1
 by scale invariance, and Phi_hat(xi) = integral_1^inf phi_hat(t xi) dt/t
-accumulated on a dense radial table, each upward shift evaluating the bump
-only on the bump's support.  The pair is built once per (profile,
+accumulated from one evaluation of the bump on a dyadic lattice in
+s = log2|xi|.  The pair is built once per (profile,
 construction_K, params) per process and shared read-only.
 """
 
@@ -48,7 +48,7 @@ __all__ = [
 ANNULUS = (0.5, 2.0)
 OUTER_RADIUS = 2.0
 
-_DENSE = 1 << 17  # radial table resolution for the cumulative integral
+_DENSE = 1 << 17  # intervals of the s = log2 r lattice on [-1, 1]
 _RESIDUAL_TOL = 1e-6  # reproducing residual a built pair must reach
 
 
@@ -155,8 +155,8 @@ def _normalised_bump_pair(profile: str, construction_K: int, params: tuple) -> K
     """Normalise the bump annulus_bump(profile, **dict(params)) and
     accumulate the low-pass profile; built once per (profile,
     construction_K, params) per process, its tables read-only.  Raises if
-    either profile leaks outside its support; an exception is not cached,
-    so a leaking pair raises on every call.
+    construction_K does not divide 2^16 or either profile leaks outside its
+    support; an exception is not cached, so a bad pair raises on every call.
 
     phi_hat = a/c with c = integral_0^inf a(r)/r dr.  Phi_hat is the upward
     scale integral integral_1^inf phi_hat(t .) dt/t evaluated by the same
@@ -164,10 +164,13 @@ def _normalised_bump_pair(profile: str, construction_K: int, params: tuple) -> K
     half-weight at t = 1) that the downward quadratures use; the two rules
     then join seamlessly at t = 1, so the discrete reproducing identity
     holds to the accuracy of a full-line trapezoid sum of a smooth bump.
-    Each shift adds the bump only on the table prefix whose shifted radii
-    can lie inside its support, plus one spare point: past it the bump is
-    exactly 0, so the table is the full-table sum bit for bit.
+    The bump b(s) = a(2^s) is evaluated once, on the lattice s = -1 + i 2^-16
+    that gives c; a shift by j/K is j 2^16/K nodes there, so every term of
+    0.5 b(s) + sum_j b(s + j/K) (ascending j; b = 0 past s = 1) comes from it.
     """
+    K = construction_K
+    if K < 1 or (1 << 16) % K:
+        raise ValueError(f"construction_K must divide 2^16, got {K}")
     bump = annulus_bump(profile, **dict(params))
     s_grid = np.linspace(-1.0, 1.0, _DENSE + 1)
     vals = bump(2.0**s_grid)
@@ -177,17 +180,13 @@ def _normalised_bump_pair(profile: str, construction_K: int, params: tuple) -> K
 
     phi_fn = lambda r: bump(r) / c
 
-    # Dense radial table of Phi_hat in s = log2(r) over the transition zone.
-    K = construction_K
+    # Phi_hat table in s = log2(r) on the even lattice nodes, spacing 2^-15.
     delta = math.log(2.0) / K
-    n_up = int(math.ceil(2.2 * K))  # covers 2^(j/K) r past the outer support
-    s_tab = np.linspace(-1.02, 1.02, (1 << 16) + 1)
-    s_top = math.log2(bump.support[1])
-    shifts = np.arange(1, n_up + 1) / K
-    acc = 0.5 * bump(2.0**s_tab)
-    for sh in shifts:
-        k = int(np.searchsorted(s_tab, s_top - sh)) + 1
-        acc[:k] = acc[:k] + bump(2.0 ** (s_tab[:k] + sh))
+    s_tab = np.ascontiguousarray(s_grid[::2])
+    acc = 0.5 * vals[::2]
+    for shift in range(_DENSE // (2 * K), _DENSE, _DENSE // (2 * K)):
+        tail = vals[shift::2]
+        acc[:tail.size] += tail
     phi0_tab = delta * acc / c
     s_tab.setflags(write=False)
     phi0_tab.setflags(write=False)
@@ -238,11 +237,12 @@ def build_continuous_pair(spec: GridSpec, s: ScaleGrid, profile: str = "mollifie
     every call: raises if the scale grid cannot resolve its smallest
     annulus on the grid, or if the reproducing residual on the grid
     frequencies exceeds 1e-6 under a quadrature at the construction rate,
-    whose seam at t = 1 cancels exactly.
+    whose seam at t = 1 cancels exactly (a max, so over distinct radii).
     """
     s.require_resolvable(spec)
     pair = _normalised_bump_pair(profile, construction_K, tuple(sorted(bump_params.items())))
-    res = reproducing_residual(pair, spec.xi_radius().ravel(), construction_K)
+    radii = np.sort(spec.xi_radius(), axis=None)  # not np.unique: it imports numpy.ma
+    res = reproducing_residual(pair, radii[np.diff(radii, prepend=-1.0) > 0], construction_K)
     if res > _RESIDUAL_TOL:
         raise ValueError(
             f"reproducing residual {res:.2e} exceeds {_RESIDUAL_TOL:.0e}; "

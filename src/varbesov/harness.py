@@ -179,23 +179,22 @@ class RatioReport:
     def ratios(self):
         return [e.ratio for e in self.entries if not e.vacuous]
 
+    # unlike min/max, np.min/np.max give NaN for a NaN ratio in any position
     @property
     def ratio_min(self) -> float:
         r = self.ratios
-        return min(r) if r else math.nan
+        return float(np.min(r)) if r else math.nan
 
     @property
     def ratio_max(self) -> float:
         r = self.ratios
-        return max(r) if r else math.nan
+        return float(np.max(r)) if r else math.nan
 
     @property
     def spread(self) -> float:
         """max ratio / min ratio; inf when the smallest ratio is 0."""
-        r = self.ratios
-        if not r:
-            return math.nan
-        return max(r) / min(r) if min(r) != 0 else math.inf
+        lo = self.ratio_min
+        return self.ratio_max / lo if lo != 0 else math.inf
 
     @property
     def passed(self) -> bool:

@@ -113,26 +113,21 @@ def test_calderon_reconstruction(spec, profile):
 
 
 def _reference_bump_pair(bump, label, construction_K):
-    """Full-table construction: every upward shift evaluates the bump on the
-    whole table.  Reference for `calderon._normalised_bump_pair`."""
+    """Per-shift brute force on the lattice nodes s = -1 + i 2^-15: the
+    Phi_hat table 0.5 b(s) + sum_j b(s + j/K), b(s) = a(2^s), evaluating the
+    bump anew for every upward shift j/K until s + j/K >= 1 on every node.
+    Reference for `calderon._normalised_bump_pair`."""
     s_grid = np.linspace(-1.0, 1.0, calderon._DENSE + 1)
-    vals = bump(2.0**s_grid)
-    c = math.log(2.0) * np.trapezoid(vals, s_grid)
-    if not c > 0:
-        raise ValueError("annulus bump integrates to zero")
+    c = math.log(2.0) * np.trapezoid(bump(2.0**s_grid), s_grid)
 
     phi_fn = lambda r: bump(r) / c
 
-    # Dense radial table of Phi_hat in s = log2(r) over the transition zone.
     K = construction_K
-    delta = math.log(2.0) / K
-    n_up = int(math.ceil(2.2 * K))  # covers 2^(j/K) r past the outer support
-    s_tab = np.linspace(-1.02, 1.02, (1 << 16) + 1)
-    shifts = np.arange(1, n_up + 1) / K
+    s_tab = np.linspace(-1.0, 1.0, (1 << 16) + 1)
     acc = 0.5 * bump(2.0**s_tab)
-    for sh in shifts:
-        acc = acc + bump(2.0 ** (s_tab + sh))
-    phi0_tab = delta * acc / c
+    for j in range(1, 2 * K + 1):
+        acc = acc + bump(2.0 ** (s_tab + j / K))
+    phi0_tab = math.log(2.0) / K * acc / c
 
     def phi0_fn(r):
         r = np.asarray(r, dtype=float)
@@ -156,21 +151,31 @@ BUMPS = {"mollifier": ("mollifier", {}), "gauss": ("gauss", {}),
          "mu-eta": ("mu-eta", {})}
 
 
-@pytest.mark.parametrize("K", [8, 16, 64])
+@pytest.mark.parametrize("K", [8, 16, 32, 64])
 @pytest.mark.parametrize("kind", list(BUMPS))
 def test_bump_pair_bit_identical_to_reference(kind, K):
-    """The support-cut accumulation gives the full-table profiles exactly,
-    on every node of the Phi_hat table and around the support edges."""
+    """Taking every shift from the one lattice evaluation gives the per-shift
+    brute force exactly, on every table node, between nodes and around the
+    support edges."""
     profile, params = BUMPS[kind]
     ref = _reference_bump_pair(annulus_bump(profile, **params), profile, K)
     fast = calderon._normalised_bump_pair(profile, K, tuple(sorted(params.items())))
     r = np.concatenate([
-        [0.0, 2.0**-1.02, 2.0**1.02, 0.5, 1.0, 2.0, np.nextafter(2.0, 0.0), np.nextafter(2.0, 4.0)],
+        [0.0, 0.5, 1.0, 2.0, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+         np.nextafter(2.0, 0.0), np.nextafter(2.0, 4.0)],
         np.linspace(0.0, 4.0, 40001),
+        2.0 ** np.linspace(-1.0, 1.0, (1 << 16) + 1),
         2.0 ** np.linspace(-1.02, 1.02, (1 << 16) + 1),
     ])
     assert np.array_equal(fast.phi0_hat(r), ref.phi0_hat(r))
     assert np.array_equal(fast.phi_hat(r), ref.phi_hat(r))
+
+
+def test_construction_rate_must_divide_lattice(spec, scales):
+    """A shift by 1/K must be a whole number of lattice nodes."""
+    for _ in range(2):
+        with pytest.raises(ValueError, match="divide 2\\^16"):
+            build_continuous_pair(spec, scales, construction_K=48)
 
 
 def test_pair_built_once_per_process(monkeypatch, scales):
@@ -191,6 +196,21 @@ def test_pair_built_once_per_process(monkeypatch, scales):
     assert build_continuous_pair(GridSpec(1, 1024, 8.0), scales, profile="gauss",
                                  center=0.1, width=0.2).phi_hat is g.phi_hat
     assert built == ["mollifier", "mollifier", "gauss"]
+
+
+@pytest.mark.parametrize("n,N,L", [(1, 1024, 16.0), (2, 64, 8.0)])
+@pytest.mark.parametrize("profile", ["mollifier", "mu-eta"])
+def test_residual_over_distinct_radii(n, N, L, profile):
+    """The residual is a max of per-radius values: over the distinct radii it
+    equals the all-radii form bit for bit."""
+    spec = GridSpec(n, N, L)
+    pair = calderon._normalised_bump_pair(profile, 64, ())
+    radii = spec.xi_radius()
+    distinct = np.sort(radii, axis=None)  # as build_continuous_pair takes them
+    distinct = distinct[np.diff(distinct, prepend=-1.0) > 0]
+    assert np.array_equal(distinct, np.unique(radii)) and distinct.size < radii.size
+    assert (reproducing_residual(pair, distinct, 64)
+            == reproducing_residual(pair, radii.ravel(), 64))
 
 
 def test_shared_tables_read_only(pair):

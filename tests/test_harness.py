@@ -99,6 +99,20 @@ def test_zero_ratio_fails_report():
     assert json.loads(rep.to_json())["spread"] == math.inf
 
 
+def test_nan_ratio_fails_report_in_any_order():
+    """A non-vacuous NaN ratio (a lemma constant of 0 on the coarse grid)
+    makes the range and spread NaN whatever its position, so the report
+    fails; min/max over the list would pass (2, 4, NaN) with spread 2."""
+    nan = EntryResult("z", 0.0, 1.0, math.nan)
+    two, four = EntryResult("a", 1.0, 2.0, 2.0), EntryResult("b", 1.0, 4.0, 4.0)
+    for entries in ([nan, two, four], [two, four, nan], [two, nan, four]):
+        rep = RatioReport("demo", entries, 10.0)
+        assert math.isnan(rep.ratio_min) and math.isnan(rep.ratio_max)
+        assert math.isnan(rep.spread)
+        assert not rep.passed
+        assert math.isnan(json.loads(rep.to_json())["spread"])
+
+
 def test_spread_at_least_one():
     rep = RatioReport("demo", [EntryResult("a", 2.0, 1.0, 2.0),
                                EntryResult("b", 3.0, 1.0, 3.0)], 10.0)
