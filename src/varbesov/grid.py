@@ -270,13 +270,41 @@ def eta_pointwise(t: float, m: float, dist, n: int):
     return t ** (-n) * (1.0 + np.asarray(dist) / t) ** (-m)
 
 
-_ETA_TAIL_TOL = 1e-12  # last image shell added, relative to the peak value
+_ETA_2D_TAIL_TOL = 1e-12  # last image shell added, relative to the peak value
+_ETA_2D_MAX_SHELLS = 60  # shells before the continuum tail
+_ZETA_DIRECT = 8  # Hurwitz zeta terms summed before the Euler-Maclaurin remainder
+_ZETA_BERNOULLI = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+                   -691 / 1307674368000, 1 / 74724249600)  # B_2i / (2i)!, i = 1..7
+
+
+def _hurwitz_zeta(s: float, a: np.ndarray) -> np.ndarray:
+    """zeta(s, a) = sum_{k >= 0} (k + a)^-s for s > 1, a > 0: the first terms
+    directly, the rest as the Euler-Maclaurin integral, half term and
+    Bernoulli corrections at b = a + _ZETA_DIRECT."""
+    b = a + _ZETA_DIRECT
+    tail = b ** (1.0 - s)
+    term = tail / b
+    acc = tail / (s - 1.0) + 0.5 * term
+    term = term / b
+    rising = s  # s (s + 1) ... (s + 2i - 2)
+    for i, c in enumerate(_ZETA_BERNOULLI):
+        acc = acc + c * rising * term
+        rising *= (s + 2 * i + 1) * (s + 2 * i + 2)
+        term = term / (b * b)
+    for k in range(_ZETA_DIRECT - 1, -1, -1):
+        acc = acc + (a + k) ** -s
+    return acc
 
 
 def eta_periodized(t: float, m: float, spec: GridSpec) -> GridFunction:
-    """Spatial samples of sum_j eta_{t,m}(x + 2Lj), image shells added until
-    the last shell contributes less than 1e-12 of the peak value (past a
-    shell cap, the remaining images are added as their continuum density)."""
+    """Spatial samples of sum_j eta_{t,m}(x + 2Lj) over integer vectors j.
+
+    In 1-D, with P = 2L and x in [-L, L), the images j >= 1 on each side
+    sum in closed form to Hurwitz zeta tails, exact to rounding:
+        t^-1 [(1 + |x|/t)^-m + (t/P)^m (zeta(m, 1 + (t+x)/P) + zeta(m, 1 + (t-x)/P))].
+    In 2-D, Chebyshev shells of images are added until the last contributes
+    less than 1e-12 of the peak value; past 60 shells, the remaining images
+    are added as their continuum density."""
     if not m > spec.n:
         raise ValueError(f"eta_{{t,m}} requires m > n, got m={m}, n={spec.n}")
     if not 0 < t <= 1:
@@ -288,54 +316,28 @@ def eta_periodized(t: float, m: float, spec: GridSpec) -> GridFunction:
 def _eta_periodized_cached(t, m, n, N, L):
     spec = GridSpec(n, N, L)
     period = 2.0 * L
-    peak = t ** (-n)
-    max_shells = 400
-    hit_cap = False
     if n == 1:
         x = spec.axis()
-        acc = eta_pointwise(t, m, np.abs(x), n)
-        j = 1
-        while True:
-            add = (eta_pointwise(t, m, np.abs(x + period * j), n)
-                   + eta_pointwise(t, m, np.abs(x - period * j), n))
-            acc = acc + add
-            if add.max() < _ETA_TAIL_TOL * peak:
-                break
-            if j >= max_shells:
-                hit_cap = True
-                break
-            j += 1
-        if hit_cap:
-            # remaining images are flat across the cell; add their continuum
-            # density (1/2L) * integral_{|u|>R} eta du, R = (j+1/2) period
-            A = (j + 0.5) * period / t
-            acc = acc + (2.0 / period) * (1.0 + A) ** (1.0 - m) / (m - 1.0)
-    else:
-        X, Y = spec.coords()
-        acc = eta_pointwise(t, m, np.sqrt(X**2 + Y**2), n)
-        j = 1
-        max_shells_2d = 60
-        while True:
-            add = np.zeros_like(acc)
-            # shell of image copies at Chebyshev radius j
-            for jx in range(-j, j + 1):
-                for jy in range(-j, j + 1):
-                    if max(abs(jx), abs(jy)) != j:
-                        continue
-                    d = np.sqrt((X + period * jx) ** 2 + (Y + period * jy) ** 2)
-                    add += eta_pointwise(t, m, d, n)
-            acc = acc + add
-            if add.max() < _ETA_TAIL_TOL * peak:
-                break
-            if j >= max_shells_2d:
-                hit_cap = True
-                break
-            j += 1
-        if hit_cap:
-            A = (j + 0.5) * period / t
-            tail = (1.0 + A) ** (2.0 - m) / (m - 2.0) - (1.0 + A) ** (1.0 - m) / (m - 1.0)
-            acc = acc + (2.0 * np.pi / period**2) * tail
-    return GridFunction(spec, acc)
+        images = (t / period) ** m * (_hurwitz_zeta(m, 1.0 + (t + x) / period)
+                                      + _hurwitz_zeta(m, 1.0 + (t - x) / period))
+        return GridFunction(spec, eta_pointwise(t, m, np.abs(x), n) + images / t)
+    X, Y = spec.coords()
+    acc = eta_pointwise(t, m, np.sqrt(X**2 + Y**2), n)
+    for j in range(1, _ETA_2D_MAX_SHELLS + 1):
+        add = np.zeros_like(acc)
+        # shell of image copies at Chebyshev radius j
+        for jx in range(-j, j + 1):
+            for jy in range(-j, j + 1):
+                if max(abs(jx), abs(jy)) != j:
+                    continue
+                d = np.sqrt((X + period * jx) ** 2 + (Y + period * jy) ** 2)
+                add += eta_pointwise(t, m, d, n)
+        acc = acc + add
+        if add.max() < _ETA_2D_TAIL_TOL * t ** (-n):
+            return GridFunction(spec, acc)
+    A = (j + 0.5) * period / t
+    tail = (1.0 + A) ** (2.0 - m) / (m - 2.0) - (1.0 + A) ** (1.0 - m) / (m - 1.0)
+    return GridFunction(spec, acc + (2.0 * np.pi / period**2) * tail)
 
 
 # --- geometric scale grid for integral_0^1 ... dt/t --------------------------

@@ -213,6 +213,23 @@ def test_residual_over_distinct_radii(n, N, L, profile):
             == reproducing_residual(pair, radii.ravel(), 64))
 
 
+@pytest.mark.parametrize("n,N,L", [(1, 1024, 16.0), (2, 64, 8.0)])
+@pytest.mark.parametrize("profile", ["mollifier", "mu-eta"])
+def test_reproducing_sum_equals_per_scale_loop(n, N, L, profile):
+    """phi_hat on octave blocks of the (scales, radii) outer product gives
+    the accumulated sum of the per-scale loop bit for bit."""
+    spec = GridSpec(n, N, L)
+    pair = calderon._normalised_bump_pair(profile, 64, ())
+    radii = np.sort(spec.xi_radius(), axis=None)
+    radii = radii[np.diff(radii, prepend=-1.0) > 0]
+    J = max(1, int(math.ceil(math.log2(max(2.0 * radii.max(), 2.0)))))
+    s = ScaleGrid(64, J)
+    want = pair.phi0_hat(radii)
+    for t, w in zip(s.t, s.weights):
+        want = want + w * pair.phi_hat(t * radii)
+    assert np.array_equal(calderon._reproducing_sum(pair, radii, 64), want)
+
+
 def test_shared_tables_read_only(pair):
     tables = inspect.getclosurevars(pair.phi0_hat._fn).nonlocals
     for name in ("s_tab", "phi0_tab"):
