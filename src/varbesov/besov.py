@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .calderon import (DyadicFamily, KernelPair, LocalMeansKernels, RadialProfile,
                        multiplier_bank)
@@ -154,50 +155,80 @@ def peetre_maximal(f: GridFunction, t: float, a: float, alpha: ExponentField,
     """
     if not a > 0:
         raise ValueError("Peetre exponent a must be positive")
-    g = _family(f, kernel(t * f.spec.xi_radius())[None], (t,), alpha)[0]
-    return GridFunction(f.spec, _weighted_sup(g, t, a, f.spec))
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"scale t must be finite and positive, got {t}")
+    G = _family(f, kernel(t * f.spec.xi_radius())[None], (t,), alpha)
+    return GridFunction(f.spec, _weighted_sup(G, (t,), a, f.spec)[0])
 
 
-_TILE = {1: 64, 2: 16}  # tile edge of the x grid, per dimension
+_TILE = {1: 32, 2: 16}  # tile edge of the x grid, per dimension
+_GROUP = 1 << 14  # w entries per 1-D row group: 2^14 // N rows
+_CHUNK = 1 << 15  # products per 1-D gather
 
 
-def _weighted_sup(g: np.ndarray, t: float, a: float, spec: GridSpec) -> np.ndarray:
-    """out[x] = max over grid y of w[(x - y) mod N] g[y], w = (1 + d/t)^(-a).
+def _weighted_sup(G: np.ndarray, t, a: float, spec: GridSpec) -> np.ndarray:
+    """out[j, x] = max over grid y of w_j[(x - y) mod N] G[j, y], with
+    w_j = (1 + d/t_j)^(-a), for each row G[j] of the scale stack G.
 
-    Bit-identical to the full scan over all offsets.  For each tile of x,
-    g[y] hi and g[y] lo bound every product of y over the tile (hi / lo:
-    the largest / smallest w on the offsets from y to the tile; rounding is
-    monotone).  The y are evaluated, as the same products w g the scan
-    takes, in descending upper bound, until that bound falls below the
-    tile's smallest running maximum; none of the rest can win anywhere.
+    Bit-identical to the full scan over all offsets, NaN rows included (all
+    NaN).  Per tile of x, G[j, y] hi_j and G[j, y] lo_j bound every product
+    of y over the tile (hi / lo: the largest / smallest w_j on the offsets
+    from y to the tile; rounding is monotone), so only the y whose upper
+    bound reaches the tile's largest lower bound are evaluated, as the same
+    products w g the scan takes.  1-D prunes 2^14 // N rows at once: their
+    bounds are contiguous slices of hi and lo stored reversed and unrolled,
+    and the kept products are gathered as windows of w_j, a bounded chunk at
+    a time, and reduced per row.  It has no ordered stop: at N <= 1024 a
+    row's kept y fit in one round of 1024, so a stop checked between rounds
+    would never fire.  2-D goes row by row in descending upper bound and
+    stops once it falls below the tile's smallest running maximum; that stop
+    saves most products in 2-D, where batched rows measured 2-5x slower.
     """
-    N, n = spec.N, spec.n
-    w = (1.0 + spec.offset_distance() / t) ** (-a)
-    T = min(_TILE[n], N)
-    # hi / lo: max / min of w over the T^n periodic offsets from each index
-    # onward, by doubling the window along each axis
-    hi = lo = np.pad(w, (0, T - 1), "wrap")
-    for axis in range(n):
-        for s in (1 << j for j in range(T.bit_length() - 1)):
-            head = (slice(None),) * axis + (slice(-s),)
-            tail = (slice(None),) * axis + (slice(s, None),)
-            hi, lo = np.maximum(hi[head], hi[tail]), np.minimum(lo[head], lo[tail])
-    circ, circ_hi, circ_lo = _circulant(w), _circulant(hi), _circulant(lo)
-    gflat, chunk = g.ravel(), max(1, (1 << 16) // T**n)
-    out = np.zeros_like(g)
-    for corner in itertools.product(range(0, N, T), repeat=n):
-        tile = tuple(slice(c, c + T) for c in corner)
-        at = (Ellipsis,) + corner
-        ub = (g * circ_hi[at]).ravel()
-        keep = np.flatnonzero(ub >= (g * circ_lo[at]).max())
-        keep = keep[np.argsort(-ub[keep], kind="stable")]
-        for start in range(0, keep.size, chunk):
-            if ub[keep[start]] < out[tile].min():
-                break
-            ks = keep[start:start + chunk]
-            cand = circ[np.unravel_index(ks, g.shape) + tile]
-            cand *= gflat[ks].reshape((-1,) + (1,) * n)
-            out[tile] = np.maximum(out[tile], cand.max(axis=0))
+    t, d, N, n = np.asarray(t, dtype=float), spec.offset_distance(), spec.N, spec.n
+    T, out, rev = min(_TILE[n], N), np.zeros_like(G), -np.arange(2 * N) % N
+    rows = max(1, _GROUP // N) if n == 1 else 1
+    for r0 in range(0, len(G), rows):
+        g, o = G[r0:r0 + rows], out[r0:r0 + rows]
+        w = (1.0 + d / t[r0:r0 + rows].reshape((-1,) + (1,) * n)) ** (-a)
+        # hi / lo: max / min of w over the T^n periodic offsets from each
+        # index onward, by doubling the window along each axis
+        hi = lo = wp = np.pad(w, [(0, 0)] + [(0, T - 1)] * n, "wrap")
+        for axis in range(1, n + 1):
+            for s in (1 << j for j in range(T.bit_length() - 1)):
+                head = (slice(None),) * axis + (slice(-s),)
+                tail = (slice(None),) * axis + (slice(s, None),)
+                hi, lo = np.maximum(hi[head], hi[tail]), np.minimum(lo[head], lo[tail])
+        if n == 1:
+            hi, lo, win = hi[:, rev], lo[:, rev], sliding_window_view(wp, T, axis=1)
+            for c in range(0, N, T):
+                ub = g * hi[:, N - c:2 * N - c]
+                keep = np.flatnonzero(ub >= (g * lo[:, N - c:2 * N - c]).max(axis=1, keepdims=True))
+                for s in range(0, keep.size, _CHUNK // T):
+                    ks = keep[s:s + _CHUNK // T]
+                    rs, ys = np.divmod(ks, N)
+                    cand = win[rs, (c - ys) % N]
+                    cand *= g.ravel()[ks, None]
+                    starts = np.flatnonzero(np.diff(rs, prepend=-1))
+                    at = (rs[starts], slice(c, c + T))
+                    o[at] = np.maximum(o[at], np.maximum.reduceat(cand, starts))
+            continue
+        g, o = g[0], o[0]
+        circ, circ_hi, circ_lo = _circulant(w[0]), _circulant(hi[0]), _circulant(lo[0])
+        gflat, chunk = g.ravel(), max(1, (1 << 16) // T**n)
+        for corner in itertools.product(range(0, N, T), repeat=n):
+            tile = tuple(slice(c, c + T) for c in corner)
+            at = (Ellipsis,) + corner
+            ub = (g * circ_hi[at]).ravel()
+            keep = np.flatnonzero(ub >= (g * circ_lo[at]).max())
+            keep = keep[np.argsort(-ub[keep], kind="stable")]
+            for start in range(0, keep.size, chunk):
+                if ub[keep[start]] < o[tile].min():
+                    break
+                ks = keep[start:start + chunk]
+                cand = circ[np.unravel_index(ks, g.shape) + tile]
+                cand *= gflat[ks].reshape((-1,) + (1,) * n)
+                o[tile] = np.maximum(o[tile], cand.max(axis=0))
+    out[np.isnan(G).reshape(len(G), -1).any(axis=1)] = np.nan
     return out
 
 
@@ -210,9 +241,7 @@ def _maximal_norm(f: GridFunction, P: BesovParams, low_profile: RadialProfile,
         )
     t = (1.0, *P.scales.t)
     bank = multiplier_bank(low_profile, band_profile, f.spec, t)
-    M = _family(f, bank, t, P.alpha)
-    return _low_plus_bands(np.stack([_weighted_sup(g, tj, P.a, f.spec)
-                                     for g, tj in zip(M, t)]), P)
+    return _low_plus_bands(_weighted_sup(_family(f, bank, t, P.alpha), t, P.a, f.spec), P)
 
 
 def besov_peetre(f: GridFunction, P: BesovParams) -> float:

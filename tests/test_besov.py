@@ -235,10 +235,9 @@ def test_peetre_large_a_collapses_to_pointwise(spec, pair, corpus_fns):
     assert np.abs(out.values - np.abs(conv.values)).max() < 1e-6
 
 
-def _reference_sup(g, t, a, spec):
-    """Brute-force Peetre supremum over every grid offset (1-D gather loop,
-    2-D roll loop): the reference the fast `besov._weighted_sup` must match
-    bit for bit."""
+def _reference_row(g, t, a, spec):
+    """Brute-force Peetre supremum of one row over every grid offset (1-D
+    gather loop, 2-D roll loop)."""
     N, h = spec.N, spec.h
     if spec.n == 1:
         k = np.arange(N)
@@ -264,6 +263,13 @@ def _reference_sup(g, t, a, spec):
     return out
 
 
+def _reference_sup(G, t, a, spec):
+    """The brute force row by row, each row of the (T, *shape) stack G at
+    its own t: the reference the fast `besov._weighted_sup` must match bit
+    for bit."""
+    return np.stack([_reference_row(g, tj, a, spec) for g, tj in zip(G, t)])
+
+
 def _random_sup_input(rng, shape, kind):
     if kind == "zero":
         return np.zeros(shape)
@@ -273,27 +279,53 @@ def _random_sup_input(rng, shape, kind):
         g = np.zeros(shape)
         g.flat[rng.choice(g.size, size=3, replace=False)] = rng.uniform(0.5, 2.0, 3)
         return g
-    if kind == "smooth":  # |band-limited| like the real maximal-function inputs
+    if kind in ("smooth", "plateau"):  # |band-limited| like the real maximal-function inputs
         spec_hat = np.zeros(shape, dtype=complex)
         spec_hat[(slice(0, 6),) * len(shape)] = rng.standard_normal((6,) * len(shape))
-        return np.abs(np.fft.ifftn(spec_hat))
-    return rng.random(shape) * np.exp(rng.uniform(-8.0, 8.0, shape))
+        g = np.abs(np.fft.ifftn(spec_hat))
+        if kind == "plateau":  # rounded to a coarse step: long runs of equal values
+            step = g.max() / 4.0
+            g = np.round(g / step) * step
+        return g
+    if kind == "mirrored":  # equal peaks at mirrored offsets from a centre
+        g = rng.random(shape) * 1e-3
+        centre = rng.integers(0, shape[0], len(shape))
+        k = rng.integers(1, shape[0] // 2, len(shape))
+        g[tuple((centre - k) % shape[0])] = g[tuple((centre + k) % shape[0])] = 1.5
+        return g
+    g = rng.random(shape) * np.exp(rng.uniform(-8.0, 8.0, shape))
+    if kind == "nan":
+        g.flat[rng.integers(g.size)] = np.nan
+    return g
 
 
-SUP_INPUTS = ("zero", "constant", "spikes", "smooth", "wild")
+SUP_INPUTS = ("zero", "constant", "spikes", "smooth", "wild", "plateau", "mirrored", "nan")
 
 
-@pytest.mark.parametrize("n,N", [(1, 16), (1, 256), (1, 1024), (2, 16), (2, 32)])
-def test_weighted_sup_bit_identical_to_reference(n, N):
-    """Seeded random g, a in [0.2, 40], t in [2^-5, 2]: exact equality."""
+@pytest.mark.parametrize("n,N", [(1, 16), (1, 32), (1, 256), (1, 1024), (1, 2048),
+                                 (2, 16), (2, 32)])
+def test_weighted_sup_bit_identical_to_reference(n, N, monkeypatch):
+    """Seeded stacks of 9 rows, one row per kind of SUP_INPUTS plus one, each
+    row at its own t in [2^-5, 2] with one row at t = 1 and one at the grid
+    spacing h; a in [0.2, 40].  Exact equality, with NaN where the
+    reference has NaN.  At N = 2048 a 1-D stack spans two row groups and a
+    tile takes several gathers; in 1-D the stack is also checked with
+    gathers of 64 kept points, so that a row's kept points straddle
+    gathers."""
     rng = np.random.default_rng(7919 * n + N)
     spec = GridSpec(n, N, float(rng.choice([1.0, 8.0, 16.0])))
-    for trial in range(15):
+    for trial in range(4):
         a = math.exp(rng.uniform(math.log(0.2), math.log(40.0)))
-        t = 2.0 ** rng.uniform(-5.0, 1.0)
-        g = _random_sup_input(rng, spec.shape, SUP_INPUTS[trial % len(SUP_INPUTS)])
-        assert np.array_equal(besov._weighted_sup(g, t, a, spec),
-                              _reference_sup(g, t, a, spec))
+        t = 2.0 ** rng.uniform(-5.0, 1.0, 9)
+        t[:2] = 1.0, spec.h
+        G = np.stack([_random_sup_input(rng, spec.shape, SUP_INPUTS[(trial + j) % len(SUP_INPUTS)])
+                      for j in range(9)])
+        ref = _reference_sup(G, t, a, spec)
+        assert np.array_equal(besov._weighted_sup(G, t, a, spec), ref, equal_nan=True)
+        if n == 1:
+            with monkeypatch.context() as m:
+                m.setattr(besov, "_CHUNK", 64 * min(besov._TILE[1], N))
+                assert np.array_equal(besov._weighted_sup(G, t, a, spec), ref, equal_nan=True)
 
 
 def test_peetre_maximal_matches_reference(spec, pair, corpus_fns, monkeypatch):
@@ -303,6 +335,13 @@ def test_peetre_maximal_matches_reference(spec, pair, corpus_fns, monkeypatch):
     monkeypatch.setattr(besov, "_weighted_sup", _reference_sup)
     ref = peetre_maximal(f, 0.5, 2.5, alpha, pair.phi_hat)
     assert np.array_equal(fast.values, ref.values)
+
+
+@pytest.mark.parametrize("t", [0.0, -0.5, math.nan, math.inf])
+def test_peetre_maximal_rejects_bad_scale(spec, pair, corpus_fns, t):
+    f = GridFunction(spec, corpus_fns["gauss"])
+    with pytest.raises(ValueError, match="scale t"):
+        peetre_maximal(f, t, 1.5, const(spec, 0.5), pair.phi_hat)
 
 
 def test_two_dimensional_maximal_norms_match_reference(monkeypatch):
@@ -461,7 +500,7 @@ def _reference_besov(kind, f, P):
 
     def peetre(profile, t, weight):
         g = weight * np.abs(conv(profile, t))
-        return GridFunction(spec, besov._weighted_sup(g, t, P.a, spec))
+        return GridFunction(spec, besov._weighted_sup(g[None], (t,), P.a, spec)[0])
 
     if kind == "discrete":
         fam = P.kernels
