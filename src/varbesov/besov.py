@@ -174,11 +174,12 @@ def _weighted_sup(G: np.ndarray, t, a: float, spec: GridSpec) -> np.ndarray:
     NaN).  Per tile of x, G[j, y] hi_j and G[j, y] lo_j bound every product
     of y over the tile (hi / lo: the largest / smallest w_j on the offsets
     from y to the tile; rounding is monotone), so only the y whose upper
-    bound reaches the tile's largest lower bound are evaluated, as the same
-    products w g the scan takes.  1-D prunes 2^14 // N rows at once: their
-    bounds are contiguous slices of hi and lo stored reversed and unrolled,
-    and the kept products are gathered as windows of w_j, a bounded chunk at
-    a time, and reduced per row.  It has no ordered stop: at N <= 1024 a
+    bound reaches the tile's largest lower bound and is positive are
+    evaluated, as the same products w g the scan takes (out starts at +0
+    and no product is negative, so an all-zero row keeps nothing).  1-D
+    prunes 2^14 // N rows at once: their bounds are contiguous slices of hi
+    and lo stored reversed and unrolled, and the kept products are gathered
+    as windows of w_j, a bounded chunk at a time, and reduced per row.  It has no ordered stop: at N <= 1024 a
     row's kept y fit in one round of 1024, so a stop checked between rounds
     would never fire.  2-D goes row by row in descending upper bound and
     stops once it falls below the tile's smallest running maximum; that stop
@@ -202,7 +203,8 @@ def _weighted_sup(G: np.ndarray, t, a: float, spec: GridSpec) -> np.ndarray:
             hi, lo, win = hi[:, rev], lo[:, rev], sliding_window_view(wp, T, axis=1)
             for c in range(0, N, T):
                 ub = g * hi[:, N - c:2 * N - c]
-                keep = np.flatnonzero(ub >= (g * lo[:, N - c:2 * N - c]).max(axis=1, keepdims=True))
+                lb = (g * lo[:, N - c:2 * N - c]).max(axis=1, keepdims=True)
+                keep = np.flatnonzero((ub >= lb) & (ub > 0))
                 for s in range(0, keep.size, _CHUNK // T):
                     ks = keep[s:s + _CHUNK // T]
                     rs, ys = np.divmod(ks, N)
@@ -219,7 +221,7 @@ def _weighted_sup(G: np.ndarray, t, a: float, spec: GridSpec) -> np.ndarray:
             tile = tuple(slice(c, c + T) for c in corner)
             at = (Ellipsis,) + corner
             ub = (g * circ_hi[at]).ravel()
-            keep = np.flatnonzero(ub >= (g * circ_lo[at]).max())
+            keep = np.flatnonzero((ub >= (g * circ_lo[at]).max()) & (ub > 0))
             keep = keep[np.argsort(-ub[keep], kind="stable")]
             for start in range(0, keep.size, chunk):
                 if ub[keep[start]] < o[tile].min():

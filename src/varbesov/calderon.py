@@ -53,11 +53,10 @@ _RESIDUAL_TOL = 1e-6  # reproducing residual a built pair must reach
 
 
 class RadialProfile:
-    """Radial function of |xi| with support metadata; vectorised callable."""
+    """Labelled radial function of |xi|; vectorised callable."""
 
-    def __init__(self, fn, support, label=""):
+    def __init__(self, fn, label=""):
         self._fn = fn
-        self.support = support
         self.label = label
 
     def __call__(self, r):
@@ -101,7 +100,7 @@ def annulus_bump(kind: str = "mollifier", **params) -> RadialProfile:
             with np.errstate(divide="ignore"):
                 s = np.where(r > 0, np.log2(np.where(r > 0, r, 1.0)), -np.inf)
             return _mollifier(s)
-        return RadialProfile(fn, ANNULUS, "mollifier")
+        return RadialProfile(fn, "mollifier")
     if kind == "gauss":
         w = params.get("width", 0.12)
         c = params.get("center", 0.0)
@@ -115,7 +114,7 @@ def annulus_bump(kind: str = "mollifier", **params) -> RadialProfile:
             v[np.abs(s) >= 1.0] = 0.0
             out[pos] = v
             return out
-        return RadialProfile(fn, ANNULUS, f"gauss(w={w},c={c})")
+        return RadialProfile(fn, f"gauss(w={w},c={c})")
     if kind == "mu-eta":
         s_lo, s_hi = math.log2(0.55), math.log2(1.9)
         def fn(r):
@@ -127,7 +126,7 @@ def annulus_bump(kind: str = "mollifier", **params) -> RadialProfile:
             z = (2.0 * s - (s_lo + s_hi)) / (s_hi - s_lo)
             out[pos] = ring[pos] * _mollifier(z)
             return out
-        return RadialProfile(fn, ANNULUS, "mu-eta")
+        return RadialProfile(fn, "mu-eta")
     raise ValueError(f"unknown bump kind {kind!r}")
 
 
@@ -202,8 +201,8 @@ def _normalised_bump_pair(profile: str, construction_K: int, params: tuple) -> K
         return np.clip(out, 0.0, 1.0)
 
     pair = KernelPair(
-        phi0_hat=RadialProfile(phi0_fn, (0.0, OUTER_RADIUS), f"Phi[{profile}]"),
-        phi_hat=RadialProfile(phi_fn, ANNULUS, f"phi[{profile}]"),
+        phi0_hat=RadialProfile(phi0_fn, f"Phi[{profile}]"),
+        phi_hat=RadialProfile(phi_fn, f"phi[{profile}]"),
         label=profile,
     )
     leak = max(_support_leak(pair.phi_hat, *ANNULUS),
@@ -264,9 +263,9 @@ def build_continuous_pair(spec: GridSpec, s: ScaleGrid, profile: str = "mollifie
 
 # Psi: smooth radial cutoff, 1 on r <= 1 and 0 on r >= 2; the band
 # Psi - Psi(2 .) is 0 outside (1/2, 2)
-_PSI = RadialProfile(lambda r: _smoothstep(2.0 - np.asarray(r, dtype=float)), (0.0, 2.0), "Psi")
+_PSI = RadialProfile(lambda r: _smoothstep(2.0 - np.asarray(r, dtype=float)), "Psi")
 _PSI_BAND = RadialProfile(lambda r: _PSI(r) - _PSI(2.0 * np.asarray(r, dtype=float)),
-                          (0.5, 2.0), "Psi-Psi(2.)")
+                          "Psi-Psi(2.)")
 
 
 @dataclass(frozen=True)
@@ -285,8 +284,7 @@ class DyadicFamily:
             raise ValueError(f"block index {v} outside 0..{self.v_max}")
         if v == 0:
             return self.psi0_hat
-        return RadialProfile(lambda r: self.band(np.asarray(r) * 2.0**-v),
-                             (2.0 ** (v - 1), 2.0 ** (v + 1)), f"psi_{v}")
+        return RadialProfile(lambda r: self.band(np.asarray(r) * 2.0**-v), f"psi_{v}")
 
     @property
     def coverage_radius(self) -> float:
@@ -375,8 +373,8 @@ def build_local_means(S: int, eps: float, spec: GridSpec) -> LocalMeansKernels:
         return np.exp(-r * r)
 
     return LocalMeansKernels(
-        k0_hat=RadialProfile(k0_fn, (0.0, math.inf), "k0"),
-        k_hat=RadialProfile(k_fn, (0.0, math.inf), "k"),
+        k0_hat=RadialProfile(k0_fn, "k0"),
+        k_hat=RadialProfile(k_fn, "k"),
         S=S,
         eps=eps,
     )

@@ -2,9 +2,11 @@
 
 An ExponentField is a real-valued function sampled on the same grid as the
 functions it measures.  Regularity enters through the log-Holder modulus
-|g(x)-g(y)| <= c / log(e + 1/d(x,y)); `estimate_clog` produces a grid lower
-bound for the best such constant, which is what the convolution lemmas
-need to pick their decay orders.
+|g(x)-g(y)| <= c / log(e + 1/d(x,y)); `estimate_clog` takes the exact
+maximum of that quotient over all grid pairs, a lower bound for the best
+such constant, which is what the convolution lemmas need to pick their
+decay orders.  It reads the per-offset oscillation that each field caches,
+the same array `lemmas.check_transfer` reads.
 
 On the torus every continuous exponent is bounded and the decay-at-infinity
 condition is vacuous, so only the local constant is kept.
@@ -17,19 +19,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import GridSpec
+from .grid import GridSpec, _circulant
 
 __all__ = ["ExponentField", "estimate_clog"]
 
-_PAIR_BUDGET = 100_000  # random pairs when the grid is too large for all pairs
+_BLOCK = 1 << 17  # differences per gathered block of the oscillation sweep
 
 
 @dataclass(frozen=True, eq=False)
 class ExponentField:
     """Exponent samples on a grid plus cached range and regularity data.
 
-    range_min / range_max are the exact grid min/max; clog_local is the
-    `estimate_clog` lower bound, computed on first access.
+    range_min / range_max are the exact grid min/max; oscillation and
+    clog_local (`estimate_clog`) are computed on first access.
     """
 
     spec: GridSpec
@@ -60,6 +62,29 @@ class ExponentField:
     @cached_property
     def clog_local(self) -> float:
         return estimate_clog(self)
+
+    @cached_property
+    def oscillation(self) -> np.ndarray:
+        """osc[k] = max over x of g(x - k h) - g(x) for every grid offset k,
+        shaped like the samples.  Pairs touching +inf are skipped (NaN
+        where every pair at k does); a constant field gives zeros without
+        a sweep.  Costs (N^n)^2 differences, taken in blocks."""
+        v = self.samples
+        if self.is_constant:
+            osc = np.zeros(v.shape)
+        else:
+            v = np.where(np.isinf(v), np.nan, v)
+            circ = _circulant(v)  # circ[k] is v shifted by k
+            block = max(1, _BLOCK // v.size)
+            osc = np.empty(v.size)
+            for start in range(0, v.size, block):
+                ks = np.arange(start, min(start + block, v.size))
+                diff = circ[np.unravel_index(ks, v.shape)]  # a gathered copy
+                diff -= v
+                osc[ks] = np.fmax.reduce(diff.reshape(len(ks), -1), axis=1)
+            osc = osc.reshape(v.shape)
+        osc.setflags(write=False)
+        return osc
 
     @property
     def range_min(self) -> float:
@@ -97,60 +122,15 @@ class ExponentField:
 
 
 def estimate_clog(g: ExponentField) -> float:
-    """Grid lower bound for the local log-Holder constant of g.
+    """Local log-Holder constant of g on the grid.
 
-    Maximises |g(x)-g(y)| * log(e + 1/d(x,y)) over sample pairs with the
-    periodic distance d.  All pairs are scanned when the grid has at most
-    512 points; larger grids use every nearest-neighbour pair plus a fixed
-    seeded sample of random pairs (nearest pairs dominate for smooth g).
+    The exact maximum of |g(x)-g(y)| * log(e + 1/d(x,y)) over all sample
+    pairs at periodic distance d > 0.  The weight depends only on the
+    offset k between x and y, and `oscillation` at k and -k covers both
+    orientations of a pair, so this is the max over k != 0 of
+    osc[k] * log(e + 1/d_k).  Pairs touching an infinite sample are
+    skipped: the regularity classes constrain 1/p, which is finite there.
     """
-    spec = g.spec
-    v = g.samples.ravel()
-    if spec.npoints < 2:
-        raise ValueError("need at least 2 samples per axis to estimate c_log")
-    finite = np.isfinite(v)
-    if not finite.any():
-        return 0.0  # constant +inf field
-    vf = v[finite]
-    if vf.max() == vf.min() and finite.all():
-        return 0.0
-
-    coords = [c.ravel() for c in spec.coords()]
-    period = 2.0 * spec.L
-
-    def weight(i, j):
-        # pairs touching an infinite sample are skipped: the regularity
-        # classes constrain 1/p, which is finite there
-        d2 = np.zeros(len(i))
-        for c in coords:
-            dd = np.abs(c[i] - c[j])
-            dd = np.minimum(dd, period - dd)
-            d2 += dd * dd
-        d = np.sqrt(d2)
-        out = np.zeros(len(i))
-        pos = (d > 0) & finite[i] & finite[j]
-        out[pos] = np.abs(v[i][pos] - v[j][pos]) * np.log(np.e + 1.0 / d[pos])
-        return out
-
-    M = spec.npoints
-    if M <= 512:
-        i, j = np.triu_indices(M, k=1)
-        return float(weight(i, j).max())
-
-    best = 0.0
-    # nearest neighbours along each axis
-    idx = np.arange(M)
-    if spec.n == 1:
-        best = max(best, float(weight(idx, (idx + 1) % M).max()))
-    else:
-        N = spec.N
-        ii, jj = np.divmod(idx, N)
-        right = ii * N + (jj + 1) % N
-        down = ((ii + 1) % N) * N + jj
-        best = max(best, float(weight(idx, right).max()))
-        best = max(best, float(weight(idx, down).max()))
-    rng = np.random.default_rng(0)
-    i = rng.integers(0, M, size=_PAIR_BUDGET)
-    j = rng.integers(0, M, size=_PAIR_BUDGET)
-    best = max(best, float(weight(i, j).max()))
-    return best
+    osc = g.oscillation.ravel()[1:]  # offset 0 is flat index 0
+    weight = np.log(np.e + 1.0 / g.spec.offset_distance().ravel()[1:])
+    return float(np.fmax.reduce(osc * weight, initial=0.0))

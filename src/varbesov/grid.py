@@ -61,10 +61,6 @@ class GridSpec:
         return self.h**self.n
 
     @property
-    def npoints(self) -> int:
-        return self.N**self.n
-
-    @property
     def shape(self) -> tuple:
         return (self.N,) * self.n
 

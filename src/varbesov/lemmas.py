@@ -29,7 +29,6 @@ from .grid import (
     GridFunction,
     GridSpec,
     ScaleGrid,
-    _circulant,
     dft,
     eta_periodized,
     fourier,
@@ -60,11 +59,10 @@ _DEN_FLOOR = 1e-30  # pointwise ratios ignore cells where both sides vanish
 # r-trick profiles: theta is any Schwartz profile; omega is the annulus
 # bump squeezed into [1/4, 7/8], inside the unit ball
 _RTRICK_THETA = RadialProfile(lambda rr: np.exp(-np.asarray(rr, dtype=float) ** 2 / 2.0),
-                              (0.0, math.inf), "theta")
+                              "theta")
 _MOLLIFIER_BUMP = annulus_bump("mollifier")
 _RTRICK_OMEGA = RadialProfile(
-    lambda rr: _MOLLIFIER_BUMP(np.asarray(rr, dtype=float) * (2.0 / 0.875)),
-    (0.25, 0.875), "omega")
+    lambda rr: _MOLLIFIER_BUMP(np.asarray(rr, dtype=float) * (2.0 / 0.875)), "omega")
 # smooth low-pass profile supported in |xi| <= 2, for the reproducing bounds:
 # the dyadic cutoff Psi
 _REPRODUCING_THETA = _PSI
@@ -98,8 +96,8 @@ def _ratio_max(num: np.ndarray, den: np.ndarray) -> float:
 def check_transfer(alpha: ExponentField, t: float, m: float, R: float) -> float:
     """Empirical constant for moving t^(-alpha) across the kernel.
 
-    Equals the max over grid pairs of t^(alpha(y)-alpha(x)) (1+d/t)^(-R).
-    Warns when R is below the estimated log-Holder constant of alpha (the
+    Equals the max over grid pairs of t^(alpha(y)-alpha(x)) (1+d/t)^(-R),
+    taken per offset from the field's cached `oscillation`.  Warns when R is below the estimated log-Holder constant of alpha (the
     hypothesis of the inequality), and still computes the constant so the
     degradation is observable.
     """
@@ -111,21 +109,8 @@ def check_transfer(alpha: ExponentField, t: float, m: float, R: float) -> float:
             f"transfer hypothesis unmet: R = {R} below c_log(alpha) ~ {clog:.3f}",
             stacklevel=2,
         )
-    spec = alpha.spec
-    a = alpha.samples
-    w = ((1.0 + spec.offset_distance() / t) ** (-R)).ravel()
-    # osc[k] = max over x of alpha(x - k h) - alpha(x); the sweep over all
-    # offsets covers both orientations of each pair.  circ[k] is alpha
-    # shifted by k, taken in blocks of about 1 MB.
-    circ = _circulant(a)
-    block = max(1, (1 << 17) // a.size)
-    osc = np.empty(a.size)
-    for start in range(0, a.size, block):
-        ks = np.arange(start, min(start + block, a.size))
-        diff = circ[np.unravel_index(ks, a.shape)]  # a gathered copy
-        diff -= a
-        osc[ks] = diff.reshape(len(ks), -1).max(axis=1)
-    return float((w * np.exp(-math.log(t) * osc)).max())
+    w = (1.0 + alpha.spec.offset_distance() / t) ** (-R)
+    return float((w * np.exp(-math.log(t) * alpha.oscillation)).max())
 
 
 # --- norm comparison || f ||_p^(q-) <= || |f|^q ||_(p/q) ------------------------

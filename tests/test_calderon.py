@@ -84,7 +84,7 @@ def test_support_leak_raised_where_pair_is_built(monkeypatch, spec, scales):
             pos = r > 0
             out[pos] = np.exp(-np.log2(r[pos]) ** 2)
             return out
-        return RadialProfile(fn, calderon.ANNULUS, "leaky")
+        return RadialProfile(fn, "leaky")
     monkeypatch.setattr(calderon, "annulus_bump", leaky_bump)
     for _ in range(2):
         with pytest.raises(ValueError, match="kernel support leaks"):
@@ -140,8 +140,8 @@ def _reference_bump_pair(bump, label, construction_K):
         return np.clip(out, 0.0, 1.0)
 
     return KernelPair(
-        phi0_hat=RadialProfile(phi0_fn, (0.0, calderon.OUTER_RADIUS), f"Phi[{label}]"),
-        phi_hat=RadialProfile(phi_fn, calderon.ANNULUS, f"phi[{label}]"),
+        phi0_hat=RadialProfile(phi0_fn, f"Phi[{label}]"),
+        phi_hat=RadialProfile(phi_fn, f"phi[{label}]"),
         label=label,
     )
 

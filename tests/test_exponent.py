@@ -129,13 +129,49 @@ def test_clog_converges_on_smooth_families(fn):
     assert abs(b - a) / a < 0.05
 
 
-def test_clog_subsampled_path_close_to_dense():
-    # N = 1024 uses nearest pairs + random pairs; for smooth fields the
-    # nearest pairs dominate, so the estimate stays near the dense answer
-    fn = lambda x: 0.5 + 0.2 * np.sin(np.pi * x / 16.0)
-    dense = ExponentField.from_callable(GridSpec(1, 512, 16.0), fn).clog_local
-    sub = ExponentField.from_callable(GridSpec(1, 1024, 16.0), fn).clog_local
-    assert sub == pytest.approx(dense, rel=0.05)
+def _all_pairs_clog(g):
+    """max of |g(x)-g(y)| log(e + 1/d(x,y)) over every pair of samples with
+    d > 0 and both samples finite, with d taken from the coordinates; 0
+    when there is no such pair."""
+    spec, v = g.spec, g.samples.ravel()
+    d2 = 0.0
+    for c in spec.coords():
+        dd = np.abs(c.ravel()[:, None] - c.ravel()[None, :])
+        dd = np.minimum(dd, 2.0 * spec.L - dd)
+        d2 = d2 + dd * dd
+    finite = np.isfinite(v)
+    i, j = np.nonzero((d2 > 0) & finite[:, None] & finite[None, :])
+    if i.size == 0:
+        return 0.0
+    return float((np.abs(v[i] - v[j]) * np.log(math.e + 1.0 / np.sqrt(d2[i, j]))).max())
+
+
+def _clog_field(spec, kind):
+    rng = np.random.default_rng(spec.n * spec.N)
+    if kind == "smooth":
+        return ExponentField.from_callable(
+            spec, lambda *x: 0.5 + 0.2 * np.prod([np.sin(np.pi * c / spec.L) for c in x], axis=0))
+    v = rng.uniform(0.5, 2.0, spec.shape)
+    if kind == "some-inf":
+        v[rng.random(spec.shape) < 0.1] = math.inf
+    elif kind == "one-finite":  # no offset but 0 has a finite pair
+        v = np.full(spec.shape, math.inf)
+        v.flat[5] = 1.0
+    elif kind == "all-inf":
+        v = np.full(spec.shape, math.inf)
+    return ExponentField(spec, v)
+
+
+@pytest.mark.parametrize("kind", ["smooth", "rough", "some-inf", "one-finite", "all-inf"])
+@pytest.mark.parametrize("spec", [GridSpec(1, 1024, 16.0), GridSpec(2, 32, 4.0)],
+                         ids=["1d-1024", "2d-32"])
+def test_clog_matches_all_pairs_reference(spec, kind):
+    # both grids exceed 512 points; rel 1e-12 allows d to round differently
+    # from coordinates (here) and from offsets (estimate_clog)
+    g = _clog_field(spec, kind)
+    ref = _all_pairs_clog(g)
+    assert g.clog_local == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert (ref > 0) == (kind not in ("one-finite", "all-inf"))
 
 
 # --- field plumbing ---------------------------------------------------------------

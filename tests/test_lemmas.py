@@ -95,6 +95,17 @@ def test_transfer_warns_below_clog(alpha_sine):
         check_transfer(alpha_sine, 0.5, 2.0, R=0.0)
 
 
+def test_transfer_sweeps_offsets_once(monkeypatch):
+    from varbesov import exponent
+    calls = []
+    circulant = exponent._circulant
+    monkeypatch.setattr(exponent, "_circulant", lambda w: calls.append(1) or circulant(w))
+    a = ExponentField.from_callable(LSPEC, lambda x: 0.5 + 0.2 * np.sin(np.pi * x / 8.0))
+    for t in (1.0, 0.25, 1.0 / 16.0):
+        check_transfer(a, t, 3.0, a.clog_local + 0.5)
+    assert len(calls) == 1
+
+
 def _reference_transfer(alpha, t, R):
     """The per-offset np.roll sweep that `check_transfer` replaced."""
     spec, a = alpha.spec, alpha.samples
