@@ -226,10 +226,11 @@ def _reproducing_sum(pair: KernelPair, radii, check_K: int) -> np.ndarray:
     rmax = float(radii.max())
     J = max(1, int(math.ceil(math.log2(max(2.0 * rmax, 2.0)))))
     s = ScaleGrid(check_K, J)
+    t, weights = s.t, s.weights
     acc = pair.phi0_hat(radii)
     for lo in range(0, len(s), check_K):
-        rows = pair.phi_hat(s.t[lo:lo + check_K, None] * radii)
-        for w, row in zip(s.weights[lo:lo + check_K], rows):
+        rows = pair.phi_hat(t[lo:lo + check_K, None] * radii)
+        for w, row in zip(weights[lo:lo + check_K], rows):
             acc = acc + w * row
     return acc
 
@@ -301,6 +302,9 @@ class DyadicFamily:
 
 
 def build_dyadic(spec: GridSpec, v_max: int) -> DyadicFamily:
+    if v_max < 0:
+        raise ValueError(f"the grid resolves no dyadic block (v_max = {v_max}): block 0 "
+                         f"needs |xi| up to 2 but xi_max = {spec.xi_max:.1f}")
     if 2.0 ** (v_max + 1) > spec.xi_max:
         raise ValueError(
             f"top annulus needs |xi| up to {2.0 ** (v_max + 1):.0f} but the grid "

@@ -51,11 +51,9 @@ def boundary_mass(f: GridFunction) -> float:
 
 
 def _radial2(spec: GridSpec):
-    if spec.n == 1:
-        (x,) = spec.coords()
-        return x, x * x
-    X, Y = spec.coords()
-    return X, X * X + Y * Y
+    """First coordinate and squared Euclidean radius at every sample."""
+    X = spec.coords()
+    return X[0], sum(c * c for c in X)
 
 
 def _random_band(spec: GridSpec, rng, band: float, envelope: float) -> np.ndarray:

@@ -11,6 +11,10 @@ k = -N/2 .. N/2-1 (stored in ascending order).
 Scale decompositions integrate over t in (0, 1] against dt/t; ScaleGrid
 discretises that measure on a geometric grid with trapezoid weights in
 log t, so that the weights sum exactly to ln(2^J).
+
+Grid geometry (axes, coordinates, radii, scale nodes and weights) is
+computed on every call, in microseconds; the periodised eta table is the
+only cache, as a 2-D table costs up to seconds and the sweeps reuse it.
 """
 
 from __future__ import annotations
@@ -71,83 +75,39 @@ class GridSpec:
 
     def axis(self) -> np.ndarray:
         """Spatial sample positions along one axis, -L .. L-h."""
-        return _axis(self.n, self.N, self.L)
+        return -self.L + (2.0 * self.L / self.N) * np.arange(self.N)
 
     def freq_axis(self) -> np.ndarray:
         """Frequencies pi*k/L for k = -N/2 .. N/2-1, ascending."""
-        return _freq_axis(self.n, self.N, self.L)
+        return (np.pi / self.L) * (np.arange(self.N) - self.N // 2)
 
     def coords(self) -> tuple:
         """Meshgrid of spatial coordinates, one array per axis."""
-        x = self.axis()
-        if self.n == 1:
-            return (x,)
-        return tuple(np.meshgrid(x, x, indexing="ij"))
+        return tuple(np.meshgrid(*(self.axis(),) * self.n, indexing="ij"))
 
     def freq_coords(self) -> tuple:
-        xi = self.freq_axis()
-        if self.n == 1:
-            return (xi,)
-        return tuple(np.meshgrid(xi, xi, indexing="ij"))
+        return tuple(np.meshgrid(*(self.freq_axis(),) * self.n, indexing="ij"))
 
     def xi_radius(self) -> np.ndarray:
         """|xi| at every grid frequency."""
-        return _xi_radius(self.n, self.N, self.L)
+        return _euclidean(np.abs(self.freq_axis()), self.n)
 
     def periodic_radius(self) -> np.ndarray:
         """Periodic distance from the origin at every spatial sample."""
-        return _periodic_radius(self.n, self.N, self.L)
+        x = np.abs(self.axis())
+        return _euclidean(np.minimum(x, 2.0 * self.L - x), self.n)
 
     def offset_distance(self) -> np.ndarray:
         """Periodic length of every grid offset k: h * min(k, N - k) per
         axis, combined as the Euclidean norm in 2-D."""
-        return _offset_distance(self.n, self.N, self.L)
+        k = np.arange(self.N)
+        return _euclidean((2.0 * self.L / self.N) * np.minimum(k, self.N - k), self.n)
 
 
-@lru_cache(maxsize=64)
-def _axis(n, N, L):
-    a = -L + (2.0 * L / N) * np.arange(N)
-    a.setflags(write=False)
-    return a
-
-
-@lru_cache(maxsize=64)
-def _freq_axis(n, N, L):
-    a = (np.pi / L) * (np.arange(N) - N // 2)
-    a.setflags(write=False)
-    return a
-
-
-@lru_cache(maxsize=64)
-def _xi_radius(n, N, L):
-    xi = _freq_axis(n, N, L)
-    if n == 1:
-        r = np.abs(xi)
-    else:
-        r = np.sqrt(xi[:, None] ** 2 + xi[None, :] ** 2)
-    r.setflags(write=False)
-    return r
-
-
-@lru_cache(maxsize=64)
-def _periodic_radius(n, N, L):
-    x = _axis(n, N, L)
-    d = np.minimum(np.abs(x), 2.0 * L - np.abs(x))
-    if n == 1:
-        r = d
-    else:
-        r = np.sqrt(d[:, None] ** 2 + d[None, :] ** 2)
-    r.setflags(write=False)
-    return r
-
-
-@lru_cache(maxsize=64)
-def _offset_distance(n, N, L):
-    k = np.arange(N)
-    d1 = (2.0 * L / N) * np.minimum(k, N - k)
-    d = d1 if n == 1 else np.sqrt(d1[:, None] ** 2 + d1[None, :] ** 2)
-    d.setflags(write=False)
-    return d
+def _euclidean(d: np.ndarray, n: int) -> np.ndarray:
+    """Per-axis magnitudes d combined over n axes: d itself in 1-D,
+    sqrt(d_i^2 + d_j^2) on the (N, N) grid in 2-D."""
+    return d if n == 1 else np.sqrt(d[:, None] ** 2 + d[None, :] ** 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,13 +265,15 @@ def eta_periodized(t: float, m: float, spec: GridSpec) -> GridFunction:
         raise ValueError(f"eta_{{t,m}} requires m > n, got m={m}, n={spec.n}")
     if not 0 < t <= 1:
         raise ValueError(f"scale t must lie in (0, 1], got {t}")
-    return _eta_periodized_cached(t, m, spec.n, spec.N, spec.L)
+    return _eta_periodized_cached(t, m, spec)
 
 
+# Cached: a 2-D table costs up to seconds, and the lemma sweeps ask for the
+# same (t, m, grid) again (42 of 94 calls in `run all` at the defaults).
 @lru_cache(maxsize=256)
-def _eta_periodized_cached(t, m, n, N, L):
-    spec = GridSpec(n, N, L)
-    period = 2.0 * L
+def _eta_periodized_cached(t, m, spec):
+    n = spec.n
+    period = 2.0 * spec.L
     if n == 1:
         x = spec.axis()
         images = (t / period) ** m * (_hurwitz_zeta(m, 1.0 + (t + x) / period)
@@ -356,11 +318,13 @@ class ScaleGrid:
 
     @property
     def t(self) -> np.ndarray:
-        return _scale_nodes(self.K, self.J)[0]
+        return 2.0 ** (-np.arange(len(self)) / self.K)
 
     @property
     def weights(self) -> np.ndarray:
-        return _scale_nodes(self.K, self.J)[1]
+        w = np.full(len(self), np.log(2.0) / self.K)
+        w[[0, -1]] *= 0.5
+        return w
 
     @property
     def t_min(self) -> float:
@@ -376,14 +340,3 @@ class ScaleGrid:
                 f"{2.0 / self.t_min:.1f} but the grid resolves only {spec.xi_max:.1f}"
             )
 
-
-@lru_cache(maxsize=64)
-def _scale_nodes(K, J):
-    j = np.arange(J * K + 1)
-    t = 2.0 ** (-j / K)
-    w = np.full(J * K + 1, np.log(2.0) / K)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    t.setflags(write=False)
-    w.setflags(write=False)
-    return t, w

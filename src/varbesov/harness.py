@@ -32,7 +32,7 @@ from .calderon import build_continuous_pair, build_dyadic, build_local_means, \
     max_dyadic_level
 from .corpus import build_corpus, make_triple
 from .exponent import ExponentField
-from .grid import GridFunction, GridSpec, ScaleGrid
+from .grid import GridFunction, GridSpec, ScaleGrid, dft
 
 __all__ = ["HarnessConfig", "ConfigError", "RatioReport", "EntryResult",
            "run_experiment", "emit_report", "EXPERIMENTS"]
@@ -110,7 +110,7 @@ class HarnessConfig:
 
     @classmethod
     def from_ini(cls, path) -> "HarnessConfig":
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
         parser.optionxform = str  # keys are case-sensitive (N vs n)
         read = parser.read(path)
         if not read:
@@ -346,18 +346,15 @@ def _band_noise(spec: GridSpec, seed: int) -> GridFunction:
     the integer frequency indices; refining N reproduces the same
     continuum function, which is what the refinement-stability checks
     compare against."""
-    from .grid import inverse_fourier
     band = 8.0
     kmax = int(band * spec.L / math.pi)
     rng = np.random.default_rng(seed)
     coefs = rng.standard_normal(2 * kmax + 1) + 1j * rng.standard_normal(2 * kmax + 1)
+    xi = math.pi * np.arange(-kmax, kmax + 1) / spec.L
     spectrum = np.zeros(spec.shape, dtype=complex)
-    center = spec.N // 2
-    for i, k in enumerate(range(-kmax, kmax + 1)):
-        xi = math.pi * k / spec.L
-        taper = max(0.0, 1.0 - (xi / band) ** 2) ** 2
-        spectrum[center + k] = coefs[i] * taper
-    return inverse_fourier(GridFunction(spec, spectrum))
+    spectrum[spec.N // 2 - kmax:spec.N // 2 + kmax + 1] = (
+        coefs * np.maximum(0.0, 1.0 - (xi / band) ** 2) ** 2)
+    return GridFunction(spec, dft(spectrum, spec, inverse=True))
 
 
 def _lemma_inputs(spec: GridSpec, scales: ScaleGrid, seed: int):

@@ -25,15 +25,7 @@ import numpy as np
 
 from .calderon import _PSI, KernelPair, RadialProfile, annulus_bump, multiplier_bank
 from .exponent import ExponentField
-from .grid import (
-    GridFunction,
-    GridSpec,
-    ScaleGrid,
-    dft,
-    eta_periodized,
-    fourier,
-    inverse_fourier,
-)
+from .grid import GridFunction, GridSpec, ScaleGrid, dft, eta_periodized
 from .modular_norms import (
     luxemburg_norm,
     mixed_norm_continuous,
@@ -186,15 +178,12 @@ def check_rtrick(g: GridFunction, N_dil: float, r: float, m: float) -> float:
     t = 1.0 / N_dil
     spec = g.spec
     radii = spec.xi_radius()
-    ghat = fourier(g).values
-    u = inverse_fourier(
-        g.with_values(ghat * _RTRICK_OMEGA(t * radii) * (2 * np.pi) ** (spec.n / 2)))
-    if float(np.abs(u.values).max()) == 0.0:
+    c = (2 * np.pi) ** (spec.n / 2)
+    u = dft(dft(g.values, spec) * _RTRICK_OMEGA(t * radii) * c, spec, inverse=True)
+    if float(np.abs(u).max()) == 0.0:
         return math.nan
-    num_f = inverse_fourier(
-        u.with_values(fourier(u).values * _RTRICK_THETA(t * radii) * (2 * np.pi) ** (spec.n / 2)))
-    num = np.abs(num_f.values)
-    pw = np.abs(u.values) ** r
+    num = np.abs(dft(dft(u, spec) * _RTRICK_THETA(t * radii) * c, spec, inverse=True))
+    pw = np.abs(u) ** r
     den = np.abs(_eta_convolve(pw[None], t, m, spec)[0]) ** (1.0 / r)
     return _ratio_max(num, den)
 
@@ -282,21 +271,22 @@ def check_reproducing_bounds(f: GridFunction, kernels: KernelPair, r: float,
         raise ValueError("need r > 0 and m > max(n, n/r)")
     spec = f.spec
     mr = m * r
-    fhat = fourier(f).values
+    t = s.t
+    fhat = dft(f.values, spec)
 
     # row 0 |Phi * f|^r, then |phi_t * f|^r for every t
-    bank = multiplier_bank(kernels.phi0_hat, kernels.phi_hat, spec, (1.0, *s.t))
+    bank = multiplier_bank(kernels.phi0_hat, kernels.phi_hat, spec, (1.0, *t))
     P = np.abs(dft(fhat * bank, spec, inverse=True)) ** r
     E_fixed = np.abs(_eta_convolve(P, 1.0, mr, spec))
     E_low = E_fixed[0]
-    E_scale = np.abs(_eta_convolve(P[1:], s.t, mr, spec))
+    E_scale = np.abs(_eta_convolve(P[1:], t, mr, spec))
     # since t_0 = 1 and every t <= 1, row 0 of the (1/4, 4) band is
     # tau in [1/4, 1] and row i is tau in [t_i/4, min(1, 4 t_i)]
     W = _band_weights((0.25, 4.0), s)
 
     # low-pass bound
-    theta_f = inverse_fourier(f.with_values(fhat * _REPRODUCING_THETA(spec.xi_radius())))
-    c_low = _ratio_max(np.abs(theta_f.values) ** r, _band_sum(W[:1], E_fixed[1:], E_low)[0])
+    theta_f = dft(fhat * _REPRODUCING_THETA(spec.xi_radius()), spec, inverse=True)
+    c_low = _ratio_max(np.abs(theta_f) ** r, _band_sum(W[:1], E_fixed[1:], E_low)[0])
 
     # band bound, swept over the scale grid
     den = _band_sum(W, E_scale, E_low)
@@ -319,20 +309,13 @@ def check_rychkov_decay(mu_hat: RadialProfile, rho: GridFunction, M: int,
     spec = rho.spec
     if float(np.abs(rho.values).max()) == 0.0:
         return math.nan
-    radii = spec.xi_radius()
+    t = scales.t
+    t = t[(t <= _RYCHKOV_T_FIT_MAX) & (1.0 / t <= 0.5 * spec.xi_max)]
+    bank = mu_hat(t.reshape((-1,) + (1,) * spec.n) * spec.xi_radius())
+    conv = dft(dft(rho.values, spec) * bank * (2 * np.pi) ** (spec.n / 2), spec, inverse=True)
     weight = (1.0 + spec.periodic_radius()) ** N_w
-    rhohat = fourier(rho).values
-    tvals, dvals = [], []
-    for t in scales.t:
-        if t > _RYCHKOV_T_FIT_MAX or 1.0 / t > 0.5 * spec.xi_max:
-            continue
-        conv = inverse_fourier(
-            rho.with_values(rhohat * mu_hat(t * radii) * (2 * np.pi) ** (spec.n / 2)))
-        D = float((np.abs(conv.values) * weight).max())
-        if D > 0:
-            tvals.append(t)
-            dvals.append(D)
-    if len(tvals) < 3:
+    D = (np.abs(conv) * weight).max(axis=tuple(range(1, conv.ndim)))
+    if np.count_nonzero(D > 0) < 3:
         raise ValueError("not enough usable scales for the decay fit")
-    coef = np.polyfit(np.log(tvals), np.log(dvals), 1)
+    coef = np.polyfit(np.log(t[D > 0]), np.log(D[D > 0]), 1)
     return float(coef[0])

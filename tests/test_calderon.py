@@ -264,6 +264,14 @@ def test_dyadic_rejects_oversized_level(spec):
     assert max_dyadic_level(spec) == 5
 
 
+def test_dyadic_rejects_grid_without_blocks():
+    # xi_max = pi/2 < 2: not even block 0 fits, and the level comes out -1
+    spec = GridSpec(1, 16, 16.0)
+    assert max_dyadic_level(spec) == -1
+    with pytest.raises(ValueError, match="no dyadic block.*xi_max = 1.6"):
+        build_dyadic(spec, max_dyadic_level(spec))
+
+
 def test_dyadic_reconstruction(spec, dyadic):
     (x,) = spec.coords()
     f = GridFunction(spec, np.exp(-(x**2) / 2.0) * np.exp(1j * 7.0 * x))

@@ -37,6 +37,84 @@ def test_spec_derived_quantities():
     assert xi[512] == 0.0
 
 
+# --- geometry against the formulas it was once cached from -----------------
+
+
+def _ref_axis(n, N, L):
+    return -L + (2.0 * L / N) * np.arange(N)
+
+
+def _ref_freq_axis(n, N, L):
+    return (np.pi / L) * (np.arange(N) - N // 2)
+
+
+def _ref_xi_radius(n, N, L):
+    xi = _ref_freq_axis(n, N, L)
+    if n == 1:
+        r = np.abs(xi)
+    else:
+        r = np.sqrt(xi[:, None] ** 2 + xi[None, :] ** 2)
+    return r
+
+
+def _ref_periodic_radius(n, N, L):
+    x = _ref_axis(n, N, L)
+    d = np.minimum(np.abs(x), 2.0 * L - np.abs(x))
+    if n == 1:
+        r = d
+    else:
+        r = np.sqrt(d[:, None] ** 2 + d[None, :] ** 2)
+    return r
+
+
+def _ref_offset_distance(n, N, L):
+    k = np.arange(N)
+    d1 = (2.0 * L / N) * np.minimum(k, N - k)
+    d = d1 if n == 1 else np.sqrt(d1[:, None] ** 2 + d1[None, :] ** 2)
+    return d
+
+
+def _ref_scale_nodes(K, J):
+    j = np.arange(J * K + 1)
+    t = 2.0 ** (-j / K)
+    w = np.full(J * K + 1, np.log(2.0) / K)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return t, w
+
+
+def _ref_coords(axis, n):
+    return (axis,) if n == 1 else tuple(np.meshgrid(axis, axis, indexing="ij"))
+
+
+def _same(a, b):
+    return a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n,N,L", [(1, 16, 16.0), (1, 1024, 16.0), (1, 2048, 16.0),
+                                   (2, 16, 8.0), (2, 64, 8.0), (2, 128, 8.0)])
+def test_geometry_matches_reference_formulas(n, N, L):
+    s = GridSpec(n, N, L)
+    ref = (n, N, L)
+    assert _same(s.axis(), _ref_axis(*ref))
+    assert _same(s.freq_axis(), _ref_freq_axis(*ref))
+    assert _same(s.xi_radius(), _ref_xi_radius(*ref))
+    assert _same(s.periodic_radius(), _ref_periodic_radius(*ref))
+    assert _same(s.offset_distance(), _ref_offset_distance(*ref))
+    for got, want in ((s.coords(), _ref_coords(_ref_axis(*ref), n)),
+                      (s.freq_coords(), _ref_coords(_ref_freq_axis(*ref), n))):
+        assert len(got) == len(want) == n
+        assert all(_same(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("K,J", [(1, 1), (8, 5), (4, 3), (64, 9), (3, 7)])
+def test_scale_nodes_match_reference_formulas(K, J):
+    s = ScaleGrid(K, J)
+    t, w = _ref_scale_nodes(K, J)
+    assert len(s) == len(t)
+    assert _same(s.t, t) and _same(s.weights, w)
+
+
 # --- fourier -----------------------------------------------------------------
 
 

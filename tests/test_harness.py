@@ -1,6 +1,8 @@
 import json
 import math
 import os
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,6 +247,15 @@ def test_config_from_ini(tmp_path):
     assert cfg.profile_b == "gauss"
     assert cfg.S == 5
     assert cfg.lemma_J == 2 and cfg.thresholds["lemma"] == 1.04
+
+
+def test_readme_config_sample_loads_as_defaults(tmp_path):
+    """The README's INI sample, comments and all, documents the defaults."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sample = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.ini"
+    path.write_text(sample)
+    assert asdict(HarnessConfig.from_ini(path)) == asdict(HarnessConfig())
 
 
 def test_config_missing_file(tmp_path):
