@@ -63,6 +63,31 @@ LEMMA_IDS = (
 EXPERIMENTS = NORM_EXPERIMENTS + tuple(f"lemma:{i}" for i in LEMMA_IDS)
 
 
+def _csv(text: str) -> tuple:
+    return tuple(x.strip() for x in text.split(","))
+
+
+# The sections and keys of the README's config sample, each with the
+# HarnessConfig field it sets and its parser; every experiment section
+# also takes a threshold.  from_ini rejects any other section or key, so a
+# misspelt one cannot leave its default in place unnoticed.
+_INI_FIELDS = {
+    "grid": {"n": ("n", int), "N": ("N", int), "L": ("L", float)},
+    "scales": {"K": ("K", int), "J": ("J", int)},
+    "run": {"seed": ("seed", int), "threads": ("threads", int), "out": ("out", str)},
+    "corpus": {"names": ("corpus_names",
+                         lambda v: tuple(filter(None, _csv(v))) if v else None)},
+    "experiment:independence": {"triples": ("triples", _csv),
+                                "profile_a": ("profile_a", str),
+                                "profile_b": ("profile_b", str)},
+    "experiment:discrete-vs-continuous": {},
+    "experiment:peetre-vs-continuous": {"a_offset": ("a_offset", float)},
+    "experiment:local-means-vs-discrete": {"S": ("S", int), "eps": ("eps", float)},
+    "experiment:lemma": {"L": ("lemma_L", float), "K": ("lemma_K", int),
+                         "J": ("lemma_J", int)},
+}
+
+
 @dataclass
 class HarnessConfig:
     """Defaults for the desk-scale runs; every field can come from the INI
@@ -116,42 +141,17 @@ class HarnessConfig:
         if not read:
             raise ConfigError(f"cannot read config file {path}")
         cfg = cls()
-        g = parser["grid"] if "grid" in parser else {}
-        cfg.n = int(g.get("n", cfg.n))
-        cfg.N = int(g.get("N", cfg.N))
-        cfg.L = float(g.get("L", cfg.L))
-        s = parser["scales"] if "scales" in parser else {}
-        cfg.K = int(s.get("K", cfg.K))
-        cfg.J = int(s.get("J", cfg.J))
-        r = parser["run"] if "run" in parser else {}
-        cfg.seed = int(r.get("seed", cfg.seed))
-        cfg.threads = int(r.get("threads", cfg.threads))
-        cfg.out = r.get("out", cfg.out)
-        if "corpus" in parser and parser["corpus"].get("names"):
-            cfg.corpus_names = tuple(
-                x.strip() for x in parser["corpus"]["names"].split(",") if x.strip())
         for section in parser.sections():
-            if not section.startswith("experiment:"):
-                continue
-            name = section.split(":", 1)[1]
-            sec = parser[section]
-            if "threshold" in sec:
-                key = "lemma" if name.startswith("lemma") else name
-                cfg.thresholds[key] = float(sec["threshold"])
-            if name == "independence":
-                if "triples" in sec:
-                    cfg.triples = tuple(x.strip() for x in sec["triples"].split(","))
-                cfg.profile_a = sec.get("profile_a", cfg.profile_a)
-                cfg.profile_b = sec.get("profile_b", cfg.profile_b)
-            if name == "peetre-vs-continuous" and "a_offset" in sec:
-                cfg.a_offset = float(sec["a_offset"])
-            if name == "local-means-vs-discrete":
-                cfg.S = int(sec.get("S", cfg.S))
-                cfg.eps = float(sec.get("eps", cfg.eps))
-            if name == "lemma":
-                cfg.lemma_L = float(sec.get("L", cfg.lemma_L))
-                cfg.lemma_K = int(sec.get("K", cfg.lemma_K))
-                cfg.lemma_J = int(sec.get("J", cfg.lemma_J))
+            if section not in _INI_FIELDS:
+                raise ConfigError(f"unknown config section [{section}]")
+            for key, text in parser[section].items():
+                if key in _INI_FIELDS[section]:
+                    name, parse = _INI_FIELDS[section][key]
+                    setattr(cfg, name, parse(text))
+                elif key == "threshold" and section.startswith("experiment:"):
+                    cfg.thresholds[section.split(":", 1)[1]] = float(text)
+                else:
+                    raise ConfigError(f"unknown config key {key!r} in [{section}]")
         return cfg
 
 

@@ -18,10 +18,19 @@ weights in the scale-continuous version).  In s = log(mu) each inner root
 u_v(s) is convex (the set {F_v <= 0} is convex in (s, u)) with slope
 -<p>/<e> under the inner's final weights, so the outer log-modular
 H(s) = log sum_v w_v exp(u_v(s)) is convex and decreasing as well, and the
-same Newton iteration solves it; for constant q, H is linear.  Powers are
-formed in log space, so no overflow occurs.  q must be bounded for the mixed
-modular; the q = inf norms are handled by their sup-over-scales form in the
-`besov` module instead.
+same Newton iteration solves it; for constant q, H is linear.  Only the
+first outer evaluation starts the inner roots cold, at max(a/e); every
+later one starts them on the tangent of the previous evaluation,
+u_v(s') + (s - s') u_v'(s').  u_v is convex, so the tangent lies at or
+below the root u_v(s), and the inner iterates climb to it monotonically
+as from the cold start (a start above it by rounding is no risk: Newton's
+first step lands below).  For constant q, u_v is linear and the tangent
+start is the root up to rounding.  The log-sum-exps leave their weights
+exp(z - max) unnormalised, in place of their argument: each derivative is
+a ratio of weighted sums, so it divides by the row sums once.  Powers are
+formed in log space, so no overflow occurs.  q must be bounded for the
+mixed modular; the q = inf norms are handled by their sup-over-scales form
+in the `besov` module instead.
 
 `luxemburg_rows` solves every row of a (T, *shape) stack of moduli at
 once and takes its exponent as validated; `luxemburg_norm` validates one
@@ -84,12 +93,15 @@ def modular_lp(f: GridFunction, p: ExponentField) -> float:
 
 
 def _lse(z: np.ndarray):
-    """Log-sum-exp over the last axis and the normalised weights exp(z - lse);
-    every row needs a finite entry."""
+    """Log-sum-exp over the last axis, and the row sums S of the weights
+    exp(z - max) that overwrite z (a temporary of the caller's): a mean
+    under the normalised weights is (z @ x) / S.  Every row needs a finite
+    entry."""
     m = z.max(axis=-1, keepdims=True)
-    w = np.exp(z - m)
-    s = w.sum(axis=-1, keepdims=True)
-    return (m + np.log(s))[..., 0], w / s
+    z -= m
+    np.exp(z, out=z)
+    s = z.sum(axis=-1)
+    return m[..., 0] + np.log(s), s
 
 
 def _newton(fn, u):
@@ -106,14 +118,21 @@ def _newton(fn, u):
                           f"in {_MAX_STEPS} steps")
 
 
-def _log_roots(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+def _log_roots(a: np.ndarray, e: np.ndarray, u=None):
     """Row-wise u with log sum_x exp(a[:, x] - e[x] u) = 0, for e > 0 and no
-    row of a all -inf.  Start: the largest single term equals 1, below the root."""
-    def fn(u):
-        F, w = _lse(a - u[:, None] * e)
-        return F, -(w @ e)
+    row of a all -inf, returned with the weights W and row sums S of the
+    last evaluation (see `_lse`).  Default start: the largest single term
+    equals 1, below the root."""
+    last = []
 
-    return _newton(fn, np.max(a / e, axis=-1))
+    def fn(u):
+        W = a - u[:, None] * e
+        F, S = _lse(W)
+        last[:] = W, S
+        return F, -(W @ e) / S
+
+    u = _newton(fn, np.max(a / e, axis=-1) if u is None else u)
+    return u, *last
 
 
 def luxemburg_rows(A: np.ndarray, p: ExponentField) -> np.ndarray:
@@ -129,7 +148,7 @@ def luxemburg_rows(A: np.ndarray, p: ExponentField) -> np.ndarray:
         amax, pf = A[live].max(axis=1), ps[fin]
         with np.errstate(divide="ignore"):
             a = math.log(p.spec.cell_volume) + pf * np.log(A[live][:, fin] / amax[:, None])
-        u = _log_roots(a, pf)
+        u = _log_roots(a, pf)[0]
         lam[live] = np.maximum(lam[live], amax * np.exp(u + _REL_TOL))
     return lam
 
@@ -153,7 +172,7 @@ def power_quotient_norm(f: GridFunction, p: ExponentField, q: ExponentField) -> 
         return 0.0
     ps = p.samples.ravel()[live]
     e = ps / q.samples.ravel()[live]
-    u = _log_roots((math.log(f.spec.cell_volume) + ps * np.log(a[live]))[None], e)
+    u = _log_roots((math.log(f.spec.cell_volume) + ps * np.log(a[live]))[None], e)[0]
     return math.exp(u[0] + _REL_TOL)
 
 
@@ -175,13 +194,17 @@ def _mixed_norm(A: np.ndarray, w: np.ndarray, p: ExponentField,
     with np.errstate(divide="ignore"):
         a0 = math.log(p.spec.cell_volume) + ps * np.log(A[live] / amax)
     logw = np.log(w[live])
+    prev = None  # (s, u, du/ds) of the previous evaluation
 
     def fn(s):
-        a = a0 - s * ps
-        u = _log_roots(a, e)
-        _, W = _lse(a - u[:, None] * e)
-        H, wv = _lse(logw + u)
-        return H, -(wv @ ((W @ ps) / (W @ e)))
+        nonlocal prev
+        start = None if prev is None else prev[1] + prev[2] * (s - prev[0])
+        u, W, _ = _log_roots(a0 - s * ps, e, start)
+        du = -(W @ ps) / (W @ e)
+        prev = s, u, du
+        z = logw + u
+        H, S = _lse(z)
+        return H, (z @ du) / S
 
     return amax * math.exp(float(_newton(fn, 0.0)) + _REL_TOL)
 

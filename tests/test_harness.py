@@ -258,6 +258,25 @@ def test_readme_config_sample_loads_as_defaults(tmp_path):
     assert asdict(HarnessConfig.from_ini(path)) == asdict(HarnessConfig())
 
 
+@pytest.mark.parametrize("text, match", [
+    ("[scales]\nk = 4\n", "unknown config key 'k' in \\[scales\\]"),
+    ("[grid]\nNN = 64\n", "unknown config key 'NN' in \\[grid\\]"),
+    ("[experiment:independance]\nthreshold = 2\n",
+     "unknown config section \\[experiment:independance\\]"),
+    ("[experiment:lemma:hardy]\nthreshold = 2\n",
+     "unknown config section \\[experiment:lemma:hardy\\]"),
+    ("[experiment:discrete-vs-continuous]\nS = 3\n",
+     "unknown config key 'S' in \\[experiment:discrete-vs-continuous\\]"),
+])
+def test_config_rejects_unknown_keys(tmp_path, capsys, text, match):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=match):
+        HarnessConfig.from_ini(path)
+    assert cli_main(["corpus", "list", "--config", str(path)]) == 2
+    assert "unknown config" in capsys.readouterr().err
+
+
 def test_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         HarnessConfig.from_ini(tmp_path / "missing.ini")

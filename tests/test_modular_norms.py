@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varbesov.exponent import ExponentField
+from varbesov import modular_norms
 from varbesov.grid import GridFunction, GridSpec, ScaleGrid
 from varbesov.modular_norms import (
+    _newton,
     _omega_sum,
     luxemburg_norm,
     mixed_norm_continuous,
@@ -492,3 +494,117 @@ def test_mixed_norms_match_reference():
             ref = _reference_mixed_norm(A, s.weights, p, q, spec.cell_volume, _box(spec))
             assert mixed_norm_continuous(np.stack([f.values for f in fs]), p, q, s) == pytest.approx(
                 ref, rel=1e-8)
+
+
+# --- warm-started mixed norm against the cold start -------------------------------
+# The mixed-norm core before the inner roots were warm-started, with the
+# log-sum-exp and root helpers of its time, kept unchanged apart from their
+# names: every inner solve restarts from max(a / e).
+
+
+def _cold_lse(z: np.ndarray):
+    """Log-sum-exp over the last axis and the normalised weights exp(z - lse);
+    every row needs a finite entry."""
+    m = z.max(axis=-1, keepdims=True)
+    w = np.exp(z - m)
+    s = w.sum(axis=-1, keepdims=True)
+    return (m + np.log(s))[..., 0], w / s
+
+
+def _cold_log_roots(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Row-wise u with log sum_x exp(a[:, x] - e[x] u) = 0, for e > 0 and no
+    row of a all -inf.  Start: the largest single term equals 1, below the root."""
+    def fn(u):
+        F, w = _cold_lse(a - u[:, None] * e)
+        return F, -(w @ e)
+
+    return _newton(fn, np.max(a / e, axis=-1))
+
+
+def _cold_mixed_norm(A: np.ndarray, w: np.ndarray, p: ExponentField,
+                     q: ExponentField) -> float:
+    """Outer Luxemburg solve in s = log(mu) for the weighted mixed modular.
+
+    A: (T, *p.spec.shape) moduli |f_v|; w: (T,) quadrature weights (all
+    ones in the discrete case).  p and q are taken as validated: p finite,
+    q bounded, both bounded away from 0.
+    """
+    A = A.reshape(len(A), -1)
+    amax = float(A.max())
+    if amax == 0.0:
+        return 0.0
+    live = A.max(axis=1) > 0
+    ps = p.samples.ravel()
+    e = ps / q.samples.ravel()
+    with np.errstate(divide="ignore"):
+        a0 = math.log(p.spec.cell_volume) + ps * np.log(A[live] / amax)
+    logw = np.log(w[live])
+
+    def fn(s):
+        a = a0 - s * ps
+        u = _cold_log_roots(a, e)
+        _, W = _cold_lse(a - u[:, None] * e)
+        H, wv = _cold_lse(logw + u)
+        return H, -(wv @ ((W @ ps) / (W @ e)))
+
+    return amax * math.exp(float(_newton(fn, 0.0)) + _REL_TOL)
+
+
+def _variable_q_family():
+    """Thirteen scales of a modulated Gaussian under variable p and q."""
+    spec = GridSpec(1, 256, 16.0)
+    (x,) = spec.coords()
+    s = ScaleGrid(4, 3)
+    p = ExponentField(spec, 2.0 + 0.5 * np.sin(np.pi * x / 16.0))
+    q = ExponentField(spec, 1.5 + 0.6 * np.cos(np.pi * x / 16.0))
+    fam = np.stack([t**0.5 * np.exp(-(x**2) / (2.0 * t) + 4j * x) for t in s.t])
+    return fam, p, q, s
+
+
+def test_warm_start_matches_cold_start():
+    rng = np.random.default_rng(103)
+    for _ in range(60):
+        rows = int(rng.integers(1, 8))
+        _, fs, p, q = _random_case(rng, rows)
+        values = np.stack([f.values for f in fs])
+        cases = [(mixed_norm_discrete(values, p, q), np.ones(rows))]
+        if rows >= 2:
+            s = ScaleGrid(rows - 1, 1)
+            cases.append((mixed_norm_continuous(values, p, q, s), s.weights))
+        for got, w in cases:
+            ref = _cold_mixed_norm(np.abs(values), w, p, q)
+            assert abs(got - ref) <= 1e-14 * ref
+
+
+def test_warm_start_takes_fewer_lse_calls(monkeypatch):
+    """Count the log-sum-exps over the (scales, grid) array, warm and cold."""
+    fam, p, q, s = _variable_q_family()
+    counts = {"warm": 0, "cold": 0}
+
+    def counting(key, lse):
+        def wrapped(z):
+            counts[key] += z.ndim == 2
+            return lse(z)
+        return wrapped
+
+    monkeypatch.setattr(modular_norms, "_lse", counting("warm", modular_norms._lse))
+    monkeypatch.setitem(globals(), "_cold_lse", counting("cold", _cold_lse))
+    got = mixed_norm_continuous(fam, p, q, s)
+    ref = _cold_mixed_norm(np.abs(fam), s.weights, p, q)
+    assert abs(got - ref) <= 1e-14 * ref
+    assert 0 < counts["warm"] < counts["cold"]
+
+
+def test_solver_fails_loudly(monkeypatch):
+    fam, p, q, _ = _variable_q_family()
+    with monkeypatch.context() as m:
+        m.setattr(modular_norms, "_MAX_STEPS", 1)
+        with pytest.raises(ArithmeticError, match="did not converge in 1 steps"):
+            mixed_norm_discrete(fam, p, q)
+
+    def nan_lse(z):
+        return np.full(z.shape[:-1], np.nan), np.ones(z.shape[:-1])
+
+    monkeypatch.setattr(modular_norms, "_lse", nan_lse)
+    with pytest.raises(ArithmeticError, match="not finite"):
+        mixed_norm_discrete(fam, p, q)
