@@ -348,6 +348,9 @@ def _band_noise(spec: GridSpec, seed: int) -> GridFunction:
     compare against."""
     band = 8.0
     kmax = int(band * spec.L / math.pi)
+    if 2 * kmax >= spec.N:
+        raise ConfigError(f"the lemma noise band |xi| < {band:g} at L = {spec.L:g} needs "
+                          f"N >= {2 ** (2 * kmax).bit_length()}, got N = {spec.N}")
     rng = np.random.default_rng(seed)
     coefs = rng.standard_normal(2 * kmax + 1) + 1j * rng.standard_normal(2 * kmax + 1)
     xi = math.pi * np.arange(-kmax, kmax + 1) / spec.L

@@ -65,9 +65,8 @@ def _eta_convolve(F: np.ndarray, t, m: float, spec: GridSpec) -> np.ndarray:
     """Row j is eta_{t_j,m} * F_j on the torus (true convolution, mass c(m));
     t is one scale for every row or one scale per row.  The product is
     formed as in `convolve_kernel`, so each row equals
-    convolve_kernel(F_j, fourier(eta_periodized(t_j, m, spec)))."""
-    t = np.atleast_1d(t)
-    kernels = np.stack([eta_periodized(tj, m, spec).values for tj in t])
+    convolve_kernel(F_j, fourier(GridFunction(spec, eta_periodized(t_j, m, spec))))."""
+    kernels = eta_periodized(np.atleast_1d(t), m, spec)
     prod = (2.0 * np.pi) ** (spec.n / 2.0) * dft(F.astype(complex), spec) * dft(kernels, spec)
     return dft(prod, spec, inverse=True)
 

@@ -22,7 +22,8 @@ from varbesov.grid import (
 # --- spec validation ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("n,N,L", [(3, 64, 1.0), (1, 100, 1.0), (1, 8, 1.0), (1, 64, 0.0)])
+@pytest.mark.parametrize("n,N,L", [(3, 64, 1.0), (1, 100, 1.0), (1, 8, 1.0), (1, 64, 0.0),
+                                   (1, 64, math.inf), (2, 64, math.nan)])
 def test_bad_specs_rejected(n, N, L):
     with pytest.raises(ValueError):
         GridSpec(n, N, L)
@@ -210,7 +211,8 @@ def test_eta_mass_independent_of_t():
     # is still resolved (quadrature error scales like (h/t)^2)
     spec = GridSpec(1, 1024, 4.0)
     m = 3.0
-    masses = [integrate(eta_periodized(t, m, spec)).real for t in (1.0, 0.25, 0.0625)]
+    masses = [integrate(GridFunction(spec, eta_periodized(t, m, spec))).real
+              for t in (1.0, 0.25, 0.0625)]
     c = 2.0 / (m - 1.0)
     for mass in masses:
         assert abs(mass - c) / c < 0.01
@@ -218,12 +220,13 @@ def test_eta_mass_independent_of_t():
 
 @pytest.mark.parametrize("t", [1.0, 0.5])
 def test_eta_mass_2d(t):
-    # c(m) = 2 pi/((m-1)(m-2)) for n = 2.  At m = 3 the image sum stops at
-    # its 60-shell cap, so the continuum tail is added; it is about 0.8% of
-    # the mass at t = 1, and the 0.5% bound fails without it.  Measured
-    # errors: 0.12% at t = 1, 0.37% at t = 0.5 (quadrature of the peak).
+    # c(m) = 2 pi/((m-1)(m-2)) for n = 2.  At m = 3 the images past the 16
+    # direct shells hold about 2.7% of the mass at t = 1, so the 0.5% bound
+    # fails without the square tail.  Measured errors: 0.04% at t = 1, 0.33%
+    # at t = 0.5 (quadrature of the peak).
     m = 3.0
-    mass = integrate(eta_periodized(t, m, GridSpec(2, 32, 2.0))).real
+    spec = GridSpec(2, 32, 2.0)
+    mass = integrate(GridFunction(spec, eta_periodized(t, m, spec))).real
     c = 2.0 * math.pi / ((m - 1.0) * (m - 2.0))
     assert abs(mass - c) / c < 0.005
 
@@ -241,14 +244,66 @@ def test_eta_periodized_1d_exact(m, N, L):
     with mpmath.workdps(30):
         P = mpmath.mpf(2.0 * L)
         for t in (1.0, 0.5, 0.125, 2.0**-6):
-            got = eta_periodized(t, m, spec).values
-            assert np.all(got.imag == 0.0)
+            got = eta_periodized(t, m, spec)
             for i in idx:
                 xi, tm = mpmath.mpf(float(x[i])), mpmath.mpf(t)
                 want = ((1 + abs(xi) / tm) ** -m + (tm / P) ** m * (
                     mpmath.zeta(m, 1 + (tm + xi) / P) + mpmath.zeta(m, 1 + (tm - xi) / P))) / tm
-                rel = abs((mpmath.mpf(float(got[i].real)) - want) / want)
+                rel = abs((mpmath.mpf(float(got[i])) - want) / want)
                 assert rel <= 1e-14, f"t={t} x={x[i]}: relative error {float(rel):.2e}"
+
+
+def _reference_eta_2d(spec, m, t, x, y, shells=400):
+    """Direct image sum over Chebyshev index <= 400, plus the continuum of the
+    images outside the square of half-width (shells + 1/2)P, with no
+    midpoint-rule or shift correction (64-node Gauss-Legendre in the angle)."""
+    P = 2.0 * spec.L
+    j = P * np.arange(-shells, shells + 1)
+    d = np.sqrt((x + j)[:, None] ** 2 + (y + j)[None, :] ** 2)
+    nodes, w = np.polynomial.legendre.leggauss(64)
+    u = (shells + 0.5) * P / np.cos(np.pi / 8.0 * (1.0 + nodes)) / t
+    G = (1.0 + u) ** (2.0 - m) / (m - 2.0) - (1.0 + u) ** (1.0 - m) / (m - 1.0)
+    return np.sum(t**-2.0 * (1.0 + d / t) ** -m) + 8.0 / P**2 * np.pi / 8.0 * np.dot(G, w)
+
+
+@pytest.mark.parametrize("N,L", [(32, 2.0), (64, 8.0)])
+def test_eta_periodized_2d_matches_image_sum(N, L):
+    """Corner, origin, edge midpoint, an interior point and one with both
+    coordinates positive (mirrored from the summed quarter) against the
+    400-shell reference: within 1e-7 relative for m >= 2.5 and 1e-12 at
+    m = 8 (measured: at most 6.7e-8 at m = 2.5, 2.7e-13 at m = 8)."""
+    spec = GridSpec(2, N, L)
+    x = spec.axis()
+    idx = [(0, 0), (N // 2, N // 2), (0, N // 2), (N // 4, 3 * N // 8), (3 * N // 4, 5 * N // 8)]
+    for m in (2.5, 3.0, 4.0, 8.0):
+        tol = 1e-12 if m == 8.0 else 1e-7
+        for t in (1.0, 0.125):
+            got = eta_periodized(t, m, spec)
+            for i, k in idx:
+                want = _reference_eta_2d(spec, m, t, x[i], x[k])
+                rel = abs(got[i, k] - want) / want
+                assert rel <= tol, f"m={m} t={t} x={(x[i], x[k])}: relative error {rel:.2e}"
+
+
+@pytest.mark.parametrize("n,N,L,m", [(1, 64, 1.0, 1.05), (1, 1024, 8.0, 3.0),
+                                     (2, 32, 2.0, 2.5), (2, 64, 8.0, 4.0)])
+def test_eta_periodized_stack_rows_equal_single_calls(n, N, L, m):
+    spec = GridSpec(n, N, L)
+    t = 2.0 ** -np.arange(0.0, 4.0, 0.75)
+    stack = eta_periodized(t, m, spec)
+    assert stack.shape == t.shape + spec.shape and stack.dtype == float
+    for tj, row in zip(t, stack):
+        assert np.array_equal(row, eta_periodized(tj, m, spec))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, math.nan, math.inf])
+def test_eta_periodized_rejects_any_scale_outside_unit_interval(n, bad):
+    spec = GridSpec(n, 32, 2.0)
+    with pytest.raises(ValueError, match="must lie in"):
+        eta_periodized(bad, 3.0, spec)
+    with pytest.raises(ValueError, match="must lie in"):
+        eta_periodized(np.array([1.0, 0.5, bad, 0.25]), 3.0, spec)
 
 
 def test_eta_at_origin_and_monotone():
@@ -260,13 +315,14 @@ def test_eta_at_origin_and_monotone():
 
 def test_eta_rejects_small_m(spec):
     with pytest.raises(ValueError, match="m > n"):
-        fourier(eta_periodized(0.5, 1.0, spec))
+        eta_periodized(0.5, 1.0, spec)
 
 
 def test_eta_hat_realises_convolution(spec, gaussian):
     # convolving with eta approximates integral eta(y) f(x-y) dy; for the
     # wide Gaussian the result must stay between c(m)*min f and c(m)*max f
-    out = convolve_kernel(gaussian, fourier(eta_periodized(0.5, 3.0, spec))).values.real
+    eta = GridFunction(spec, eta_periodized(0.5, 3.0, spec))
+    out = convolve_kernel(gaussian, fourier(eta)).values.real
     assert out.max() <= 1.0 * 1.01  # c(3) = 1 for n = 1
     assert out.min() >= -1e-12
 

@@ -193,6 +193,16 @@ def test_lemma_sweep_report():
         assert abs(e.ratio - 1.0) < 0.05
 
 
+def test_lemma_grid_too_coarse_for_noise_band(tmp_path, capsys):
+    """The lemma noise band |xi| < 8 at L = 8 spans frequency indices up to
+    20, which N = 32 cannot hold; 64 is the smallest grid that can."""
+    with pytest.raises(ConfigError, match=r"\|xi\| < 8 at L = 8 needs N >= 64, got N = 32"):
+        run_experiment("lemma:transfer", HarnessConfig(**{**SMALL, "N": 32}))
+    code = cli_main(["run", "lemma:hardy", "--grid", "32,16", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "needs N >= 64, got N = 32" in capsys.readouterr().err
+
+
 def test_lemma_unknown_id():
     with pytest.raises(ConfigError, match="unknown lemma"):
         run_experiment("lemma:nope", HarnessConfig(**SMALL))
@@ -332,6 +342,13 @@ def test_cli_run_all_rejects_threshold(tmp_path, capsys):
 def test_cli_config_error(capsys):
     assert cli_main(["run", "no-such-experiment"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_rejects_infinite_half_period(tmp_path, capsys):
+    code = cli_main(["run", "discrete-vs-continuous", "--grid", "1024,inf",
+                     "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "half-period L must be finite and positive" in capsys.readouterr().err
 
 
 def test_cli_hypothesis_error(tmp_path, capsys):

@@ -370,7 +370,7 @@ def test_reproducing_annulus_support_bookkeeping(lspec, lscales, lpair):
 
 
 def _reference_eta_convolve(f, t, m):
-    return convolve_kernel(f, fourier(eta_periodized(t, m, f.spec)))
+    return convolve_kernel(f, fourier(GridFunction(f.spec, eta_periodized(t, m, f.spec))))
 
 
 def _reference_eta_conv_discrete(fv, p, q, m):
