@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from varbesov import harness, lemmas
 from varbesov.besov import HypothesisError
 from varbesov.cli import main as cli_main
 from varbesov.corpus import (
@@ -206,6 +207,62 @@ def test_lemma_grid_too_coarse_for_noise_band(tmp_path, capsys):
 def test_lemma_unknown_id():
     with pytest.raises(ConfigError, match="unknown lemma"):
         run_experiment("lemma:nope", HarnessConfig(**SMALL))
+
+
+def test_lemma_sweep_rejects_n2(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="defined for n = 1"):
+        run_experiment("lemma:hardy", HarnessConfig(n=2, N=64, L=8.0))
+    ini = tmp_path / "n2.ini"
+    ini.write_text("[grid]\nn = 2\nN = 64\n")
+    code = cli_main(["run", "lemma:hardy", "--config", str(ini), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "lemma sweeps are defined for n = 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lemma, check, factor, grid_N", [
+    ("averaged", "check_averaged", 2.0, lambda args: args[0].shape[-1]),
+    ("rtrick", "check_rtrick", 3.0, lambda args: args[0].spec.N),
+], ids=["averaged", "rtrick"])
+def test_lemma_refinement_drift_fails(monkeypatch, tmp_path, lemma, check, factor, grid_N):
+    """A constant that moves by the same factor in every case under N -> 2N
+    keeps the spread where it was; the bound on each ratio c(2N)/c(N)
+    catches it.  N = 512 keeps the honest ratios within 1.3% of 1."""
+    cfg = HarnessConfig(N=512)
+    assert run_experiment(f"lemma:{lemma}", cfg).passed
+    honest = getattr(lemmas, check)
+    monkeypatch.setattr(lemmas, check, lambda *args: honest(*args) * (
+        factor if grid_N(args) == 1024 else 1.0))
+    rep = run_experiment(f"lemma:{lemma}", cfg)
+    assert rep.spread <= rep.threshold
+    assert all(r == pytest.approx(factor, rel=0.02) for r in rep.ratios)
+    assert not rep.checks_ok and not rep.passed
+    out = tmp_path / "out"
+    assert cli_main(["run", f"lemma:{lemma}", "--grid", "512,16", "--out", str(out)]) == 1
+    assert json.loads((out / "report.json").read_text())["passed"] is False
+
+
+@pytest.mark.parametrize("lemma, noise_grids", [("hardy", []), ("dzw", [256, 512])])
+def test_lemma_row_builds_only_what_it_reads(monkeypatch, lemma, noise_grids):
+    built = []
+    noise = harness._band_noise
+    monkeypatch.setattr(harness, "_band_noise",
+                        lambda spec, seed: built.append(spec.N) or noise(spec, seed))
+    assert run_experiment(f"lemma:{lemma}", HarnessConfig(N=256)).passed
+    assert built == noise_grids
+
+
+@pytest.mark.parametrize("args, message", [
+    (["lemma:transfer", "--grid", "1024,inf"], "L must be finite and positive, got inf"),
+    (["lemma:transfer", "--grid", "1024,-4"], "L must be finite and positive, got -4"),
+    (["lemma:hardy", "--scales", "0,0"], "ScaleGrid needs K >= 1"),
+], ids=["L-inf", "L-negative", "scales-0"])
+def test_config_validated_for_every_experiment(tmp_path, capsys, args, message):
+    """The lemma sweeps read neither --grid's L nor --scales, but a bad
+    value is still a configuration error, and no report is written."""
+    out = tmp_path / "out"
+    assert cli_main(["run", *args, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- config file and CLI ---------------------------------------------------------
