@@ -157,6 +157,8 @@ def peetre_maximal(f: GridFunction, t: float, a: float, alpha: ExponentField,
         raise ValueError("Peetre exponent a must be positive")
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"scale t must be finite and positive, got {t}")
+    if alpha.spec != f.spec:
+        raise ValueError("alpha is sampled on a different grid than f")
     G = _family(f, kernel(t * f.spec.xi_radius())[None], (t,), alpha)
     return GridFunction(f.spec, _weighted_sup(G, (t,), a, f.spec)[0])
 

@@ -344,6 +344,15 @@ def test_peetre_maximal_rejects_bad_scale(spec, pair, corpus_fns, t):
         peetre_maximal(f, t, 1.5, const(spec, 0.5), pair.phi_hat)
 
 
+@pytest.mark.parametrize("N,L", [(1024, 8.0), (512, 16.0)])
+def test_peetre_maximal_rejects_alpha_on_another_grid(spec, pair, corpus_fns, N, L):
+    """Same N and another L would read the wrong samples silently, another N
+    would not broadcast: both are rejected with the evaluators' message."""
+    f = GridFunction(spec, corpus_fns["gauss"])
+    with pytest.raises(ValueError, match="alpha is sampled on a different grid than f"):
+        peetre_maximal(f, 0.5, 1.5, const(GridSpec(1, N, L), 0.5), pair.phi_hat)
+
+
 def test_two_dimensional_maximal_norms_match_reference(monkeypatch):
     spec = GridSpec(2, 32, 4.0)
     scales = ScaleGrid(4, 2)

@@ -265,6 +265,20 @@ def test_config_validated_for_every_experiment(tmp_path, capsys, args, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lemma, message", [
+    ("reproducing", "smallest scale 2^-3 needs frequencies up to 16.0 but the grid "
+                    "resolves only 12.6"),
+    ("rychkov", "not enough usable scales for the decay fit"),
+])
+def test_lemma_sweeps_needing_n128_reject_n64(tmp_path, capsys, lemma, message):
+    """N = 64 passes the noise-band check, but these two sweeps need N >= 128
+    at the default lemma grid (README), and fail from inside the sweep."""
+    out = tmp_path / "out"
+    assert cli_main(["run", f"lemma:{lemma}", "--grid", "64,16", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- config file and CLI ---------------------------------------------------------
 
 
