@@ -24,9 +24,11 @@ its Peetre supremum.  The stack goes as it is to
 `modular_norms.mixed_norm_continuous` or `mixed_norm_discrete`, which
 aggregate it in l^q(.)(L^p(.)); q identically inf replaces that by the
 largest row norm (one row-batched Luxemburg solve,
-`modular_norms.luxemburg_rows`).  The Peetre supremum
-over the torus is taken over grid points, exactly: no window truncates the
-far points and no flag selects a slower exact sweep.
+`modular_norms.luxemburg_rows`).  The Peetre supremum over the torus is
+taken over grid points, exactly, and bit-identical to the brute-force
+scan: in 1-D the offsets within one tile edge densely and the far ones
+through a pruning bound, in 2-D every offset through a pruning bound.  No
+window truncates the far points and no flag selects a slower exact sweep.
 """
 
 from __future__ import annotations
@@ -168,54 +170,101 @@ _GROUP = 1 << 14  # w entries per 1-D row group: 2^14 // N rows
 _CHUNK = 1 << 15  # products per 1-D gather
 
 
+def _window_extrema(hi: np.ndarray, lo: np.ndarray, T: int):
+    """Max of hi and min of lo over the T^n periodic offsets from each index
+    onward, for a stack of rows (axis 0) of n-D arrays: the window doubles
+    along each axis."""
+    pad = [(0, 0)] + [(0, T - 1)] * (hi.ndim - 1)
+    hi, lo = np.pad(hi, pad, "wrap"), np.pad(lo, pad, "wrap")
+    for axis in range(1, hi.ndim):
+        for s in (1 << j for j in range(T.bit_length() - 1)):
+            head = (slice(None),) * axis + (slice(-s),)
+            tail = (slice(None),) * axis + (slice(s, None),)
+            hi, lo = np.maximum(hi[head], hi[tail]), np.minimum(lo[head], lo[tail])
+    return hi, lo
+
+
+def _sup_1d(g: np.ndarray, w: np.ndarray, T: int, o: np.ndarray) -> None:
+    """o = max(o, max over y of w[r, x - y] g[r, y]) for a (rows, N) group,
+    with o at +0: the near offsets densely, the far ones pruned (see
+    `_weighted_sup`)."""
+    rows, N = g.shape
+    R, nt = min(T, N // 2), N // T
+    gp, buf = np.pad(g, [(0, 0), (R, R)], "wrap"), np.empty_like(o)
+    for k in range(R + 1):
+        np.maximum(gp[:, R - k:R - k + N], gp[:, R + k:R + k + N], out=buf)
+        buf *= w[:, k:k + 1]
+        np.maximum(o, buf, out=o)
+    # hif[r, b, s] / lo[r, b, s]: the largest far w / smallest w of row r
+    # over the T offsets from y = j T + s to tile i, for b = (j - i) mod nt;
+    # over s they cover the 2T - 1 offsets from block j to tile i
+    k = np.arange(N)
+    hif, lo = (e[:, -k % N].reshape(rows, nt, T) for e in
+               _window_extrema(np.where(np.minimum(k, N - k) > R, w, 0.0), w, T))
+    gb, ji = g.reshape(rows, nt, T), (np.arange(nt) - np.arange(nt)[:, None]) % nt
+    top = gb.max(axis=2)[:, None, :]
+    ub = top * hif.max(axis=2)[:, ji]
+    lb = (top * lo.min(axis=2)[:, ji]).max(axis=2)
+    lb = np.maximum(o.reshape(rows, nt, T).min(axis=2), lb).ravel()
+    rk, ik, jk = np.nonzero((ub >= lb.reshape(rows, nt, 1)) & (ub > 0))
+    # the points of the kept blocks: refine lb, then keep on the same test
+    b, gy, cell = (jk - ik) % nt, gb[rk, jk], rk * nt + ik
+    starts = np.flatnonzero(np.diff(cell, prepend=-1))
+    ids = cell[starts]
+    lb[ids] = np.maximum(lb[ids], np.maximum.reduceat((gy * lo[rk, b]).max(axis=1), starts))
+    ub = gy * hif[rk, b]
+    keep = np.flatnonzero((ub >= lb[cell, None]) & (ub > 0))
+    win = sliding_window_view(np.pad(w, [(0, 0), (0, T - 1)], "wrap"), T, axis=1)
+    o2 = o.reshape(-1, T)
+    for c in range(0, keep.size, _CHUNK // T):
+        ks = keep[c:c + _CHUNK // T]
+        p, s = np.divmod(ks, T)
+        cand = win[rk[p], -(b[p] * T + s) % N]
+        cand *= gy.ravel()[ks, None]
+        cs = cell[p]
+        starts = np.flatnonzero(np.diff(cs, prepend=-1))
+        o2[cs[starts]] = np.maximum(o2[cs[starts]], np.maximum.reduceat(cand, starts))
+
+
 def _weighted_sup(G: np.ndarray, t, a: float, spec: GridSpec) -> np.ndarray:
     """out[j, x] = max over grid y of w_j[(x - y) mod N] G[j, y], with
     w_j = (1 + d/t_j)^(-a), for each row G[j] of the scale stack G.
 
     Bit-identical to the full scan over all offsets, NaN rows included (all
-    NaN).  Per tile of x, G[j, y] hi_j and G[j, y] lo_j bound every product
-    of y over the tile (hi / lo: the largest / smallest w_j on the offsets
-    from y to the tile; rounding is monotone), so only the y whose upper
-    bound reaches the tile's largest lower bound and is positive are
-    evaluated, as the same products w g the scan takes (out starts at +0
-    and no product is negative, so an all-zero row keeps nothing).  1-D
-    prunes 2^14 // N rows at once: their bounds are contiguous slices of hi
-    and lo stored reversed and unrolled, and the kept products are gathered
-    as windows of w_j, a bounded chunk at a time, and reduced per row.  It has no ordered stop: at N <= 1024 a
-    row's kept y fit in one round of 1024, so a stop checked between rounds
-    would never fire.  2-D goes row by row in descending upper bound and
-    stops once it falls below the tile's smallest running maximum; that stop
-    saves most products in 2-D, where batched rows measured 2-5x slower.
+    NaN): out starts at +0, no product is negative, and every product kept
+    is the same w g the scan takes.  Rounding is monotone, so G[j, y] hi_j
+    and G[j, y] lo_j bound every product of y over a tile of x (hi / lo:
+    the largest / smallest w_j on the offsets from y to the tile), and a y
+    whose upper bound is below the tile's lower bound, or is 0, is skipped.
+
+    1-D works on groups of 2^14 // N rows.  Its near field, every offset
+    of index distance at most R = T (the tile edge, capped at N/2), is taken
+    densely, one shifted slice per distance k on both sides at once:
+    w_j[k] = w_j[N - k] bit for bit, and w max(u, v) = max(w u, w v).  Its
+    far field is pruned per (row, tile) with hi over the far offsets only,
+    first per block of T points y (the block's largest G times the largest
+    far w over the 2T - 1 block-to-tile offsets), then per point of the
+    kept blocks.  The tile's lower bound is the largest of its smallest
+    near value, each block's largest G times the block's smallest w, and
+    G lo over the points of the kept blocks, so far peaks that dominate a
+    row still prune its tails.  Kept points are gathered as windows of w_j,
+    a bounded chunk at a time, and reduced per (row, tile).
+
+    2-D goes row by row and tile by tile over all offsets, in descending
+    upper bound, and stops once it falls below the tile's smallest running
+    maximum; that stop saves most products in 2-D, where batched rows
+    measured 2-5x slower and a dense near field no faster.
     """
     t, d, N, n = np.asarray(t, dtype=float), spec.offset_distance(), spec.N, spec.n
-    T, out, rev = min(_TILE[n], N), np.zeros_like(G), -np.arange(2 * N) % N
+    T, out = min(_TILE[n], N), np.zeros(G.shape)
     rows = max(1, _GROUP // N) if n == 1 else 1
     for r0 in range(0, len(G), rows):
         g, o = G[r0:r0 + rows], out[r0:r0 + rows]
         w = (1.0 + d / t[r0:r0 + rows].reshape((-1,) + (1,) * n)) ** (-a)
-        # hi / lo: max / min of w over the T^n periodic offsets from each
-        # index onward, by doubling the window along each axis
-        hi = lo = wp = np.pad(w, [(0, 0)] + [(0, T - 1)] * n, "wrap")
-        for axis in range(1, n + 1):
-            for s in (1 << j for j in range(T.bit_length() - 1)):
-                head = (slice(None),) * axis + (slice(-s),)
-                tail = (slice(None),) * axis + (slice(s, None),)
-                hi, lo = np.maximum(hi[head], hi[tail]), np.minimum(lo[head], lo[tail])
         if n == 1:
-            hi, lo, win = hi[:, rev], lo[:, rev], sliding_window_view(wp, T, axis=1)
-            for c in range(0, N, T):
-                ub = g * hi[:, N - c:2 * N - c]
-                lb = (g * lo[:, N - c:2 * N - c]).max(axis=1, keepdims=True)
-                keep = np.flatnonzero((ub >= lb) & (ub > 0))
-                for s in range(0, keep.size, _CHUNK // T):
-                    ks = keep[s:s + _CHUNK // T]
-                    rs, ys = np.divmod(ks, N)
-                    cand = win[rs, (c - ys) % N]
-                    cand *= g.ravel()[ks, None]
-                    starts = np.flatnonzero(np.diff(rs, prepend=-1))
-                    at = (rs[starts], slice(c, c + T))
-                    o[at] = np.maximum(o[at], np.maximum.reduceat(cand, starts))
+            _sup_1d(g, w, T, o)
             continue
+        hi, lo = _window_extrema(w, w, T)
         g, o = g[0], o[0]
         circ, circ_hi, circ_lo = _circulant(w[0]), _circulant(hi[0]), _circulant(lo[0])
         gflat, chunk = g.ravel(), max(1, (1 << 16) // T**n)

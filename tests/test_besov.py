@@ -145,7 +145,7 @@ def test_modulation_scaling_continuous():
 def test_dilation_covariance():
     """Mass-preserving doubling shifts the active block by one and scales
     the norm by 2^(s + n(1 - 1/p)); checked against the direct block
-    formula and the full evaluator."""
+    formula and all four evaluators at constant exponents."""
     spec = GridSpec(1, 1024, 16.0)
     dyad = build_dyadic(spec, 5)
     rr = spec.xi_radius()
@@ -179,6 +179,18 @@ def test_dilation_covariance():
     g = inverse_fourier(GridFunction(spec, gh))
     log2_full = math.log2(besov_discrete(g, P) / besov_discrete(f, P))
     assert abs(log2_full - expect) <= 0.05
+
+    # the scale-continuous evaluators; local means span 8 octaves: their
+    # Tauberian band is not compactly supported, and a cut at t = 2^-5
+    # loses part of g's response (exponent 1.33 measured there)
+    scales = ScaleGrid(8, 5)
+    pair = build_continuous_pair(spec, scales)
+    for evaluator, kernels, sc in ((besov_continuous, pair, scales),
+                                   (besov_peetre, pair, scales),
+                                   (besov_local_means, build_local_means(1, 1.0, spec), ScaleGrid(8, 8))):
+        P = BesovParams(const(spec, s_val), const(spec, pv), const(spec, pv), 1.5, sc, kernels)
+        log2_full = math.log2(evaluator(g, P) / evaluator(f, P))
+        assert abs(log2_full - expect) <= 0.05, evaluator.__name__
 
 
 # --- q = inf branch ---------------------------------------------------------------
@@ -326,6 +338,38 @@ def test_weighted_sup_bit_identical_to_reference(n, N, monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(besov, "_CHUNK", 64 * min(besov._TILE[1], N))
                 assert np.array_equal(besov._weighted_sup(G, t, a, spec), ref, equal_nan=True)
+
+
+def _far_peak(spec, rng):
+    """A narrow bump at a random centre whose tails fall to about 1e-50 of
+    its peak across the torus, as in the local-means Gaussian stacks: far
+    peaks dominate most of the row."""
+    x, L = spec.axis(), spec.L
+    dist = np.abs((x - rng.uniform(-L, L) + L) % (2.0 * L) - L)
+    return rng.uniform(0.5, 2.0) * np.exp(-115.0 * (dist / L) ** 2)
+
+
+@pytest.mark.parametrize("N", [64, 128, 1024])
+def test_weighted_sup_near_far_split_bit_identical(N, monkeypatch):
+    """The 1-D near/far split: at N = 64 the near field covers every
+    offset, at N = 128 the far field spans four tiles.  Each stack mixes far
+    peaks, two-peak rows and the SUP_INPUTS kinds; it is also checked with
+    one kept point per gather, so that the far points of one (row, tile)
+    straddle gathers.  Exact equality with the brute force."""
+    rng = np.random.default_rng(N)
+    spec = GridSpec(1, N, 8.0)
+    for trial in range(3):
+        a = math.exp(rng.uniform(math.log(0.2), math.log(40.0)))
+        t = 2.0 ** rng.uniform(-5.0, 1.0, 14)
+        rows = [_far_peak(spec, rng) for _ in range(4)]
+        rows += [np.maximum(_far_peak(spec, rng), 1e-20 * _far_peak(spec, rng)) for _ in range(2)]
+        rows += [_random_sup_input(rng, spec.shape, kind) for kind in SUP_INPUTS]
+        G = np.stack(rows)
+        ref = _reference_sup(G, t, a, spec)
+        assert np.array_equal(besov._weighted_sup(G, t, a, spec), ref, equal_nan=True)
+        with monkeypatch.context() as m:
+            m.setattr(besov, "_CHUNK", besov._TILE[1])
+            assert np.array_equal(besov._weighted_sup(G, t, a, spec), ref, equal_nan=True)
 
 
 def test_peetre_maximal_matches_reference(spec, pair, corpus_fns, monkeypatch):
