@@ -27,8 +27,9 @@ largest row norm (one row-batched Luxemburg solve,
 `modular_norms.luxemburg_rows`).  The Peetre supremum over the torus is
 taken over grid points, exactly, and bit-identical to the brute-force
 scan: in 1-D the offsets within one tile edge densely and the far ones
-through a pruning bound, in 2-D every offset through a pruning bound.  No
-window truncates the far points and no flag selects a slower exact sweep.
+through a per-block, then per-point bound, in 2-D every offset through a
+per-point bound.  No window truncates the far points and no flag selects a
+slower exact sweep.
 """
 
 from __future__ import annotations
@@ -124,8 +125,20 @@ def _aggregate(G: np.ndarray, P: BesovParams, continuous: bool) -> float:
     return mixed_norm_discrete(G, P.p, P.q)
 
 
-def _low_plus_bands(M: np.ndarray, P: BesovParams) -> float:
-    """L^p(.) norm of the low-pass row M[0] plus the aggregate of the bands M[1:]."""
+def _scale_norm(f: GridFunction, P: BesovParams, low: RadialProfile,
+                band: RadialProfile, maximal: bool) -> float:
+    """L^p(.) norm of the low-pass row plus the mixed norm of the band rows
+    of the family over t = (1, *P.scales.t), each row replaced by its Peetre
+    supremum if maximal (which needs a > n/p-)."""
+    if maximal and not P.a > f.spec.n / P.p.range_min:
+        raise HypothesisError(
+            f"Peetre exponent a = {P.a} must exceed n/p- = "
+            f"{f.spec.n / P.p.range_min:.4f}"
+        )
+    t = (1.0, *P.scales.t)
+    M = _family(f, multiplier_bank(low, band, f.spec, t), t, P.alpha)
+    if maximal:
+        M = _weighted_sup(M, t, P.a, f.spec)
     return luxemburg_norm(GridFunction(P.p.spec, M[0]), P.p) + _aggregate(M[1:], P, True)
 
 
@@ -133,9 +146,7 @@ def besov_continuous(f: GridFunction, P: BesovParams) -> float:
     """||Phi * f||_p(.) plus the mixed norm of (t^(-alpha(.)) phi_t * f)_t."""
     pair = _setup(f, P, KernelPair, "besov_continuous")
     P.scales.require_resolvable(f.spec)
-    t = (1.0, *P.scales.t)
-    bank = multiplier_bank(pair.phi0_hat, pair.phi_hat, f.spec, t)
-    return _low_plus_bands(_family(f, bank, t, P.alpha), P)
+    return _scale_norm(f, P, pair.phi0_hat, pair.phi_hat, False)
 
 
 def besov_discrete(f: GridFunction, P: BesovParams) -> float:
@@ -167,7 +178,7 @@ def peetre_maximal(f: GridFunction, t: float, a: float, alpha: ExponentField,
 
 _TILE = {1: 32, 2: 16}  # tile edge of the x grid, per dimension
 _GROUP = 1 << 14  # w entries per 1-D row group: 2^14 // N rows
-_CHUNK = 1 << 15  # products per 1-D gather
+_CHUNK = 1 << 15  # products per gather
 
 
 def _window_extrema(hi: np.ndarray, lo: np.ndarray, T: int):
@@ -207,11 +218,8 @@ def _sup_1d(g: np.ndarray, w: np.ndarray, T: int, o: np.ndarray) -> None:
     lb = (top * lo.min(axis=2)[:, ji]).max(axis=2)
     lb = np.maximum(o.reshape(rows, nt, T).min(axis=2), lb).ravel()
     rk, ik, jk = np.nonzero((ub >= lb.reshape(rows, nt, 1)) & (ub > 0))
-    # the points of the kept blocks: refine lb, then keep on the same test
+    # the points of the kept blocks, kept on the same test
     b, gy, cell = (jk - ik) % nt, gb[rk, jk], rk * nt + ik
-    starts = np.flatnonzero(np.diff(cell, prepend=-1))
-    ids = cell[starts]
-    lb[ids] = np.maximum(lb[ids], np.maximum.reduceat((gy * lo[rk, b]).max(axis=1), starts))
     ub = gy * hif[rk, b]
     keep = np.flatnonzero((ub >= lb[cell, None]) & (ub > 0))
     win = sliding_window_view(np.pad(w, [(0, 0), (0, T - 1)], "wrap"), T, axis=1)
@@ -236,6 +244,8 @@ def _weighted_sup(G: np.ndarray, t, a: float, spec: GridSpec) -> np.ndarray:
     and G[j, y] lo_j bound every product of y over a tile of x (hi / lo:
     the largest / smallest w_j on the offsets from y to the tile), and a y
     whose upper bound is below the tile's lower bound, or is 0, is skipped.
+    The kept points are gathered as windows of w_j, _CHUNK products at a
+    time, and max-reduced per tile.
 
     1-D works on groups of 2^14 // N rows.  Its near field, every offset
     of index distance at most R = T (the tile edge, capped at N/2), is taken
@@ -244,16 +254,14 @@ def _weighted_sup(G: np.ndarray, t, a: float, spec: GridSpec) -> np.ndarray:
     far field is pruned per (row, tile) with hi over the far offsets only,
     first per block of T points y (the block's largest G times the largest
     far w over the 2T - 1 block-to-tile offsets), then per point of the
-    kept blocks.  The tile's lower bound is the largest of its smallest
-    near value, each block's largest G times the block's smallest w, and
-    G lo over the points of the kept blocks, so far peaks that dominate a
-    row still prune its tails.  Kept points are gathered as windows of w_j,
-    a bounded chunk at a time, and reduced per (row, tile).
+    kept blocks.  The tile's lower bound is the larger of its smallest near
+    value and the largest block term, a block's largest G times its
+    smallest w, so far peaks that dominate a row still prune its tails.
 
-    2-D goes row by row and tile by tile over all offsets, in descending
-    upper bound, and stops once it falls below the tile's smallest running
-    maximum; that stop saves most products in 2-D, where batched rows
-    measured 2-5x slower and a dense near field no faster.
+    2-D goes row by row and tile by tile over all offsets; the tile's lower
+    bound is the largest G lo over all y.  That one test keeps about 1/6 of
+    the products on the benchmark's 2-D stacks; batched rows measured 2-5x
+    slower, a dense near field no faster.
     """
     t, d, N, n = np.asarray(t, dtype=float), spec.offset_distance(), spec.N, spec.n
     T, out = min(_TILE[n], N), np.zeros(G.shape)
@@ -267,16 +275,13 @@ def _weighted_sup(G: np.ndarray, t, a: float, spec: GridSpec) -> np.ndarray:
         hi, lo = _window_extrema(w, w, T)
         g, o = g[0], o[0]
         circ, circ_hi, circ_lo = _circulant(w[0]), _circulant(hi[0]), _circulant(lo[0])
-        gflat, chunk = g.ravel(), max(1, (1 << 16) // T**n)
+        gflat, chunk = g.ravel(), _CHUNK // T**n
         for corner in itertools.product(range(0, N, T), repeat=n):
             tile = tuple(slice(c, c + T) for c in corner)
             at = (Ellipsis,) + corner
             ub = (g * circ_hi[at]).ravel()
             keep = np.flatnonzero((ub >= (g * circ_lo[at]).max()) & (ub > 0))
-            keep = keep[np.argsort(-ub[keep], kind="stable")]
             for start in range(0, keep.size, chunk):
-                if ub[keep[start]] < o[tile].min():
-                    break
                 ks = keep[start:start + chunk]
                 cand = circ[np.unravel_index(ks, g.shape) + tile]
                 cand *= gflat[ks].reshape((-1,) + (1,) * n)
@@ -285,23 +290,11 @@ def _weighted_sup(G: np.ndarray, t, a: float, spec: GridSpec) -> np.ndarray:
     return out
 
 
-def _maximal_norm(f: GridFunction, P: BesovParams, low_profile: RadialProfile,
-                  band_profile: RadialProfile) -> float:
-    if not P.a > f.spec.n / P.p.range_min:
-        raise HypothesisError(
-            f"Peetre exponent a = {P.a} must exceed n/p- = "
-            f"{f.spec.n / P.p.range_min:.4f}"
-        )
-    t = (1.0, *P.scales.t)
-    bank = multiplier_bank(low_profile, band_profile, f.spec, t)
-    return _low_plus_bands(_weighted_sup(_family(f, bank, t, P.alpha), t, P.a, f.spec), P)
-
-
 def besov_peetre(f: GridFunction, P: BesovParams) -> float:
     """Maximal-function form of the continuous norm; dominates it pointwise."""
     pair = _setup(f, P, KernelPair, "besov_peetre")
     P.scales.require_resolvable(f.spec)
-    return _maximal_norm(f, P, pair.phi0_hat, pair.phi_hat)
+    return _scale_norm(f, P, pair.phi0_hat, pair.phi_hat, True)
 
 
 def besov_local_means(f: GridFunction, P: BesovParams) -> float:
@@ -313,4 +306,4 @@ def besov_local_means(f: GridFunction, P: BesovParams) -> float:
             f"local means need alpha+ < S+1; got alpha+ = {P.alpha.range_max} "
             f"with S = {kern.S}"
         )
-    return _maximal_norm(f, P, kern.k0_hat, kern.k_hat)
+    return _scale_norm(f, P, kern.k0_hat, kern.k_hat, True)

@@ -365,10 +365,7 @@ def build_local_means(S: int, eps: float, spec: GridSpec) -> LocalMeansKernels:
     def k_fn(r, _S=S, _e=eps):
         r = np.asarray(r, dtype=float) / _e
         with np.errstate(invalid="ignore"):
-            out = r ** (_S + 1) * np.exp(1.0 - r * r)
-        if _S + 1 == 0:
-            out = np.where(np.asarray(r) == 0, np.exp(1.0), out)
-        return out
+            return r ** (_S + 1) * np.exp(1.0 - r * r)
 
     def k0_fn(r, _e=eps):
         r = np.asarray(r, dtype=float) / (2.0 * _e)

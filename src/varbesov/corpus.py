@@ -147,7 +147,6 @@ EXPONENT_PRESETS = {
     "sine-alpha": dict(kind="sine", base=0.5, amplitude=0.2, frequency=1.0),
     "sine-p": dict(kind="sine", base=2.0, amplitude=0.5, frequency=1.0),
     "sine-q": dict(kind="sine", base=2.0, amplitude=0.3, frequency=2.0),
-    "bump-alpha": dict(kind="bump", base=0.5, amplitude=0.4, width=0.25),
 }
 
 # alpha, p, q presets for the equivalence sweeps

@@ -49,6 +49,17 @@ NORM_EXPERIMENTS = (
     "local-means-vs-discrete",
 )
 
+# Default spread threshold per norm experiment, and the allowed drift of a
+# lemma constant under N -> 2N; a config that sets only some keeps these
+# for the rest.
+_THRESHOLDS = {
+    "independence": 20.0,
+    "discrete-vs-continuous": 20.0,
+    "peetre-vs-continuous": 30.0,
+    "local-means-vs-discrete": 30.0,
+    "lemma": 1.05,
+}
+
 
 def _csv(text: str) -> tuple:
     return tuple(x.strip() for x in text.split(","))
@@ -90,13 +101,7 @@ class HarnessConfig:
     out: str = "reports"
     corpus_names: tuple = None  # None -> default corpus
     triples: tuple = ("constant", "sine-alpha", "sine-p")
-    thresholds: dict = field(default_factory=lambda: {
-        "independence": 20.0,
-        "discrete-vs-continuous": 20.0,
-        "peetre-vs-continuous": 30.0,
-        "local-means-vs-discrete": 30.0,
-        "lemma": 1.05,
-    })
+    thresholds: dict = field(default_factory=lambda: dict(_THRESHOLDS))
     a_offset: float = 1.0     # Peetre exponent a = n/p- + a_offset
     S: int = 3                # local means moment order
     eps: float = 1.0          # local means Tauberian radius
@@ -115,9 +120,8 @@ class HarnessConfig:
         return ScaleGrid(self.K, self.J)
 
     def threshold_for(self, experiment: str) -> float:
-        if experiment.startswith("lemma:"):
-            return float(self.thresholds.get("lemma", 1.05))
-        return float(self.thresholds.get(experiment, 50.0))
+        key = "lemma" if experiment.startswith("lemma:") else experiment
+        return float(self.thresholds.get(key, _THRESHOLDS[key]))
 
     @classmethod
     def from_ini(cls, path) -> "HarnessConfig":

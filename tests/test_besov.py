@@ -321,9 +321,9 @@ def test_weighted_sup_bit_identical_to_reference(n, N, monkeypatch):
     row at its own t in [2^-5, 2] with one row at t = 1 and one at the grid
     spacing h; a in [0.2, 40].  Exact equality, with NaN where the
     reference has NaN.  At N = 2048 a 1-D stack spans two row groups and a
-    tile takes several gathers; in 1-D the stack is also checked with
-    gathers of 64 kept points, so that a row's kept points straddle
-    gathers."""
+    tile takes several gathers.  Each stack is also checked with smaller
+    gathers, 64 kept points in 1-D and one in 2-D, so that the kept points
+    of a row (1-D) or a tile (2-D) straddle gathers."""
     rng = np.random.default_rng(7919 * n + N)
     spec = GridSpec(n, N, float(rng.choice([1.0, 8.0, 16.0])))
     for trial in range(4):
@@ -334,10 +334,9 @@ def test_weighted_sup_bit_identical_to_reference(n, N, monkeypatch):
                       for j in range(9)])
         ref = _reference_sup(G, t, a, spec)
         assert np.array_equal(besov._weighted_sup(G, t, a, spec), ref, equal_nan=True)
-        if n == 1:
-            with monkeypatch.context() as m:
-                m.setattr(besov, "_CHUNK", 64 * min(besov._TILE[1], N))
-                assert np.array_equal(besov._weighted_sup(G, t, a, spec), ref, equal_nan=True)
+        with monkeypatch.context() as m:
+            m.setattr(besov, "_CHUNK", 64 * min(besov._TILE[1], N) if n == 1 else besov._TILE[n] ** n)
+            assert np.array_equal(besov._weighted_sup(G, t, a, spec), ref, equal_nan=True)
 
 
 def _far_peak(spec, rng):

@@ -330,6 +330,20 @@ def test_config_from_ini(tmp_path):
     assert cfg.lemma_J == 2 and cfg.thresholds["lemma"] == 1.04
 
 
+def test_partial_thresholds_keep_the_other_defaults():
+    """A thresholds dict that names some experiments leaves every other
+    experiment at its documented default (20, and 30 for the two
+    maximal-function experiments), not at a looser fallback."""
+    cfg = HarnessConfig(thresholds={"lemma": 2.0})
+    assert {name: cfg.threshold_for(name) for name in EXPERIMENTS[:4]} == {
+        "independence": 20.0, "peetre-vs-continuous": 30.0,
+        "discrete-vs-continuous": 20.0, "local-means-vs-discrete": 30.0}
+    assert cfg.threshold_for(EXPERIMENTS[-1]) == 2.0
+    cfg = HarnessConfig(thresholds={"independence": 15.0})
+    assert cfg.threshold_for("independence") == 15.0
+    assert cfg.threshold_for(EXPERIMENTS[-1]) == 1.05
+
+
 def test_readme_config_sample_loads_as_defaults(tmp_path):
     """The README's INI sample, comments and all, documents the defaults."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
