@@ -66,6 +66,12 @@ class RadialProfile:
         return self._fn(np.asarray(r, dtype=float))
 
 
+def _log2(r):
+    """log2 r, with -inf for r <= 0."""
+    with np.errstate(divide="ignore"):
+        return np.log2(np.maximum(r, 0.0))
+
+
 def _mollifier(z):
     """exp(1 - 1/(1-z^2)) on |z| < 1, identically 0 outside; peak value 1."""
     z = np.asarray(z, dtype=float)
@@ -99,36 +105,21 @@ def annulus_bump(kind: str = "mollifier", **params) -> RadialProfile:
                    construction of the reproducing pair
     """
     if kind == "mollifier":
-        def fn(r):
-            with np.errstate(divide="ignore"):
-                s = np.where(r > 0, np.log2(np.where(r > 0, r, 1.0)), -np.inf)
-            return _mollifier(s)
-        return RadialProfile(fn, "mollifier")
+        return RadialProfile(lambda r: _mollifier(_log2(r)), "mollifier")
     if kind == "gauss":
         w = params.get("width", 0.12)
         c = params.get("center", 0.0)
         if abs(c) + 4 * w > 0.99:
             raise ValueError("gauss bump parameters leak outside the annulus")
         def fn(r):
-            out = np.zeros_like(np.asarray(r, dtype=float))
-            pos = r > 0
-            s = np.log2(r[pos])
-            v = np.exp(-((s - c) ** 2) / (2.0 * w * w))
-            v[np.abs(s) >= 1.0] = 0.0
-            out[pos] = v
-            return out
+            s = _log2(r)
+            return np.where(np.abs(s) < 1.0, np.exp(-((s - c) ** 2) / (2.0 * w * w)), 0.0)
         return RadialProfile(fn, f"gauss(w={w},c={c})")
     if kind == "mu-eta":
         s_lo, s_hi = math.log2(0.55), math.log2(1.9)
         def fn(r):
-            r = np.asarray(r, dtype=float)
             ring = np.exp(-(((r - 1.1) / 0.45) ** 2))
-            out = np.zeros_like(r)
-            pos = r > 0
-            s = np.log2(r[pos])
-            z = (2.0 * s - (s_lo + s_hi)) / (s_hi - s_lo)
-            out[pos] = ring[pos] * _mollifier(z)
-            return out
+            return ring * _mollifier((2.0 * _log2(r) - (s_lo + s_hi)) / (s_hi - s_lo))
         return RadialProfile(fn, "mu-eta")
     raise ValueError(f"unknown bump kind {kind!r}")
 
@@ -200,10 +191,8 @@ def _normalised_bump_pair(profile: str, construction_K: int, params: tuple) -> K
     phi0_tab.setflags(write=False)
 
     def phi0_fn(r):
-        r = np.asarray(r, dtype=float)
-        out = np.ones_like(r)
-        with np.errstate(divide="ignore"):
-            s = np.where(r > 0, np.log2(np.where(r > 0, r, 1.0)), -np.inf)
+        s = _log2(r)
+        out = np.ones_like(s)
         mid = (s > -1.0) & (s < 1.0)
         out[mid] = np.interp(s[mid], s_tab, phi0_tab)
         out[s >= 1.0] = 0.0

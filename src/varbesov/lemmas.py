@@ -122,16 +122,6 @@ def check_dzw(f: GridFunction, p: ExponentField, q: ExponentField) -> bool:
 # --- Hardy-type inequality on scale families ------------------------------------
 
 
-def _subrange_weights(T: int, lo: int, hi: int, delta: float) -> np.ndarray:
-    """Trapezoid dt/t weights for the node subrange lo..hi (inclusive)."""
-    w = np.zeros(T)
-    if hi <= lo:
-        return w
-    w[lo:hi + 1] = delta
-    w[lo] = w[hi] = 0.5 * delta
-    return w
-
-
 def check_hardy(eps: np.ndarray, s_exp: float, scales: ScaleGrid) -> float:
     """Ratio (integral of the two tail transforms) / (integral of eps).
 
@@ -150,15 +140,8 @@ def check_hardy(eps: np.ndarray, s_exp: float, scales: ScaleGrid) -> float:
     total = float(np.dot(w, eps))
     if total == 0.0:
         return 0.0
-    T = len(t)
-    delta = math.log(2.0) / scales.K
-    eta = np.zeros(T)
-    dlt = np.zeros(T)
-    for i in range(T):
-        wi = _subrange_weights(T, 0, i, delta)      # tau in [t_i, 1]
-        eta[i] = t[i] ** s_exp * float(np.dot(wi, t ** (-s_exp) * eps))
-        wj = _subrange_weights(T, i, T - 1, delta)  # tau in [t_min, t_i]
-        dlt[i] = t[i] ** (-s_exp) * float(np.dot(wj, t ** s_exp * eps))
+    eta = t ** s_exp * (_band_weights((1.0, math.inf), scales) @ (t ** (-s_exp) * eps))
+    dlt = t ** (-s_exp) * (_band_weights((0.0, 1.0), scales) @ (t ** s_exp * eps))
     return float((np.dot(w, eta) + np.dot(w, dlt)) / total)
 
 
@@ -213,15 +196,13 @@ def check_eta_conv_continuous(F: np.ndarray, p: ExponentField, q: ExponentField,
 def _band_weights(band: tuple, s: ScaleGrid) -> np.ndarray:
     """(T, T) matrix whose row i holds the trapezoid dt/t weights over
     tau in [band[0] * t_i, band[1] * t_i] on the scale grid (clipped to its
-    range; a row that meets fewer than two nodes is zero)."""
-    lo, hi = band
-    t = s.t
-    delta = math.log(2.0) / s.K
-    W = np.zeros((len(t), len(t)))
-    for i, ti in enumerate(t):
-        sel = np.nonzero((t >= lo * ti) & (t <= hi * ti))[0]
-        if len(sel):
-            W[i] = _subrange_weights(len(t), sel.min(), sel.max(), delta)
+    range; a row that meets fewer than two nodes is zero).  t is monotone,
+    so the nodes of a row are contiguous: each weighs delta = ln 2 / K and
+    the two at its ends delta / 2."""
+    t, delta = s.t, math.log(2.0) / s.K
+    node = np.pad((t >= band[0] * t[:, None]) & (t <= band[1] * t[:, None]), [(0, 0), (1, 1)])
+    W = np.where(node[:, :-2] & node[:, 2:], delta, 0.5 * delta) * node[:, 1:-1]
+    W[node.sum(axis=1) < 2] = 0.0
     return W
 
 

@@ -18,8 +18,8 @@ from varbesov.grid import (
 )
 from varbesov.lemmas import (
     _REPRODUCING_THETA,
+    _band_weights,
     _ratio_max,
-    _subrange_weights,
     averaged_family,
     check_averaged,
     check_dzw,
@@ -32,6 +32,18 @@ from varbesov.lemmas import (
     check_transfer,
 )
 from varbesov.modular_norms import mixed_norm_continuous, mixed_norm_discrete, power_quotient_norm
+
+
+def _subrange_weights(T, lo, hi, delta):
+    """Trapezoid dt/t weights for the node subrange lo..hi (inclusive): the
+    per-row reference for `lemmas._band_weights`."""
+    w = np.zeros(T)
+    if hi <= lo:
+        return w
+    w[lo:hi + 1] = delta
+    w[lo] = w[hi] = 0.5 * delta
+    return w
+
 
 # lemma sweeps need the grid fine relative to the smallest scale so the
 # kernel quadrature converges; h = 1/64, t_min = 1/8
@@ -220,6 +232,45 @@ def test_hardy_concentrated_at_one_scale():
 def test_hardy_refinement_stable():
     vals = [check_hardy(ScaleGrid(K, 16).t ** 1.0, 1.0, ScaleGrid(K, 16)) for K in (8, 16)]
     assert abs(vals[1] - vals[0]) / vals[0] < 0.02
+
+
+def _reference_hardy(eps, s_exp, scales):
+    """Per-node brute force: each tail transform at t_i from its own
+    trapezoid weights over tau in [t_i, 1] and [t_min, t_i].  Reference
+    for `check_hardy`."""
+    eps = np.asarray(eps, dtype=float)
+    t = scales.t
+    w = scales.weights
+    total = float(np.dot(w, eps))
+    if total == 0.0:
+        return 0.0
+    T = len(t)
+    delta = math.log(2.0) / scales.K
+    eta = np.zeros(T)
+    dlt = np.zeros(T)
+    for i in range(T):
+        wi = _subrange_weights(T, 0, i, delta)
+        eta[i] = t[i] ** s_exp * float(np.dot(wi, t ** (-s_exp) * eps))
+        wj = _subrange_weights(T, i, T - 1, delta)
+        dlt[i] = t[i] ** (-s_exp) * float(np.dot(wj, t ** s_exp * eps))
+    return float((np.dot(w, eta) + np.dot(w, dlt)) / total)
+
+
+@pytest.mark.parametrize("s_exp", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("J", [3, 12, 20])
+@pytest.mark.parametrize("K", [4, 8, 16])
+def test_hardy_matches_reference(K, J, s_exp):
+    """The band-weight matrices sum each row in another order than the
+    per-node dot products: at most 2.6e-16 relative apart over this grid,
+    and bit-identical on the harness sweep (K = 4, J = 12, s = 2 and 0.5,
+    eps = t)."""
+    sH = ScaleGrid(K, J)
+    rng = np.random.default_rng(K * 100 + J)
+    for eps in (sH.t, rng.random(len(sH))):
+        assert check_hardy(eps, s_exp, sH) == pytest.approx(
+            _reference_hardy(eps, s_exp, sH), rel=1e-14, abs=0.0)
+    if (K, J) == (4, 12) and s_exp != 1.0:
+        assert check_hardy(sH.t, s_exp, sH) == _reference_hardy(sH.t, s_exp, sH)
 
 
 # --- r-trick --------------------------------------------------------------------
@@ -411,6 +462,27 @@ def _reference_averaged_family(ft, m, band, s):
             acc = acc + w[j] * conv[j].values
         out.append(GridFunction(ft[0].spec, acc))
     return out
+
+
+def _reference_band_weights(band, s):
+    t = s.t
+    delta = math.log(2.0) / s.K
+    W = np.zeros((len(t), len(t)))
+    for i, ti in enumerate(t):
+        sel = np.nonzero((t >= band[0] * ti) & (t <= band[1] * ti))[0]
+        if len(sel):
+            W[i] = _subrange_weights(len(t), sel.min(), sel.max(), delta)
+    return W
+
+
+@pytest.mark.parametrize("K,J", [(1, 1), (3, 5), (4, 12), (8, 20), (64, 2)])
+def test_band_weights_equal_per_row_reference(K, J):
+    """Bit-identical, also for bands that clip at either end of the grid or
+    meet one node (a zero row) or none."""
+    s = ScaleGrid(K, J)
+    for band in ((1.0, math.inf), (0.0, 1.0), (0.25, 4.0), (0.5, 2.0), (2.0, 8.0),
+                 (0.01, 0.5), (1.0, 1.0), (0.999, 1.001)):
+        assert np.array_equal(_band_weights(band, s), _reference_band_weights(band, s))
 
 
 def _reference_check_averaged(ft, p, q, m, band, s):
