@@ -7,7 +7,7 @@
     varbesov corpus list [--config file] [--grid N,L] [--seed S]
 
 `run` writes report.json and report.csv into --out; `run all` runs every
-experiment, each into <out>/<name with ':' -> '_'>.
+experiment, each into <out>/<name with ':' -> '_'>, evaluating each norm once.
 
 Exit codes: 0 run passed (with `all`: every run passed), 1 spread over
 threshold or a failed check, 2 hypothesis or configuration error.
@@ -19,10 +19,12 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .calderon import (build_continuous_pair, build_dyadic, build_local_means,
                        export_radial_table, max_dyadic_level)
 from .corpus import boundary_mass, build_corpus
-from .harness import ConfigError, EXPERIMENTS, HarnessConfig, emit_report, run_experiment
+from .harness import ConfigError, EXPERIMENTS, HarnessConfig, emit_report, run_experiments
 
 
 _FLAGS = {
@@ -64,8 +66,7 @@ def _config_from_args(args) -> HarnessConfig:
     return cfg
 
 
-def _run_one(name: str, cfg: HarnessConfig, out: str) -> bool:
-    report = run_experiment(name, cfg)
+def _emit(report, out: str) -> bool:
     written = emit_report(report, out)
     n_ok = sum(1 for e in report.entries if not e.vacuous)
     print(f"experiment: {report.experiment}")
@@ -81,17 +82,18 @@ def _run_one(name: str, cfg: HarnessConfig, out: str) -> bool:
 
 def cmd_run(args) -> int:
     cfg = _config_from_args(args)
-    if args.experiment == "all":
-        if args.threshold is not None:
-            raise ConfigError("--threshold sets one experiment's threshold; "
-                              "it cannot be combined with 'all'")
-        passed = [_run_one(name, cfg, os.path.join(cfg.out, name.replace(":", "_")))
-                  for name in EXPERIMENTS]
-        return 0 if all(passed) else 1
+    every = args.experiment == "all"
+    if every and args.threshold is not None:
+        raise ConfigError("--threshold sets one experiment's threshold; "
+                          "it cannot be combined with 'all'")
     if args.threshold is not None:
         key = "lemma" if args.experiment.startswith("lemma:") else args.experiment
         cfg.thresholds[key] = args.threshold
-    return 0 if _run_one(args.experiment, cfg, cfg.out) else 1
+    passed = []  # each report is written as it comes, so an error keeps the earlier ones
+    for report in run_experiments(EXPERIMENTS if every else (args.experiment,), cfg):
+        out = os.path.join(cfg.out, report.experiment.replace(":", "_")) if every else cfg.out
+        passed.append(_emit(report, out))
+    return 0 if all(passed) else 1
 
 
 def cmd_kernels_export(args) -> int:
@@ -116,11 +118,8 @@ def cmd_kernels_export(args) -> int:
 
 
 def cmd_corpus_list(args) -> int:
-    import numpy as np
-
     cfg = _config_from_args(args)
-    spec = cfg.spec()
-    corpus = build_corpus(spec, seed=cfg.seed, names=cfg.corpus_names)
+    corpus = build_corpus(cfg.spec(), seed=cfg.seed, names=cfg.corpus_names)
     print(f"{'entry':<16} {'max|f|':>10} {'boundary mass':>14}")
     for name, f in corpus:
         print(f"{name:<16} {np.abs(f.values).max():>10.4f} {boundary_mass(f):>14.3e}")

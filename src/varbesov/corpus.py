@@ -8,6 +8,8 @@ are reproducible from the seed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .calderon import _mollifier
@@ -70,6 +72,19 @@ def _random_band(spec: GridSpec, rng, band: float, envelope: float) -> np.ndarra
     return vals / peak if peak > 0 else vals
 
 
+def _parameter(name: str, prefix: str, kind) -> float:
+    """The finite number after `prefix` in a parametrised entry name; no
+    digit separators, which int and float would read ('1_0' as 10)."""
+    text = name[len(prefix):]
+    try:
+        value = kind(text)
+        if "_" not in text and math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"unknown corpus entry {name!r}")
+
+
 def make_entry(spec: GridSpec, name: str, seed: int = 0) -> GridFunction:
     x1, r2 = _radial2(spec)
     if name == "gaussian":
@@ -77,10 +92,10 @@ def make_entry(spec: GridSpec, name: str, seed: int = 0) -> GridFunction:
     if name == "gaussian_wide":
         return GridFunction(spec, np.exp(-r2 / 8.0))
     if name.startswith("dilated_"):
-        lam = float(name.split("_")[1])
+        lam = _parameter(name, "dilated_", float)
         return GridFunction(spec, np.exp(-(lam**2) * r2 / 2.0))
     if name.startswith("modulated_"):
-        k = float(name.split("_")[1])
+        k = _parameter(name, "modulated_", float)
         return GridFunction(spec, np.exp(1j * k * x1) * np.exp(-r2 / 2.0))
     if name == "bump":
         return GridFunction(spec, _mollifier(np.sqrt(r2) / (spec.L / 4.0)))
@@ -88,7 +103,7 @@ def make_entry(spec: GridSpec, name: str, seed: int = 0) -> GridFunction:
         shifted = np.sqrt((x1 - spec.L / 8.0) ** 2 + (r2 - x1 * x1))
         return GridFunction(spec, _mollifier(shifted / (spec.L / 8.0)))
     if name.startswith("random_band_"):
-        idx = int(name.split("_")[-1])
+        idx = _parameter(name, "random_band_", int)
         rng = np.random.default_rng(seed * 1000 + idx)
         return GridFunction(spec, _random_band(spec, rng, band=12.0, envelope=3.0))
     if name == "zero":

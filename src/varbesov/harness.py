@@ -1,11 +1,12 @@
 """Experiment orchestration: equivalence sweeps, lemma sweeps, reports.
 
-An experiment evaluates two quasi-norms on every corpus entry and reports
-the per-entry ratios together with the corpus-wide spread (max ratio over
-min ratio).  The inequalities behind the norms never quantify their
-constants, so thresholds are configuration data with deliberately loose
-defaults; a run passes when the spread stays under its threshold and all
-hypothesis checks hold.
+A norm experiment is the per-entry ratio of two columns of one table, a
+column being one evaluator on one kernel over every (triple, corpus entry),
+and reports the corpus-wide spread (max ratio over min ratio); each column
+is evaluated once per `run_experiments` call.  The inequalities behind the
+norms never quantify their constants, so thresholds are configuration data
+with deliberately loose defaults; a run passes when the spread stays under
+its threshold and all hypothesis checks hold.
 
 Reports serialise losslessly to JSON and CSV, with no timestamps, so
 identical config + seed reproduces byte-identical files.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import functools
 import io
 import json
 import math
@@ -35,19 +37,30 @@ from .exponent import ExponentField
 from .grid import GridFunction, GridSpec, ScaleGrid, dft
 
 __all__ = ["HarnessConfig", "ConfigError", "RatioReport", "EntryResult",
-           "run_experiment", "emit_report", "EXPERIMENTS"]
+           "run_experiment", "run_experiments", "emit_report", "EXPERIMENTS"]
 
 
 class ConfigError(ValueError):
     """Bad experiment name, empty corpus, or malformed configuration."""
 
 
-NORM_EXPERIMENTS = (
-    "independence",
-    "peetre-vs-continuous",
-    "discrete-vs-continuous",
-    "local-means-vs-discrete",
-)
+# column -> (evaluator, kernel), both by name and looked up at fill time, as a
+# tracer that rebinds the module's names needs; a pair kernel names its profile
+_COLUMNS = {
+    "continuous": ("besov_continuous", "profile_a"),
+    "continuous-b": ("besov_continuous", "profile_b"),
+    "peetre": ("besov_peetre", "profile_a"),
+    "discrete": ("besov_discrete", "dyadic"),
+    "local-means": ("besov_local_means", "local-means"),
+}
+
+# norm experiment -> (column a, column b); its entry ratios are a / b
+NORM_EXPERIMENTS = {
+    "independence": ("continuous", "continuous-b"),
+    "peetre-vs-continuous": ("peetre", "continuous"),
+    "discrete-vs-continuous": ("continuous", "discrete"),
+    "local-means-vs-discrete": ("local-means", "discrete"),
+}
 
 # Default spread threshold per norm experiment, and the allowed drift of a
 # lemma constant under N -> 2N; a config that sets only some keeps these
@@ -232,14 +245,7 @@ def emit_report(report: RatioReport, out_dir):
     return written
 
 
-# --- experiment drivers ----------------------------------------------------------
-
-
-def _corpus(cfg: HarnessConfig, spec: GridSpec) -> tuple:
-    names = cfg.corpus_names
-    if names is not None and len(names) == 0:
-        raise ConfigError("empty corpus")
-    return build_corpus(spec, seed=cfg.seed, names=names)
+# --- norm experiments ------------------------------------------------------------
 
 
 def _entry_map(cfg: HarnessConfig, corpus: tuple, fn):
@@ -257,64 +263,33 @@ def _ratio_entry(name, na, nb):
     return EntryResult(name, na, nb, na / nb if nb != 0 else math.inf)
 
 
-def _hypothesis_meta(triples_fields, extra=None):
-    meta = dict(extra or {})
-    for tname, (alpha, p, q) in triples_fields.items():
-        meta[f"clog_alpha[{tname}]"] = alpha.clog_local
-        meta[f"clog_1q[{tname}]"] = q.reciprocal().clog_local
-        meta[f"p_min[{tname}]"] = p.range_min
-    return meta
+def _kernels(kernel: str, cfg: HarnessConfig, spec: GridSpec, scales: ScaleGrid):
+    if kernel == "dyadic":
+        return build_dyadic(spec, max_dyadic_level(spec))
+    if kernel == "local-means":
+        return build_local_means(cfg.S, cfg.eps, spec)
+    return build_continuous_pair(spec, scales, profile=getattr(cfg, kernel))
 
 
-def _norm_experiment(name: str, cfg: HarnessConfig, spec: GridSpec,
-                     scales: ScaleGrid) -> RatioReport:
-    corpus = _corpus(cfg, spec)
-    triples = {t: make_triple(spec, t) for t in cfg.triples}
-    # built per call: a table of module-level function objects would keep
-    # the originals when the module's names are rebound (as a tracer does)
-    experiments = {
-        "independence": (besov_continuous, besov_continuous, lambda: (
-            build_continuous_pair(spec, scales, profile=cfg.profile_a),
-            build_continuous_pair(spec, scales, profile=cfg.profile_b))),
-        "discrete-vs-continuous": (besov_continuous, besov_discrete, lambda: (
-            build_continuous_pair(spec, scales, profile=cfg.profile_a),
-            build_dyadic(spec, max_dyadic_level(spec)))),
-        "peetre-vs-continuous": (besov_peetre, besov_continuous, lambda: (
-            (build_continuous_pair(spec, scales, profile=cfg.profile_a),) * 2)),
-        "local-means-vs-discrete": (besov_local_means, besov_discrete, lambda: (
-            build_local_means(cfg.S, cfg.eps, spec),
-            build_dyadic(spec, max_dyadic_level(spec)))),
-    }
-    norm_a, norm_b, kernels = experiments[name]
-    kern_a, kern_b = kernels()
-    maximal = name in ("peetre-vs-continuous", "local-means-vs-discrete")
-    extra_meta = {}
-    if name == "independence":
-        extra_meta["profiles"] = f"{cfg.profile_a}|{cfg.profile_b}"
-    if name == "local-means-vs-discrete":
-        extra_meta.update(S=cfg.S, eps=cfg.eps)
-    entries = []
-    for tname, (alpha, p, q) in triples.items():
-        a = 0.0
-        if maximal:
-            a = extra_meta[f"a[{tname}]"] = spec.n / p.range_min + cfg.a_offset
-        Pa = BesovParams(alpha, p, q, a, scales, kern_a)
-        Pb = BesovParams(alpha, p, q, a, scales, kern_b)
-        def one(ename, f, Pa=Pa, Pb=Pb, tname=tname):
-            return _ratio_entry(f"{tname}/{ename}", norm_a(f, Pa), norm_b(f, Pb))
-        entries.extend(_entry_map(cfg, corpus, one))
+def _norm_report(name: str, cfg: HarnessConfig, corpus, triples, column) -> RatioReport:
+    """The entry ratios of the experiment's two columns, and each triple's hypothesis data."""
+    cols = NORM_EXPERIMENTS[name]
+    names = [f"{tname}/{ename}" for tname in triples for ename, _ in corpus]
+    entries = [_ratio_entry(*e) for e in zip(names, *map(column, cols))]
     # the maximal form dominates the pointwise one, entry by entry
     checks_ok = name != "peetre-vs-continuous" or all(
         e.vacuous or not e.norm_a < e.norm_b * (1.0 - 1e-12) for e in entries)
-
-    return RatioReport(
-        experiment=name,
-        entries=entries,
-        threshold=cfg.threshold_for(name),
-        hypothesis=_hypothesis_meta(triples, extra_meta),
-        config=_config_snapshot(cfg),
-        checks_ok=checks_ok,
-    )
+    meta = {"profiles": f"{cfg.profile_a}|{cfg.profile_b}"} if "continuous-b" in cols else {}
+    if "local-means" in cols:
+        meta.update(S=cfg.S, eps=cfg.eps)
+    for tname, (alpha, p, q, a) in triples.items():
+        if {"peetre", "local-means"} & set(cols):  # the columns that read a
+            meta[f"a[{tname}]"] = a
+        meta[f"clog_alpha[{tname}]"] = alpha.clog_local
+        meta[f"clog_1q[{tname}]"] = q.reciprocal().clog_local
+        meta[f"p_min[{tname}]"] = p.range_min
+    return RatioReport(name, entries, cfg.threshold_for(name), hypothesis=meta,
+                       config=_config_snapshot(cfg), checks_ok=checks_ok)
 
 
 def _config_snapshot(cfg: HarnessConfig) -> dict:
@@ -455,7 +430,7 @@ _LEMMAS = {
     "rychkov": (_rychkov, _slope),
 }
 LEMMA_IDS = tuple(_LEMMAS)
-EXPERIMENTS = NORM_EXPERIMENTS + tuple(f"lemma:{i}" for i in LEMMA_IDS)
+EXPERIMENTS = tuple(NORM_EXPERIMENTS) + tuple(f"lemma:{i}" for i in LEMMA_IDS)
 
 
 def _lemma_experiment(lemma: str, cfg: HarnessConfig) -> RatioReport:
@@ -475,27 +450,52 @@ def _lemma_experiment(lemma: str, cfg: HarnessConfig) -> RatioReport:
     cases = [(f"{lemma}/{case}", a, b, not (math.isfinite(a) and math.isfinite(b)))
              for (case, a), b in zip(c1.items(), c2.values())]
     ratios, checks_ok, threshold = rule(cases, cfg.threshold_for(f"lemma:{lemma}"))
-    return RatioReport(
-        experiment=f"lemma:{lemma}",
-        entries=[EntryResult(name, a, b, r, vacuous=vac)
-                 for (name, a, b, vac), r in zip(cases, ratios)],
-        threshold=threshold,
-        hypothesis={"m": cfg.n + 2.0, "grid_N": cfg.N, "grid_N_refined": 2 * cfg.N},
-        config=_config_snapshot(cfg),
-        checks_ok=checks_ok,
-    )
+    entries = [EntryResult(name, a, b, r, vacuous=vac)
+               for (name, a, b, vac), r in zip(cases, ratios)]
+    meta = {"m": cfg.n + 2.0, "grid_N": cfg.N, "grid_N_refined": 2 * cfg.N}
+    return RatioReport(f"lemma:{lemma}", entries, threshold, hypothesis=meta,
+                       config=_config_snapshot(cfg), checks_ok=checks_ok)
+
+
+def run_experiments(names, cfg: HarnessConfig = None):
+    """Yield the RatioReport of each named experiment, in order, validating
+    the config's grid and scales whatever the experiments.  The norm columns
+    live for this call, each filled when first read, so an error stops the
+    run after the reports before it."""
+    cfg = cfg or HarnessConfig()
+    spec, scales = cfg.spec(), cfg.scales()
+
+    @functools.cache  # built on first use: the lemma sweeps read neither
+    def inputs() -> tuple:
+        if cfg.corpus_names is not None and len(cfg.corpus_names) == 0:
+            raise ConfigError("empty corpus")
+        corpus, triples = build_corpus(spec, seed=cfg.seed, names=cfg.corpus_names), {}
+        for tname in cfg.triples:
+            alpha, p, q = make_triple(spec, tname)
+            # every column gets the Peetre exponent; only the maximal forms read it
+            triples[tname] = (alpha, p, q, spec.n / p.range_min + cfg.a_offset)
+        return corpus, triples
+
+    kernels = functools.cache(lambda kernel: _kernels(kernel, cfg, spec, scales))
+
+    @functools.cache
+    def column(col: str) -> list:
+        (corpus, triples), (evaluator, kernel) = inputs(), _COLUMNS[col]
+        norm, values = globals()[evaluator], []
+        for triple in triples.values():
+            P = BesovParams(*triple, scales, kernels(kernel))
+            values += _entry_map(cfg, corpus, lambda _, f: norm(f, P))
+        return values
+
+    for name in names:
+        if name.startswith("lemma:"):
+            yield _lemma_experiment(name.split(":", 1)[1], cfg)
+        elif name in NORM_EXPERIMENTS:
+            yield _norm_report(name, cfg, *inputs(), column)
+        else:
+            raise ConfigError(f"unknown experiment {name!r}; known: {', '.join(EXPERIMENTS)}")
 
 
 def run_experiment(name: str, cfg: HarnessConfig = None) -> RatioReport:
-    """Run a named experiment and return its RatioReport.
-
-    The config's grid and scales are validated whatever the experiment.
-    Norm experiments compare two evaluators per corpus entry; lemma sweeps
-    compare each oracle constant with its value on a once-refined grid."""
-    cfg = cfg or HarnessConfig()
-    spec, scales = cfg.spec(), cfg.scales()
-    if name.startswith("lemma:"):
-        return _lemma_experiment(name.split(":", 1)[1], cfg)
-    if name not in NORM_EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {name!r}; known: {', '.join(EXPERIMENTS)}")
-    return _norm_experiment(name, cfg, spec, scales)
+    """Run one named experiment and return its RatioReport."""
+    return next(run_experiments((name,), cfg))

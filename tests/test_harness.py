@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -20,6 +23,7 @@ from varbesov.corpus import (
 )
 from varbesov.harness import (
     EXPERIMENTS,
+    NORM_EXPERIMENTS,
     ConfigError,
     EntryResult,
     HarnessConfig,
@@ -27,6 +31,7 @@ from varbesov.harness import (
     _ratio_entry,
     emit_report,
     run_experiment,
+    run_experiments,
 )
 
 SMALL = dict(N=256, L=16.0, K=4, J=3,
@@ -53,8 +58,11 @@ def test_corpus_reproducible_from_seed(spec):
 
 
 def test_corpus_unknown_entry(spec):
-    with pytest.raises(ValueError, match="unknown corpus entry"):
-        build_corpus(spec, names=("nope",))
+    # a parametrised name whose parameter is not a finite number is unknown too
+    for name in ("nope", "dilated_x", "modulated_", "random_band_x", "dilated_inf",
+                 "dilated_1_0"):
+        with pytest.raises(ValueError, match=f"unknown corpus entry '{name}'"):
+            build_corpus(spec, names=(name,))
 
 
 def test_exponent_presets(spec):
@@ -164,6 +172,51 @@ def test_local_means_hypothesis_rejection():
     cfg = HarnessConfig(**{**SMALL, "S": -1})
     with pytest.raises(HypothesisError, match="S\\+1"):
         run_experiment("local-means-vs-discrete", cfg)
+
+
+def test_run_experiments_matches_run_experiment():
+    """Reading the shared table gives each report byte for byte as a run of
+    that experiment alone."""
+    cfg = HarnessConfig(**SMALL)
+    shared = list(run_experiments(EXPERIMENTS, cfg))
+    assert [r.experiment for r in shared] == list(EXPERIMENTS)
+    for rep in shared:
+        alone = run_experiment(rep.experiment, cfg)
+        assert rep.to_json() == alone.to_json()
+        assert rep.to_csv() == alone.to_csv()
+
+
+def test_each_column_value_evaluated_once(monkeypatch):
+    """One run of the norm experiments calls each evaluator once per
+    (kernel, triple, corpus entry) and builds each kernel once: 5 columns
+    of 3 triples x 10 entries at the default config, where evaluating both
+    norms of every experiment would take 240 calls."""
+    calls, builds = Counter(), Counter()
+
+    def counting(kind):
+        def evaluate(f, P):
+            calls[kind, id(P.kernels), id(P.alpha), id(P.p), id(P.q), id(f)] += 1
+            return 1.0
+        return evaluate
+
+    def counted(builder, build):
+        def counted_build(*args, **kwargs):
+            builds[builder, kwargs.get("profile")] += 1
+            return build(*args, **kwargs)
+        return counted_build
+
+    for kind in ("continuous", "discrete", "peetre", "local_means"):
+        monkeypatch.setattr(harness, f"besov_{kind}", counting(kind))
+    for builder in ("build_continuous_pair", "build_dyadic", "build_local_means"):
+        monkeypatch.setattr(harness, builder, counted(builder, getattr(harness, builder)))
+    reports = list(run_experiments(NORM_EXPERIMENTS, HarnessConfig()))
+    assert [r.experiment for r in reports] == list(NORM_EXPERIMENTS)
+    assert sum(calls.values()) == 150 and set(calls.values()) == {1}
+    assert Counter(key[0] for key in calls) == {
+        "continuous": 60, "discrete": 30, "peetre": 30, "local_means": 30}
+    assert builds == {("build_continuous_pair", "mollifier"): 1,
+                      ("build_continuous_pair", "mu-eta"): 1,
+                      ("build_dyadic", None): 1, ("build_local_means", None): 1}
 
 
 def test_scaling_invariance_of_ratios():
@@ -443,6 +496,31 @@ def test_cli_hypothesis_error(tmp_path, capsys):
                      "--grid", "256,16", "--scales", "4,3",
                      "--out", str(tmp_path / "y")])
     assert code == 2
+
+
+def test_cli_run_all_stops_at_the_first_error(tmp_path, capsys):
+    """A hypothesis error in the fourth experiment ends `run all` with exit
+    code 2 after the reports of the three before it are written."""
+    ini = tmp_path / "cfg.ini"
+    ini.write_text("[experiment:local-means-vs-discrete]\nS = -1\n")
+    out = tmp_path / "all"
+    code = cli_main(["run", "all", "--config", str(ini), "--grid", "256,16",
+                     "--scales", "4,3", "--out", str(out)])
+    assert code == 2
+    assert "S+1" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["discrete-vs-continuous", "independence",
+                                       "peetre-vs-continuous"]
+    for d in os.listdir(out):
+        assert sorted(os.listdir(out / d)) == ["report.csv", "report.json"]
+
+
+def test_python_m_varbesov():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run([sys.executable, "-m", "varbesov", "corpus", "list", "--grid", "256,16"],
+                         cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "gaussian" in out.stdout
 
 
 def test_cli_kernels_export(tmp_path):
