@@ -181,18 +181,16 @@ _GROUP = 1 << 14  # w entries per 1-D row group: 2^14 // N rows
 _CHUNK = 1 << 15  # products per gather
 
 
-def _window_extrema(hi: np.ndarray, lo: np.ndarray, T: int):
-    """Max of hi and min of lo over the T^n periodic offsets from each index
-    onward, for a stack of rows (axis 0) of n-D arrays: the window doubles
-    along each axis."""
-    pad = [(0, 0)] + [(0, T - 1)] * (hi.ndim - 1)
-    hi, lo = np.pad(hi, pad, "wrap"), np.pad(lo, pad, "wrap")
-    for axis in range(1, hi.ndim):
+def _window_max(x: np.ndarray, T: int) -> np.ndarray:
+    """Max of x over the T^n periodic offsets from each index onward, for a
+    stack of rows (axis 0) of n-D arrays: the window doubles along each axis."""
+    x = np.pad(x, [(0, 0)] + [(0, T - 1)] * (x.ndim - 1), "wrap")
+    for axis in range(1, x.ndim):
         for s in (1 << j for j in range(T.bit_length() - 1)):
             head = (slice(None),) * axis + (slice(-s),)
             tail = (slice(None),) * axis + (slice(s, None),)
-            hi, lo = np.maximum(hi[head], hi[tail]), np.minimum(lo[head], lo[tail])
-    return hi, lo
+            x = np.maximum(x[head], x[tail])
+    return x
 
 
 def _sup_1d(g: np.ndarray, w: np.ndarray, T: int, o: np.ndarray) -> None:
@@ -206,16 +204,19 @@ def _sup_1d(g: np.ndarray, w: np.ndarray, T: int, o: np.ndarray) -> None:
         np.maximum(gp[:, R - k:R - k + N], gp[:, R + k:R + k + N], out=buf)
         buf *= w[:, k:k + 1]
         np.maximum(o, buf, out=o)
-    # hif[r, b, s] / lo[r, b, s]: the largest far w / smallest w of row r
-    # over the T offsets from y = j T + s to tile i, for b = (j - i) mod nt;
-    # over s they cover the 2T - 1 offsets from block j to tile i
+    # hif[r, b, s]: the largest far w of row r over the T offsets from
+    # y = j T + s to tile i, for b = (j - i) mod nt; lo[r, m]: its smallest w
+    # over the aligned offset blocks m - 1 and m, which for m = (i - j) mod nt
+    # hold the 2T - 1 offsets from block j to tile i
     k = np.arange(N)
-    hif, lo = (e[:, -k % N].reshape(rows, nt, T) for e in
-               _window_extrema(np.where(np.minimum(k, N - k) > R, w, 0.0), w, T))
+    far = np.where(np.minimum(k, N - k) > R, w, 0.0)
+    hif = _window_max(far, T)[:, -k % N].reshape(rows, nt, T)
+    lo = w.reshape(rows, nt, T).min(axis=2)
+    lo = np.minimum(np.roll(lo, 1, axis=1), lo)
     gb, ji = g.reshape(rows, nt, T), (np.arange(nt) - np.arange(nt)[:, None]) % nt
     top = gb.max(axis=2)[:, None, :]
     ub = top * hif.max(axis=2)[:, ji]
-    lb = (top * lo.min(axis=2)[:, ji]).max(axis=2)
+    lb = (top * lo[:, -ji % nt]).max(axis=2)
     lb = np.maximum(o.reshape(rows, nt, T).min(axis=2), lb).ravel()
     rk, ik, jk = np.nonzero((ub >= lb.reshape(rows, nt, 1)) & (ub > 0))
     # the points of the kept blocks, kept on the same test
@@ -255,8 +256,9 @@ def _weighted_sup(G: np.ndarray, t, a: float, spec: GridSpec) -> np.ndarray:
     first per block of T points y (the block's largest G times the largest
     far w over the 2T - 1 block-to-tile offsets), then per point of the
     kept blocks.  The tile's lower bound is the larger of its smallest near
-    value and the largest block term, a block's largest G times its
-    smallest w, so far peaks that dominate a row still prune its tails.
+    value and the largest block term, a block's largest G times the
+    smallest w over the two aligned offset blocks that hold its offsets to
+    the tile, so far peaks that dominate a row still prune its tails.
 
     2-D goes row by row and tile by tile over all offsets; the tile's lower
     bound is the largest G lo over all y.  That one test keeps about 1/6 of
@@ -272,7 +274,7 @@ def _weighted_sup(G: np.ndarray, t, a: float, spec: GridSpec) -> np.ndarray:
         if n == 1:
             _sup_1d(g, w, T, o)
             continue
-        hi, lo = _window_extrema(w, w, T)
+        hi, lo = _window_max(w, T), -_window_max(-w, T)
         g, o = g[0], o[0]
         circ, circ_hi, circ_lo = _circulant(w[0]), _circulant(hi[0]), _circulant(lo[0])
         gflat, chunk = g.ravel(), _CHUNK // T**n

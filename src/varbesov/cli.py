@@ -24,7 +24,8 @@ import numpy as np
 from .calderon import (build_continuous_pair, build_dyadic, build_local_means,
                        export_radial_table, max_dyadic_level)
 from .corpus import boundary_mass, build_corpus
-from .harness import ConfigError, EXPERIMENTS, HarnessConfig, emit_report, run_experiments
+from .harness import (ConfigError, EXPERIMENTS, HarnessConfig, emit_report, run_experiments,
+                      threshold_key)
 
 
 _FLAGS = {
@@ -87,8 +88,7 @@ def cmd_run(args) -> int:
         raise ConfigError("--threshold sets one experiment's threshold; "
                           "it cannot be combined with 'all'")
     if args.threshold is not None:
-        key = "lemma" if args.experiment.startswith("lemma:") else args.experiment
-        cfg.thresholds[key] = args.threshold
+        cfg.thresholds[threshold_key(args.experiment)] = args.threshold
     passed = []  # each report is written as it comes, so an error keeps the earlier ones
     for report in run_experiments(EXPERIMENTS if every else (args.experiment,), cfg):
         out = os.path.join(cfg.out, report.experiment.replace(":", "_")) if every else cfg.out

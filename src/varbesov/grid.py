@@ -224,7 +224,6 @@ def eta_pointwise(t, m: float, dist, n: int):
     return t ** (-n) * (1.0 + np.asarray(dist) / t) ** (-m)
 
 
-_ETA_2D_SHELLS = 16  # Chebyshev shells of images summed directly in 2-D
 _ZETA_DIRECT = 8  # Hurwitz zeta terms summed before the Euler-Maclaurin remainder
 _ZETA_BERNOULLI = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
                    -691 / 1307674368000, 1 / 74724249600)  # B_2i / (2i)!, i = 1..7
@@ -250,49 +249,25 @@ def _hurwitz_zeta(s: float, a: np.ndarray) -> np.ndarray:
 
 
 def eta_periodized(t, m: float, spec: GridSpec) -> np.ndarray:
-    """Spatial samples of sum_j eta_{t,m}(x + 2Lj) over integer vectors j, for
-    one scale t or an array of them: a real array of shape np.shape(t) + spec.shape.
+    """Spatial samples of sum_j eta_{t,m}(x + 2Lj) over integers j, for one
+    scale t or an array of them: a real array of shape np.shape(t) + spec.shape.
+    Implemented for n = 1 only.
 
-    In 1-D, with P = 2L and x in [-L, L), the images j >= 1 on each side
-    sum in closed form to Hurwitz zeta tails, exact to rounding:
-        t^-1 [(1 + |x|/t)^-m + (t/P)^m (zeta(m, 1 + (t+x)/P) + zeta(m, 1 + (t-x)/P))].
-    In 2-D, the images of Chebyshev index <= J = _ETA_2D_SHELLS are summed
-    directly; the rest tile the outside of the square of half-width (J + 1/2)P
-    and are added as their continuum, T0 + (|x|^2/(4P^2) - 1/24) D with T0 = P^-2
-    times the integral of eta there and D that of its Laplacian (midpoint-rule
-    and shift corrections): within 1e-7 of a 400-shell sum for m >= 2.5."""
+    With P = 2L and x in [-L, L), the images j >= 1 on each side sum in
+    closed form to Hurwitz zeta tails, exact to rounding:
+        t^-1 [(1 + |x|/t)^-m + (t/P)^m (zeta(m, 1 + (t+x)/P) + zeta(m, 1 + (t-x)/P))]."""
     t = np.asarray(t, dtype=float)
+    if spec.n != 1:
+        raise ValueError(f"periodised eta_{{t,m}} is implemented for n = 1 only, through "
+                         f"its Hurwitz-zeta closed form; got n = {spec.n}")
     if not m > spec.n:
         raise ValueError(f"eta_{{t,m}} requires m > n, got m={m}, n={spec.n}")
     if not np.all((t > 0) & (t <= 1)):
         raise ValueError(f"scale t must lie in (0, 1], got {t}")
-    tc = t.reshape((-1,) + (1,) * spec.n)
-    period = 2.0 * spec.L
-    x = spec.axis()
-    if spec.n == 1:
-        images = (tc / period) ** m * (_hurwitz_zeta(m, 1.0 + (tc + x) / period)
-                                       + _hurwitz_zeta(m, 1.0 + (tc - x) / period))
-        return (eta_pointwise(tc, m, np.abs(x), 1) + images / tc).reshape(t.shape + spec.shape)
-    # even in each axis, x_(N-k) = -x_k: sum on the quarter x, y <= 0, then mirror
-    J, M = _ETA_2D_SHELLS, spec.N // 2 + 1
-    x = x[:M]
-    shifts = period * np.arange(-J, J + 1)
-    unrolled = (shifts[:, None] + x).ravel()  # the y axis, once per image column
-    table = 0.0
-    for s in shifts:  # one row of images per step, folded back onto the grid
-        d = np.sqrt(((x + s) ** 2)[:, None] + unrolled**2)
-        table = table + eta_pointwise(tc, m, d, 2).reshape(-1, M, 2 * J + 1, M).sum(axis=2)
-    nodes, weights = np.polynomial.legendre.leggauss(32)
-    R = (J + 0.5) * period / np.cos(np.pi / 8.0 * (1.0 + nodes))  # theta in [0, pi/4]
-    u = R / tc
-    G = (1.0 + u) ** (2.0 - m) / (m - 2.0) - (1.0 + u) ** (1.0 - m) / (m - 1.0)
-    # summed per row, not by a matrix product, so that no row depends on the
-    # other scales of the stack; pi/P^2 is 8/P^2 times pi/8 from the angle map
-    T0 = (np.pi / period**2) * (G * weights).sum(axis=-1, keepdims=True)
-    D = np.pi * m * (R / tc**3 * (1.0 + u) ** (-m - 1.0) * weights).sum(axis=-1, keepdims=True)
-    shift = (x[:, None] ** 2 + x**2) / (4.0 * period**2) - 1.0 / 24.0
-    table = np.pad(table + T0 + shift * D, ((0, 0), (0, M - 2), (0, M - 2)), mode="reflect")
-    return table.reshape(t.shape + spec.shape)
+    tc, period, x = t.reshape(-1, 1), 2.0 * spec.L, spec.axis()
+    images = (tc / period) ** m * (_hurwitz_zeta(m, 1.0 + (tc + x) / period)
+                                   + _hurwitz_zeta(m, 1.0 + (tc - x) / period))
+    return (eta_pointwise(tc, m, np.abs(x), 1) + images / tc).reshape(t.shape + spec.shape)
 
 
 # --- geometric scale grid for integral_0^1 ... dt/t --------------------------

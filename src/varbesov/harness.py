@@ -74,6 +74,11 @@ _THRESHOLDS = {
 }
 
 
+def threshold_key(experiment: str) -> str:
+    """The thresholds key of an experiment: every lemma sweep shares "lemma"."""
+    return "lemma" if experiment.startswith("lemma:") else experiment
+
+
 def _csv(text: str) -> tuple:
     return tuple(x.strip() for x in text.split(","))
 
@@ -133,7 +138,7 @@ class HarnessConfig:
         return ScaleGrid(self.K, self.J)
 
     def threshold_for(self, experiment: str) -> float:
-        key = "lemma" if experiment.startswith("lemma:") else experiment
+        key = threshold_key(experiment)
         return float(self.thresholds.get(key, _THRESHOLDS[key]))
 
     @classmethod
@@ -452,7 +457,7 @@ def _lemma_experiment(lemma: str, cfg: HarnessConfig) -> RatioReport:
     ratios, checks_ok, threshold = rule(cases, cfg.threshold_for(f"lemma:{lemma}"))
     entries = [EntryResult(name, a, b, r, vacuous=vac)
                for (name, a, b, vac), r in zip(cases, ratios)]
-    meta = {"m": cfg.n + 2.0, "grid_N": cfg.N, "grid_N_refined": 2 * cfg.N}
+    meta = {"m": _M, "grid_N": cfg.N, "grid_N_refined": 2 * cfg.N}
     return RatioReport(f"lemma:{lemma}", entries, threshold, hypothesis=meta,
                        config=_config_snapshot(cfg), checks_ok=checks_ok)
 

@@ -218,19 +218,6 @@ def test_eta_mass_independent_of_t():
         assert abs(mass - c) / c < 0.01
 
 
-@pytest.mark.parametrize("t", [1.0, 0.5])
-def test_eta_mass_2d(t):
-    # c(m) = 2 pi/((m-1)(m-2)) for n = 2.  At m = 3 the images past the 16
-    # direct shells hold about 2.7% of the mass at t = 1, so the 0.5% bound
-    # fails without the square tail.  Measured errors: 0.04% at t = 1, 0.33%
-    # at t = 0.5 (quadrature of the peak).
-    m = 3.0
-    spec = GridSpec(2, 32, 2.0)
-    mass = integrate(GridFunction(spec, eta_periodized(t, m, spec))).real
-    c = 2.0 * math.pi / ((m - 1.0) * (m - 2.0))
-    assert abs(mass - c) / c < 0.005
-
-
 @pytest.mark.parametrize("N,L", [(64, 1.0), (1024, 8.0)])
 @pytest.mark.parametrize("m", [1.05, 1.5, 3.0, 12.0])
 def test_eta_periodized_1d_exact(m, N, L):
@@ -253,40 +240,7 @@ def test_eta_periodized_1d_exact(m, N, L):
                 assert rel <= 1e-14, f"t={t} x={x[i]}: relative error {float(rel):.2e}"
 
 
-def _reference_eta_2d(spec, m, t, x, y, shells=400):
-    """Direct image sum over Chebyshev index <= 400, plus the continuum of the
-    images outside the square of half-width (shells + 1/2)P, with no
-    midpoint-rule or shift correction (64-node Gauss-Legendre in the angle)."""
-    P = 2.0 * spec.L
-    j = P * np.arange(-shells, shells + 1)
-    d = np.sqrt((x + j)[:, None] ** 2 + (y + j)[None, :] ** 2)
-    nodes, w = np.polynomial.legendre.leggauss(64)
-    u = (shells + 0.5) * P / np.cos(np.pi / 8.0 * (1.0 + nodes)) / t
-    G = (1.0 + u) ** (2.0 - m) / (m - 2.0) - (1.0 + u) ** (1.0 - m) / (m - 1.0)
-    return np.sum(t**-2.0 * (1.0 + d / t) ** -m) + 8.0 / P**2 * np.pi / 8.0 * np.dot(G, w)
-
-
-@pytest.mark.parametrize("N,L", [(32, 2.0), (64, 8.0)])
-def test_eta_periodized_2d_matches_image_sum(N, L):
-    """Corner, origin, edge midpoint, an interior point and one with both
-    coordinates positive (mirrored from the summed quarter) against the
-    400-shell reference: within 1e-7 relative for m >= 2.5 and 1e-12 at
-    m = 8 (measured: at most 6.7e-8 at m = 2.5, 2.7e-13 at m = 8)."""
-    spec = GridSpec(2, N, L)
-    x = spec.axis()
-    idx = [(0, 0), (N // 2, N // 2), (0, N // 2), (N // 4, 3 * N // 8), (3 * N // 4, 5 * N // 8)]
-    for m in (2.5, 3.0, 4.0, 8.0):
-        tol = 1e-12 if m == 8.0 else 1e-7
-        for t in (1.0, 0.125):
-            got = eta_periodized(t, m, spec)
-            for i, k in idx:
-                want = _reference_eta_2d(spec, m, t, x[i], x[k])
-                rel = abs(got[i, k] - want) / want
-                assert rel <= tol, f"m={m} t={t} x={(x[i], x[k])}: relative error {rel:.2e}"
-
-
-@pytest.mark.parametrize("n,N,L,m", [(1, 64, 1.0, 1.05), (1, 1024, 8.0, 3.0),
-                                     (2, 32, 2.0, 2.5), (2, 64, 8.0, 4.0)])
+@pytest.mark.parametrize("n,N,L,m", [(1, 64, 1.0, 1.05), (1, 1024, 8.0, 3.0)])
 def test_eta_periodized_stack_rows_equal_single_calls(n, N, L, m):
     spec = GridSpec(n, N, L)
     t = 2.0 ** -np.arange(0.0, 4.0, 0.75)
@@ -296,7 +250,7 @@ def test_eta_periodized_stack_rows_equal_single_calls(n, N, L, m):
         assert np.array_equal(row, eta_periodized(tj, m, spec))
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1])
 @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, math.nan, math.inf])
 def test_eta_periodized_rejects_any_scale_outside_unit_interval(n, bad):
     spec = GridSpec(n, 32, 2.0)

@@ -459,6 +459,13 @@ def test_cli_threshold_failure(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_cli_threshold_reaches_a_lemma_report(tmp_path):
+    """--threshold on one lemma sweep sets the shared "lemma" key, which its report carries."""
+    out = tmp_path / "hardy"
+    cli_main(["run", "lemma:hardy", "--grid", "256,16", "--threshold", "1.25", "--out", str(out)])
+    assert json.loads((out / "report.json").read_text())["threshold"] == 1.25
+
+
 def test_cli_run_all(tmp_path, capsys):
     out = tmp_path / "all"
     code = cli_main(["run", "all", "--grid", "256,16", "--scales", "4,3",

@@ -547,12 +547,10 @@ def _same(a, b):
     return a == b or (math.isnan(a) and math.isnan(b))
 
 
-# (spec, scales, m): the lemma grid at N and 2N, and one small 2-D grid whose
-# eta periodisation stays cheap (few scales, fast kernel decay)
+# (spec, scales, m): the lemma grid at N and 2N
 STACK_GRIDS = {
     "1d-1024": (GridSpec(1, 1024, 8.0), ScaleGrid(4, 3), 3.0),
     "1d-2048": (GridSpec(1, 2048, 8.0), ScaleGrid(4, 3), 3.0),
-    "2d-32": (GridSpec(2, 32, 2.0), ScaleGrid(2, 2), 8.0),
 }
 
 
@@ -561,20 +559,17 @@ def _stack_exponents(spec, kind):
     if kind == "constant":
         p = ExponentField.from_constant(spec, 2.0)
         return p, p
-    x = spec.coords()
-    sin = np.prod([np.sin(np.pi * c / spec.L) for c in x], axis=0)
-    cos = np.prod([np.cos(np.pi * c / spec.L) for c in x], axis=0)
-    return ExponentField(spec, 2.0 + 0.5 * sin), ExponentField(spec, 2.0 + 0.3 * cos)
+    x = np.pi * spec.axis() / spec.L
+    return ExponentField(spec, 2.0 + 0.5 * np.sin(x)), ExponentField(spec, 2.0 + 0.3 * np.cos(x))
 
 
 def _seeded_family(spec, rows, kind, seed):
     """Seeded complex noise under a Gaussian envelope; `zero-rows` zeroes
     about half the rows, `single-row` keeps one row."""
     rng = np.random.default_rng(seed)
-    env = np.exp(-sum(c**2 for c in spec.coords()) / 4.0)
-    F = (rng.standard_normal((rows, *spec.shape))
-         + 1j * rng.standard_normal((rows, *spec.shape))) * env
-    F *= np.exp(rng.uniform(-2.0, 2.0, rows)).reshape((rows,) + (1,) * spec.n)
+    env = np.exp(-spec.axis() ** 2 / 4.0)
+    F = (rng.standard_normal((rows, spec.N)) + 1j * rng.standard_normal((rows, spec.N))) * env
+    F *= np.exp(rng.uniform(-2.0, 2.0, rows))[:, None]
     if kind == "zero-rows":
         F[rng.permutation(rows)[: rows // 2]] = 0.0
     elif kind == "single-row":
@@ -624,6 +619,49 @@ def test_stacked_reproducing_bounds_equal_list_reference(grid, kind):
         got = check_reproducing_bounds(f, pair, r, mr / r, s)
         ref = _reference_reproducing_bounds(f, pair, r, mr / r, s)
         assert all(map(_same, got, ref)), (got, ref)
+
+
+# --- dimension: the eta_{t,m} oracles are 1-D ----------------------------------------
+
+
+def _gauss_2d(spec):
+    X, Y = spec.coords()
+    return np.exp(-(X**2 + Y**2) / 2.0)
+
+
+@pytest.mark.parametrize("call", ["eta_periodized", "check_rtrick", "check_eta_conv_discrete",
+                                  "check_eta_conv_continuous", "averaged_family",
+                                  "check_averaged", "check_reproducing_bounds"])
+def test_eta_oracles_reject_n2(call):
+    """Every eta_{t,m} oracle reaches eta_periodized, which takes n = 1 only;
+    the inputs clear each oracle's own checks first."""
+    spec, s = GridSpec(2, 32, 2.0), ScaleGrid(2, 2)
+    p = ExponentField.from_constant(spec, 2.0)
+    F = np.stack([_gauss_2d(spec)] * len(s)).astype(complex)
+    f = GridFunction(spec, F[0])
+    calls = {
+        "eta_periodized": lambda: eta_periodized(0.5, 3.0, spec),
+        "check_rtrick": lambda: check_rtrick(f, 2.0, 0.5, 3.0),
+        "check_eta_conv_discrete": lambda: check_eta_conv_discrete(F, p, p, 3.0),
+        "check_eta_conv_continuous": lambda: check_eta_conv_continuous(F, p, p, 3.0, s),
+        "averaged_family": lambda: averaged_family(F, spec, 3.0, (0.25, 4.0), s),
+        "check_averaged": lambda: check_averaged(F, p, p, 3.0, (0.25, 4.0), s),
+        "check_reproducing_bounds": lambda: check_reproducing_bounds(
+            f, build_continuous_pair(spec, s), 0.5, 5.0, s),
+    }
+    with pytest.raises(ValueError, match="n = 1 only"):
+        calls[call]()
+
+
+def test_oracles_without_eta_accept_n2():
+    """The oracles that never convolve with eta_{t,m} still run at n = 2;
+    check_transfer is covered by test_transfer_matches_roll_reference[2d-16]
+    and check_hardy takes no grid at all."""
+    spec = GridSpec(2, 64, 4.0)
+    p, g = ExponentField.from_constant(spec, 2.0), GridFunction(spec, _gauss_2d(spec))
+    assert check_dzw(4.0 * g, p, p)
+    assert check_rychkov_decay(build_local_means(1, 1.0, spec).k_hat, g, 1, 2.0,
+                               ScaleGrid(4, 6)) >= 1.9
 
 
 # --- moment-driven decay --------------------------------------------------------------
