@@ -28,8 +28,7 @@ largest row norm (one row-batched Luxemburg solve,
 taken over grid points, exactly, and bit-identical to the brute-force
 scan: in 1-D the offsets within one tile edge densely and the far ones
 through a per-block, then per-point bound, in 2-D every offset through a
-per-point bound.  No window truncates the far points and no flag selects a
-slower exact sweep.
+per-point bound.
 """
 
 from __future__ import annotations
@@ -64,9 +63,11 @@ class HypothesisError(ValueError):
     """A theorem hypothesis (exponent class, a > n/p-, alpha+ < S+1) fails."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class BesovParams:
-    """Parameter bundle for the evaluators.
+    """Parameter bundle for the evaluators, checked when it is built:
+    alpha and p finite, p and q bounded away from 0, q finite everywhere
+    or identically inf.
 
     a is the Peetre exponent (only used by the maximal-function norms);
     kernels must match the evaluator (KernelPair for the continuous and
@@ -81,13 +82,12 @@ class BesovParams:
     scales: ScaleGrid
     kernels: Union[KernelPair, DyadicFamily, LocalMeansKernels]
 
-    def validate(self):
+    def __post_init__(self):
         self.alpha.require_finite("alpha")
         self.p.require_p0("p").require_finite("p")
         self.q.require_p0("q")
         if not (self.q.is_finite or self.q.range_min == math.inf):
             raise HypothesisError("q must be finite everywhere or identically inf")
-        return self
 
     @property
     def q_is_inf(self) -> bool:
@@ -95,14 +95,12 @@ class BesovParams:
 
 
 def _setup(f: GridFunction, P: BesovParams, cls, which: str):
-    """Validate P against f and return its kernels, which must be a `cls`."""
-    P.validate()
+    """Check P against f and return its kernels, which must be a `cls`."""
     if not isinstance(P.kernels, cls):
         raise TypeError(f"{which} needs kernels of type {cls.__name__}, "
                         f"got {type(P.kernels).__name__}")
     for name in ("alpha", "p", "q"):
-        if getattr(P, name).spec != f.spec:
-            raise ValueError(f"{name} is sampled on a different grid than f")
+        getattr(P, name).require_grid(f.spec, name)
     return P.kernels
 
 
@@ -170,8 +168,7 @@ def peetre_maximal(f: GridFunction, t: float, a: float, alpha: ExponentField,
         raise ValueError("Peetre exponent a must be positive")
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"scale t must be finite and positive, got {t}")
-    if alpha.spec != f.spec:
-        raise ValueError("alpha is sampled on a different grid than f")
+    alpha.require_grid(f.spec, "alpha")
     G = _family(f, kernel(t * f.spec.xi_radius())[None], (t,), alpha)
     return GridFunction(f.spec, _weighted_sup(G, (t,), a, f.spec)[0])
 

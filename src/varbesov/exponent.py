@@ -120,6 +120,11 @@ class ExponentField:
             raise ValueError(f"{name} must be finite everywhere")
         return self
 
+    def require_grid(self, spec: GridSpec, name: str = "exponent"):
+        if self.spec != spec:
+            raise ValueError(f"{name} is sampled on a different grid than f")
+        return self
+
 
 def estimate_clog(g: ExponentField) -> float:
     """Local log-Holder constant of g on the grid.

@@ -342,14 +342,14 @@ def _pq(spec: GridSpec) -> tuple:
 def _transfer(spec, scales, seed, profile):
     alpha = _field(spec, 0.5, 0.2)
     R = alpha.clog_local + 0.5
-    return {f"t={t}": lemmas.check_transfer(alpha, t, _M, R) for t in (1.0, 0.25, 1.0 / 16.0)}
+    return {f"t={t}": lemmas.check_transfer(alpha, t, R) for t in (1.0, 0.25, 1.0 / 16.0)}
 
 
 def _transfer_violation(spec, scales, seed, profile):
     alpha = _field(spec, 0.5, 0.2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return {f"t={t}": lemmas.check_transfer(alpha, t, _M, R=0.0)
+        return {f"t={t}": lemmas.check_transfer(alpha, t, R=0.0)
                 for t in (1.0, 0.25, 1.0 / 16.0, 1.0 / 32.0)}
 
 
@@ -398,7 +398,7 @@ def _reproducing(spec, scales, seed, profile):
 def _rychkov(spec, scales, seed, profile):
     g = GridFunction(spec, np.exp(-spec.axis() ** 2 / 2.0))
     return {f"M={M}": lemmas.check_rychkov_decay(
-        build_local_means(M, 1.0, spec).k_hat, g, M, 2.0, ScaleGrid(4, 6)) for M in (-1, 1, 3)}
+        build_local_means(M, 1.0, spec).k_hat, g, 2.0, ScaleGrid(4, 6)) for M in (-1, 1, 3)}
 
 
 def _stable(cases, threshold: float) -> tuple:

@@ -84,16 +84,18 @@ def _ratio_max(num: np.ndarray, den: np.ndarray) -> float:
 # --- smoothness transfer: t^(-alpha(x)) eta_{t,m+R} <= c t^(-alpha(y)) eta_{t,m}
 
 
-def check_transfer(alpha: ExponentField, t: float, m: float, R: float) -> float:
+def check_transfer(alpha: ExponentField, t: float, R: float) -> float:
     """Empirical constant for moving t^(-alpha) across the kernel.
 
     Equals the max over grid pairs of t^(alpha(y)-alpha(x)) (1+d/t)^(-R),
-    taken per offset from the field's cached `oscillation`.  Warns when R is below the estimated log-Holder constant of alpha (the
-    hypothesis of the inequality), and still computes the constant so the
-    degradation is observable.
+    taken per offset from the field's cached `oscillation`.  The decay
+    order m cancels from eta_{t,m+R} / eta_{t,m}, so the constant does not
+    depend on it.  Warns when R is below the estimated log-Holder constant
+    of alpha (the hypothesis of the inequality), and still computes the
+    constant so the degradation is observable.
     """
-    if not t > 0 or not m > 0:
-        raise ValueError("need t > 0 and m > 0")
+    if not t > 0:
+        raise ValueError("need t > 0")
     clog = alpha.clog_local
     if R < clog:
         warnings.warn(
@@ -133,7 +135,7 @@ def check_hardy(eps: np.ndarray, s_exp: float, scales: ScaleGrid) -> float:
     if not s_exp > 0:
         raise ValueError("Hardy exponent s must be positive")
     eps = np.asarray(eps, dtype=float)
-    if eps.shape != (len(scales),) or np.any(eps < 0):
+    if eps.shape != (len(scales),) or not np.all(eps >= 0):
         raise ValueError("eps must be a nonnegative family on the scale grid")
     t = scales.t
     w = scales.weights
@@ -277,11 +279,11 @@ def check_reproducing_bounds(f: GridFunction, kernels: KernelPair, r: float,
 # --- moment-driven decay of dilated kernels --------------------------------------
 
 
-def check_rychkov_decay(mu_hat: RadialProfile, rho: GridFunction, M: int,
-                        N_w: float, scales: ScaleGrid) -> float:
+def check_rychkov_decay(mu_hat: RadialProfile, rho: GridFunction, N_w: float,
+                        scales: ScaleGrid) -> float:
     """Fitted log-log slope of D(t) = sup_z |mu_t * rho(z)| (1+|z|)^N_w.
 
-    mu has M+1 vanishing moments (|xi|^(M+1) factor in its profile), so
+    If mu has M+1 vanishing moments (a |xi|^(M+1) factor in its profile),
     D(t) should decay at least like t^(M+1); the fit is restricted to
     t <= 1/8 where the pure power law is clean, and to scales whose
     dilated profile the grid still resolves.

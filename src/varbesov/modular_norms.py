@@ -62,11 +62,6 @@ _F_TOL = 1e-12    # the Newton step taken at |log-modular| <= _F_TOL is the last
 _MAX_STEPS = 100
 
 
-def _check_field(f: GridFunction, g: ExponentField, name: str):
-    if f.spec != g.spec:
-        raise ValueError(f"{name} is sampled on a different grid than f")
-
-
 def _omega_sum(a: np.ndarray, p: np.ndarray, cell: float) -> float:
     """Quadrature of omega_{p(x)}(a(x)); a nonnegative, p in (0, inf]."""
     out = np.zeros_like(a)
@@ -83,8 +78,7 @@ def _omega_sum(a: np.ndarray, p: np.ndarray, cell: float) -> float:
 
 def modular_lp(f: GridFunction, p: ExponentField) -> float:
     """Variable exponent modular; +inf propagates (p = inf and |f| > 1)."""
-    _check_field(f, p, "p")
-    p.require_p0("p")
+    p.require_grid(f.spec, "p").require_p0("p")
     a = np.abs(f.values).ravel()
     return _omega_sum(a, p.samples.ravel(), f.spec.cell_volume)
 
@@ -155,15 +149,14 @@ def luxemburg_rows(A: np.ndarray, p: ExponentField) -> np.ndarray:
 
 def luxemburg_norm(f: GridFunction, p: ExponentField) -> float:
     """inf{lambda > 0 : modular(f/lambda) <= 1}; 0 for f identically zero."""
-    _check_field(f, p, "p")
-    p.require_p0("p")
+    p.require_grid(f.spec, "p").require_p0("p")
     return float(luxemburg_rows(np.abs(f.values)[None], p)[0])
 
 
 def power_quotient_norm(f: GridFunction, p: ExponentField, q: ExponentField) -> float:
     """|| |f|^{q(.)} ||_{p(.)/q(.)}, the inner term of the mixed modular."""
-    _check_field(f, p, "p")
-    _check_field(f, q, "q")
+    p.require_grid(f.spec, "p")
+    q.require_grid(f.spec, "q")
     p.require_p0("p").require_finite("p")
     q.require_p0("q").require_finite("q")
     a = np.abs(f.values).ravel()
@@ -238,8 +231,6 @@ def mixed_norm_continuous(ft: np.ndarray, p: ExponentField, q: ExponentField,
     """Scale-continuous mixed norm: the discrete sum over v becomes the
     dt/t quadrature over the ScaleGrid."""
     A = _stack_mixed(ft, p, q)
-    if not len(A):
-        return 0.0
     if len(A) != len(s):
         raise ValueError(f"family has {len(A)} members but the scale grid has {len(s)}")
     return _mixed_norm(A, s.weights, p, q)

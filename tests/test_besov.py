@@ -692,3 +692,19 @@ def test_exponents_on_another_grid_rejected(spec, scales, kernels_1d, corpus_fns
                         kernels_1d[kind])
         with pytest.raises(ValueError, match="different grid"):
             evaluate(f, P)
+
+
+@pytest.mark.parametrize("name,bad,error,match", [
+    ("q", math.inf, HypothesisError, "identically inf"),
+    ("p", 0.0, ValueError, "bounded away"),
+    ("alpha", math.inf, ValueError, "alpha must be finite"),
+], ids=["q-partly-inf", "p-with-zero", "alpha-with-inf"])
+def test_params_checked_when_built(spec, scales, pair, name, bad, error, match):
+    """One bad sample makes building the BesovParams raise, before any
+    evaluator is called."""
+    fields = {"alpha": const(spec, 0.5), "p": const(spec, 2.0), "q": const(spec, 2.0)}
+    samples = fields[name].samples.copy()
+    samples[0] = bad
+    fields[name] = ExponentField(spec, samples)
+    with pytest.raises(error, match=match):
+        BesovParams(fields["alpha"], fields["p"], fields["q"], 1.5, scales, pair)

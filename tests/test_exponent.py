@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from varbesov.exponent import ExponentField
 from varbesov.grid import GridFunction, GridSpec
-from varbesov.modular_norms import modular_lp
+from varbesov.modular_norms import luxemburg_norm, modular_lp, power_quotient_norm
 
 
 # --- the modular kernel omega_p(t) ------------------------------------------------
@@ -52,6 +52,14 @@ def test_omega_rejects_bad_inputs():
     other = GridSpec(1, 16, 4.0)
     with pytest.raises(ValueError, match="different grid"):
         modular_lp(GridFunction.zeros(_UNIT_CELL), ExponentField.from_constant(other, 2.0))
+    f = GridFunction.zeros(_UNIT_CELL)
+    here = ExponentField.from_constant(_UNIT_CELL, 2.0)
+    off = ExponentField.from_constant(other, 2.0)
+    for call, name in ((lambda: luxemburg_norm(f, off), "p"),
+                       (lambda: power_quotient_norm(f, off, here), "p"),
+                       (lambda: power_quotient_norm(f, here, off), "q")):
+        with pytest.raises(ValueError, match=f"{name} is sampled on a different grid"):
+            call()
 
 
 @settings(max_examples=50, deadline=None)

@@ -83,20 +83,20 @@ def wave_family(lspec, lscales):
 
 def test_transfer_constant_alpha_is_one(lspec):
     a = ExponentField.from_constant(lspec, 0.7)
-    assert check_transfer(a, 0.25, 2.0, R=1.0) == pytest.approx(1.0)
+    assert check_transfer(a, 0.25, R=1.0) == pytest.approx(1.0)
 
 
 def test_transfer_t_uniform_with_valid_R(alpha_sine):
     R = alpha_sine.clog_local + 0.5
-    c1 = check_transfer(alpha_sine, 1.0, 2.0, R)
-    c2 = check_transfer(alpha_sine, 1.0 / 16.0, 2.0, R)
+    c1 = check_transfer(alpha_sine, 1.0, R)
+    c2 = check_transfer(alpha_sine, 1.0 / 16.0, R)
     assert max(c1, c2) / min(c1, c2) <= 2.0
 
 
 def test_transfer_violation_grows(alpha_sine):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        cs = [check_transfer(alpha_sine, t, 2.0, R=0.0)
+        cs = [check_transfer(alpha_sine, t, R=0.0)
               for t in (1.0, 0.25, 1.0 / 16.0, 1.0 / 32.0)]
     assert cs[-1] / cs[0] >= 3.0
     assert all(b >= a for a, b in zip(cs, cs[1:]))
@@ -104,7 +104,7 @@ def test_transfer_violation_grows(alpha_sine):
 
 def test_transfer_warns_below_clog(alpha_sine):
     with pytest.warns(UserWarning, match="hypothesis unmet"):
-        check_transfer(alpha_sine, 0.5, 2.0, R=0.0)
+        check_transfer(alpha_sine, 0.5, R=0.0)
 
 
 def test_transfer_sweeps_offsets_once(monkeypatch):
@@ -114,7 +114,7 @@ def test_transfer_sweeps_offsets_once(monkeypatch):
     monkeypatch.setattr(exponent, "_circulant", lambda w: calls.append(1) or circulant(w))
     a = ExponentField.from_callable(LSPEC, lambda x: 0.5 + 0.2 * np.sin(np.pi * x / 8.0))
     for t in (1.0, 0.25, 1.0 / 16.0):
-        check_transfer(a, t, 3.0, a.clog_local + 0.5)
+        check_transfer(a, t, a.clog_local + 0.5)
     assert len(calls) == 1
 
 
@@ -152,7 +152,7 @@ def test_transfer_matches_roll_reference(spec):
         warnings.simplefilter("ignore")
         for alpha in (smooth, rough):
             for t, R in ((1.0, 2.0), (0.25, 0.0), (1.0 / 16.0, 0.7)):
-                assert check_transfer(alpha, t, 3.0, R) == pytest.approx(
+                assert check_transfer(alpha, t, R) == pytest.approx(
                     _reference_transfer(alpha, t, R), rel=1e-12)
 
 
@@ -219,6 +219,18 @@ def test_hardy_power_family_analytic(s_exp, sigma):
 def test_hardy_zero_family():
     sH = ScaleGrid(4, 4)
     assert check_hardy(np.zeros(len(sH)), 1.0, sH) == 0.0
+
+
+@pytest.mark.parametrize("bad", ["negative", "nan", "short"])
+def test_hardy_rejects_bad_eps(bad):
+    sH = ScaleGrid(4, 4)
+    eps = sH.t.copy()
+    if bad == "short":
+        eps = eps[:-1]
+    else:
+        eps[3] = -1.0 if bad == "negative" else math.nan
+    with pytest.raises(ValueError, match="eps must be a nonnegative family on the scale grid"):
+        check_hardy(eps, 1.0, sH)
 
 
 def test_hardy_concentrated_at_one_scale():
@@ -660,7 +672,7 @@ def test_oracles_without_eta_accept_n2():
     spec = GridSpec(2, 64, 4.0)
     p, g = ExponentField.from_constant(spec, 2.0), GridFunction(spec, _gauss_2d(spec))
     assert check_dzw(4.0 * g, p, p)
-    assert check_rychkov_decay(build_local_means(1, 1.0, spec).k_hat, g, 1, 2.0,
+    assert check_rychkov_decay(build_local_means(1, 1.0, spec).k_hat, g, 2.0,
                                ScaleGrid(4, 6)) >= 1.9
 
 
@@ -672,13 +684,13 @@ def test_rychkov_slopes(lspec, M, floor):
     (x,) = lspec.coords()
     rho = GridFunction(lspec, np.exp(-(x**2) / 2.0))
     mu = build_local_means(M, 1.0, lspec).k_hat
-    slope = check_rychkov_decay(mu, rho, M, 2.0, ScaleGrid(4, 6))
+    slope = check_rychkov_decay(mu, rho, 2.0, ScaleGrid(4, 6))
     assert slope >= floor
 
 
 def test_rychkov_zero_rho_vacuous(lspec):
     mu = build_local_means(1, 1.0, lspec).k_hat
-    assert math.isnan(check_rychkov_decay(mu, GridFunction.zeros(lspec), 1, 2.0, ScaleGrid(4, 6)))
+    assert math.isnan(check_rychkov_decay(mu, GridFunction.zeros(lspec), 2.0, ScaleGrid(4, 6)))
 
 
 # --- degree-zero homogeneity and refinement stability ----------------------------------
@@ -717,7 +729,7 @@ def test_oracle_refinement_stability(alpha_sine):
         fam = np.stack([GridFunction(spec, np.exp(1j * x / t) * np.exp(-(x**2) / 2.0)).values
                         for t in s.t])
         vals.setdefault("transfer", []).append(
-            check_transfer(a, 0.25, 3.0, a.clog_local + 0.5))
+            check_transfer(a, 0.25, a.clog_local + 0.5))
         vals.setdefault("rtrick", []).append(check_rtrick(g, 2.0, 0.5, 3.0))
         vals.setdefault("eta_c", []).append(
             check_eta_conv_continuous(fam, p, p, 3.0, s))

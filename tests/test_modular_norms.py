@@ -387,6 +387,13 @@ def test_mixed_length_mismatch(small_spec, noisy):
         mixed_norm_continuous(np.stack([noisy.values]), p, p, s)
 
 
+def test_mixed_empty_family_rejected(small_spec):
+    """An empty family fails the length check like any other wrong length."""
+    p = ExponentField.from_constant(small_spec, 2.0)
+    with pytest.raises(ValueError, match="family has 0 members"):
+        mixed_norm_continuous(np.zeros((0,) + small_spec.shape), p, p, ScaleGrid(4, 3))
+
+
 def test_mixed_array_family_equals_gridfunction_family():
     rng = np.random.default_rng(5)
     spec = GridSpec(1, 64, 4.0)
