@@ -22,9 +22,7 @@ shared by every later call; one batched inverse transform turns a bank
 into the whole family.  The maximal-function norms replace each row by
 its Peetre supremum.  The stack goes as it is to
 `modular_norms.mixed_norm_continuous` or `mixed_norm_discrete`, which
-aggregate it in l^q(.)(L^p(.)); q identically inf replaces that by the
-largest row norm (one row-batched Luxemburg solve,
-`modular_norms.luxemburg_rows`).  The Peetre supremum over the torus is
+aggregate it in l^q(.)(L^p(.)).  The Peetre supremum over the torus is
 taken over grid points, exactly, and bit-identical to the brute-force
 scan: in 1-D the offsets within one tile edge densely and the far ones
 through a per-block, then per-point bound, in 2-D every offset through a
@@ -45,8 +43,7 @@ from .calderon import (DyadicFamily, KernelPair, LocalMeansKernels, RadialProfil
                        multiplier_bank)
 from .exponent import ExponentField
 from .grid import GridFunction, GridSpec, ScaleGrid, _circulant, dft, fourier
-from .modular_norms import (luxemburg_norm, luxemburg_rows, mixed_norm_continuous,
-                            mixed_norm_discrete)
+from .modular_norms import luxemburg_norm, mixed_norm_continuous, mixed_norm_discrete
 
 __all__ = [
     "BesovParams",
@@ -89,10 +86,6 @@ class BesovParams:
         if not (self.q.is_finite or self.q.range_min == math.inf):
             raise HypothesisError("q must be finite everywhere or identically inf")
 
-    @property
-    def q_is_inf(self) -> bool:
-        return self.q.range_min == math.inf
-
 
 def _setup(f: GridFunction, P: BesovParams, cls, which: str):
     """Check P against f and return its kernels, which must be a `cls`."""
@@ -113,16 +106,6 @@ def _family(f: GridFunction, bank: np.ndarray, t, alpha: ExponentField) -> np.nd
     return np.exp(-log_t * alpha.samples) * moduli
 
 
-def _aggregate(G: np.ndarray, P: BesovParams, continuous: bool) -> float:
-    """Mixed norm of the (T, *shape) family G, over P.scales if continuous
-    and over the dyadic blocks if not, or its largest row norm for q = inf."""
-    if P.q_is_inf:
-        return float(luxemburg_rows(G, P.p).max())
-    if continuous:
-        return mixed_norm_continuous(G, P.p, P.q, P.scales)
-    return mixed_norm_discrete(G, P.p, P.q)
-
-
 def _scale_norm(f: GridFunction, P: BesovParams, low: RadialProfile,
                 band: RadialProfile, maximal: bool) -> float:
     """L^p(.) norm of the low-pass row plus the mixed norm of the band rows
@@ -137,7 +120,8 @@ def _scale_norm(f: GridFunction, P: BesovParams, low: RadialProfile,
     M = _family(f, multiplier_bank(low, band, f.spec, t), t, P.alpha)
     if maximal:
         M = _weighted_sup(M, t, P.a, f.spec)
-    return luxemburg_norm(GridFunction(P.p.spec, M[0]), P.p) + _aggregate(M[1:], P, True)
+    return (luxemburg_norm(GridFunction(P.p.spec, M[0]), P.p)
+            + mixed_norm_continuous(M[1:], P.p, P.q, P.scales))
 
 
 def besov_continuous(f: GridFunction, P: BesovParams) -> float:
@@ -152,7 +136,7 @@ def besov_discrete(f: GridFunction, P: BesovParams) -> float:
     fam = _setup(f, P, DyadicFamily, "besov_discrete")
     t = tuple(2.0 ** -np.arange(fam.v_max + 1))
     bank = multiplier_bank(fam.psi0_hat, fam.band, f.spec, t)
-    return _aggregate(_family(f, bank, t, P.alpha), P, False)
+    return mixed_norm_discrete(_family(f, bank, t, P.alpha), P.p, P.q)
 
 
 # --- Peetre maximal functions --------------------------------------------------

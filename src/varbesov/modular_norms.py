@@ -28,11 +28,11 @@ first step lands below).  For constant q, u_v is linear and the tangent
 start is the root up to rounding.  The log-sum-exps leave their weights
 exp(z - max) unnormalised, in place of their argument: each derivative is
 a ratio of weighted sums, so it divides by the row sums once.  Powers are
-formed in log space, so no overflow occurs.  q must be bounded for the
-mixed modular; the q = inf norms are handled by their sup-over-scales form
-in the `besov` module instead.
+formed in log space, so no overflow occurs.  q must be finite everywhere
+or identically inf; for q = inf the mixed norm is sup_v ||f_v||_{p(.)},
+the largest member norm, and the quadrature weights do not enter.
 
-`luxemburg_rows` solves every row of a (T, *shape) stack of moduli at
+`_luxemburg_rows` solves every row of a (T, *shape) stack of moduli at
 once and takes its exponent as validated; `luxemburg_norm` validates one
 GridFunction and calls it.  The `mixed_norm_*` functions take a family as
 one (T, *shape) array of values, validate it and take its moduli for the
@@ -51,7 +51,6 @@ from .grid import GridFunction, ScaleGrid
 __all__ = [
     "modular_lp",
     "luxemburg_norm",
-    "luxemburg_rows",
     "power_quotient_norm",
     "mixed_norm_discrete",
     "mixed_norm_continuous",
@@ -129,7 +128,7 @@ def _log_roots(a: np.ndarray, e: np.ndarray, u=None):
     return u, *last
 
 
-def luxemburg_rows(A: np.ndarray, p: ExponentField) -> np.ndarray:
+def _luxemburg_rows(A: np.ndarray, p: ExponentField) -> np.ndarray:
     """Luxemburg norms of the rows of A, a (T, *p.spec.shape) stack of
     moduli |f_v|, as a (T,) array; 0 for a zero row.  p is taken as
     validated (p- > 0)."""
@@ -150,7 +149,7 @@ def luxemburg_rows(A: np.ndarray, p: ExponentField) -> np.ndarray:
 def luxemburg_norm(f: GridFunction, p: ExponentField) -> float:
     """inf{lambda > 0 : modular(f/lambda) <= 1}; 0 for f identically zero."""
     p.require_grid(f.spec, "p").require_p0("p")
-    return float(luxemburg_rows(np.abs(f.values)[None], p)[0])
+    return float(_luxemburg_rows(np.abs(f.values)[None], p)[0])
 
 
 def power_quotient_norm(f: GridFunction, p: ExponentField, q: ExponentField) -> float:
@@ -175,10 +174,15 @@ def _mixed_norm(A: np.ndarray, w: np.ndarray, p: ExponentField,
 
     A: (T, *p.spec.shape) moduli |f_v|; w: (T,) quadrature weights (all
     ones in the discrete case).  p and q are taken as validated: p finite,
-    q bounded, both bounded away from 0.
+    q finite or identically inf, both bounded away from 0.  For q = inf the
+    norm is the largest row norm.
     """
     A = A.reshape(len(A), -1)
     amax = float(A.max())
+    if not math.isfinite(amax):
+        raise ValueError("family values must be finite")
+    if q.range_min == math.inf:
+        return float(_luxemburg_rows(A, p).max())
     if amax == 0.0:
         return 0.0
     live = A.max(axis=1) > 0
@@ -211,12 +215,9 @@ def _stack_mixed(fs: np.ndarray, p: ExponentField, q: ExponentField) -> np.ndarr
         raise ValueError("p is sampled on a different grid than the family")
     A = np.abs(fs)
     p.require_p0("p").require_finite("p")
-    q.require_p0("q")
-    if not q.is_finite:
-        raise ValueError(
-            "mixed norms require q bounded (q+ < inf); use the sup-over-scales "
-            "Besov branch for q = inf"
-        )
+    q.require_grid(p.spec, "q").require_p0("q")
+    if not (q.is_finite or q.range_min == math.inf):
+        raise ValueError("q must be finite everywhere or identically inf")
     return A
 
 

@@ -549,7 +549,7 @@ def _reference_besov(kind, f, P):
         fam = P.kernels
         blocks = [GridFunction(spec, np.exp(math.log(2.0) * v * alpha) * conv(fam.psi_hat(v), 1.0))
                   for v in range(fam.v_max + 1)]
-        if P.q_is_inf:
+        if P.q.range_min == math.inf:
             return max(luxemburg_norm(b, P.p) for b in blocks)
         return mixed_norm_discrete(np.stack([b.values for b in blocks]), P.p, P.q)
     K = P.kernels
@@ -562,7 +562,7 @@ def _reference_besov(kind, f, P):
     else:
         low = peetre(low_profile, 1.0, 1.0)
         family = [peetre(band_profile, t, np.exp(-math.log(t) * alpha)) for t in P.scales.t]
-    if P.q_is_inf:
+    if P.q.range_min == math.inf:
         top = max(luxemburg_norm(g, P.p) for g in family)
     else:
         top = mixed_norm_continuous(np.stack([g.values for g in family]), P.p, P.q, P.scales)

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varbesov.exponent import ExponentField
-from varbesov.grid import GridFunction, GridSpec
-from varbesov.modular_norms import luxemburg_norm, modular_lp, power_quotient_norm
+from varbesov.grid import GridFunction, GridSpec, ScaleGrid
+from varbesov.modular_norms import (luxemburg_norm, mixed_norm_continuous, mixed_norm_discrete,
+                                   modular_lp, power_quotient_norm)
 
 
 # --- the modular kernel omega_p(t) ------------------------------------------------
@@ -55,9 +56,13 @@ def test_omega_rejects_bad_inputs():
     f = GridFunction.zeros(_UNIT_CELL)
     here = ExponentField.from_constant(_UNIT_CELL, 2.0)
     off = ExponentField.from_constant(other, 2.0)
+    fam, s = np.zeros((5, *_UNIT_CELL.shape)), ScaleGrid(2, 2)
+    other_n = ExponentField.from_constant(GridSpec(1, 32, 8.0), 2.0)
     for call, name in ((lambda: luxemburg_norm(f, off), "p"),
                        (lambda: power_quotient_norm(f, off, here), "p"),
-                       (lambda: power_quotient_norm(f, here, off), "q")):
+                       (lambda: power_quotient_norm(f, here, off), "q"),
+                       (lambda: mixed_norm_discrete(fam, here, off), "q"),
+                       (lambda: mixed_norm_continuous(fam, here, other_n, s), "q")):
         with pytest.raises(ValueError, match=f"{name} is sampled on a different grid"):
             call()
 

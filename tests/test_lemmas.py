@@ -31,7 +31,8 @@ from varbesov.lemmas import (
     check_rychkov_decay,
     check_transfer,
 )
-from varbesov.modular_norms import mixed_norm_continuous, mixed_norm_discrete, power_quotient_norm
+from varbesov.modular_norms import (luxemburg_norm, mixed_norm_continuous, mixed_norm_discrete,
+                                   power_quotient_norm)
 
 
 def _subrange_weights(T, lo, hi, delta):
@@ -333,6 +334,13 @@ def test_eta_conv_sine_exponents_finite(lspec, lscales, wave_family):
     q = ExponentField.from_callable(lspec, lambda x: 2.0 + 0.3 * np.cos(np.pi * x / 8.0))
     c = check_eta_conv_continuous(wave_family, p, q, 3.0, lscales)
     assert math.isfinite(c) and 0 < c < 10.0
+    # q = inf: the ratio of the largest member norms
+    ft = [GridFunction(lspec, f) for f in wave_family]
+    conv = [_reference_eta_convolve(f, t, 3.0) for t, f in zip(lscales.t, ft)]
+    ref = max(luxemburg_norm(g, p) for g in conv) / max(luxemburg_norm(f, p) for f in ft)
+    qinf = ExponentField.from_constant(lspec, math.inf)
+    assert check_eta_conv_continuous(wave_family, p, qinf, 3.0, lscales) == pytest.approx(
+        ref, rel=1e-12)
 
 
 # --- averaging lemma ---------------------------------------------------------------

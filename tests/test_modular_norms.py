@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -325,10 +326,44 @@ def test_mixed_zero_and_empty(small_spec):
 
 
 def test_mixed_rejects_unbounded_q(small_spec, noisy):
+    # q infinite on part of the grid only
     p = ExponentField.from_constant(small_spec, 2.0)
+    (x,) = small_spec.coords()
+    q = ExponentField(small_spec, np.where(x > 0, math.inf, 2.0))
+    s = ScaleGrid(2, 2)
+    fam = np.stack([noisy.values] * len(s))
+    for call in (lambda: mixed_norm_discrete(fam, p, q),
+                 lambda: mixed_norm_continuous(fam, p, q, s)):
+        with pytest.raises(ValueError, match="finite everywhere or identically inf"):
+            call()
+
+
+def test_mixed_q_inf_is_largest_member_norm(small_spec):
+    rng = np.random.default_rng(23)
+    (x,) = small_spec.coords()
+    p = ExponentField(small_spec, 1.2 + 0.8 * np.cos(np.pi * x / 16.0))
     qinf = ExponentField.from_constant(small_spec, math.inf)
-    with pytest.raises(ValueError, match="q bounded"):
-        mixed_norm_discrete(np.stack([noisy.values]), p, qinf)
+    s = ScaleGrid(2, 2)
+    fam = rng.standard_normal((len(s), small_spec.N)) * np.exp(rng.uniform(-3, 3, (len(s), 1)))
+    top = max(luxemburg_norm(GridFunction(small_spec, f), p) for f in fam)
+    assert mixed_norm_discrete(fam, p, qinf) == pytest.approx(top, rel=1e-12)
+    assert mixed_norm_continuous(fam, p, qinf, s) == pytest.approx(top, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("q", [2.0, math.inf])
+def test_mixed_rejects_non_finite_members(small_spec, noisy, bad, q):
+    p = ExponentField.from_constant(small_spec, 2.0)
+    q = ExponentField.from_constant(small_spec, q)
+    s = ScaleGrid(2, 2)
+    fam = np.stack([noisy.values] * len(s))
+    fam[1, 7] = bad
+    for call in (lambda: mixed_norm_discrete(fam, p, q),
+                 lambda: mixed_norm_continuous(fam, p, q, s)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="family values must be finite"):
+                call()
 
 
 def test_mixed_unit_ball_variable_q():
