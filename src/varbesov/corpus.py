@@ -8,8 +8,6 @@ are reproducible from the seed.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .calderon import _mollifier
@@ -17,38 +15,22 @@ from .exponent import ExponentField
 from .grid import GridFunction, GridSpec
 
 __all__ = ["build_corpus", "boundary_mass", "make_exponent",
-           "EXPONENT_PRESETS", "TRIPLE_PRESETS", "make_triple"]
+           "TRIPLE_PRESETS", "make_triple"]
 
 _BOUNDARY_TOL = 1e-10  # largest relative boundary mass a corpus entry may carry
-
-DEFAULT_ENTRIES = (
-    "gaussian",
-    "gaussian_wide",
-    "dilated_2",
-    "dilated_4",
-    "modulated_4",
-    "modulated_8",
-    "bump",
-    "bump_shifted",
-    "random_band_1",
-    "random_band_2",
-)
+_BAND = 12.0           # random entries: spectrum supported in |xi| < _BAND
+_ENVELOPE = 3.0        # random entries: spatial Gaussian envelope width
+_BUMP_WIDTH = 0.25     # exponent bump: support radius relative to L
 
 
 def boundary_mass(f: GridFunction) -> float:
     """Fraction of the squared mass in the outer tenth of the torus,
     |x_i| >= 0.9 L along some axis."""
-    spec = f.spec
     a2 = np.abs(f.values) ** 2
     total = a2.sum()
     if total == 0.0:
         return 0.0
-    edge = 0.9 * spec.L
-    x = np.abs(spec.axis())
-    if spec.n == 1:
-        outer = x >= edge
-    else:
-        outer = (x[:, None] >= edge) | (x[None, :] >= edge)
+    outer = np.any(np.abs(np.stack(f.spec.coords())) >= 0.9 * f.spec.L, axis=0)
     return float(a2[outer].sum() / total)
 
 
@@ -58,57 +40,43 @@ def _radial2(spec: GridSpec):
     return X[0], sum(c * c for c in X)
 
 
-def _random_band(spec: GridSpec, rng, band: float, envelope: float) -> np.ndarray:
-    shape = spec.shape
-    coef = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    r = spec.xi_radius()
-    taper = np.clip(1.0 - (r / band) ** 2, 0.0, None) ** 2
-    spectrum = coef * taper
+def _random_band(spec: GridSpec, r2, rng_seed: int) -> np.ndarray:
+    """Random spectrum tapered to |xi| < _BAND, times a Gaussian envelope,
+    scaled to peak 1."""
+    rng = np.random.default_rng(rng_seed)
+    coef = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+    taper = np.clip(1.0 - (spec.xi_radius() / _BAND) ** 2, 0.0, None) ** 2
     # inverse transform of the shaped spectrum (layout matches fourier())
-    vals = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(spectrum)))
-    x1, r2 = _radial2(spec)
-    vals = vals * np.exp(-r2 / envelope**2)
+    vals = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(coef * taper)))
+    vals = vals * np.exp(-r2 / _ENVELOPE**2)
     peak = np.abs(vals).max()
     return vals / peak if peak > 0 else vals
 
 
-def _parameter(name: str, prefix: str, kind) -> float:
-    """The finite number after `prefix` in a parametrised entry name; no
-    digit separators, which int and float would read ('1_0' as 10)."""
-    text = name[len(prefix):]
-    try:
-        value = kind(text)
-        if "_" not in text and math.isfinite(value):
-            return value
-    except ValueError:
-        pass
-    raise ValueError(f"unknown corpus entry {name!r}")
+# name -> samples from (spec, first coordinate x1, squared radius r2, seed)
+_ENTRIES = {
+    "gaussian": lambda spec, x1, r2, seed: np.exp(-r2 / 2.0),
+    "gaussian_wide": lambda spec, x1, r2, seed: np.exp(-r2 / 8.0),
+    "dilated_2": lambda spec, x1, r2, seed: np.exp(-4.0 * r2 / 2.0),
+    "dilated_4": lambda spec, x1, r2, seed: np.exp(-16.0 * r2 / 2.0),
+    "modulated_4": lambda spec, x1, r2, seed: np.exp(4j * x1) * np.exp(-r2 / 2.0),
+    "modulated_8": lambda spec, x1, r2, seed: np.exp(8j * x1) * np.exp(-r2 / 2.0),
+    "bump": lambda spec, x1, r2, seed: _mollifier(np.sqrt(r2) / (spec.L / 4.0)),
+    "bump_shifted": lambda spec, x1, r2, seed: _mollifier(
+        np.sqrt((x1 - spec.L / 8.0) ** 2 + (r2 - x1 * x1)) / (spec.L / 8.0)),
+    "random_band_1": lambda spec, x1, r2, seed: _random_band(spec, r2, seed * 1000 + 1),
+    "random_band_2": lambda spec, x1, r2, seed: _random_band(spec, r2, seed * 1000 + 2),
+}
+DEFAULT_ENTRIES = tuple(_ENTRIES)
 
 
 def make_entry(spec: GridSpec, name: str, seed: int = 0) -> GridFunction:
-    x1, r2 = _radial2(spec)
-    if name == "gaussian":
-        return GridFunction(spec, np.exp(-r2 / 2.0))
-    if name == "gaussian_wide":
-        return GridFunction(spec, np.exp(-r2 / 8.0))
-    if name.startswith("dilated_"):
-        lam = _parameter(name, "dilated_", float)
-        return GridFunction(spec, np.exp(-(lam**2) * r2 / 2.0))
-    if name.startswith("modulated_"):
-        k = _parameter(name, "modulated_", float)
-        return GridFunction(spec, np.exp(1j * k * x1) * np.exp(-r2 / 2.0))
-    if name == "bump":
-        return GridFunction(spec, _mollifier(np.sqrt(r2) / (spec.L / 4.0)))
-    if name == "bump_shifted":
-        shifted = np.sqrt((x1 - spec.L / 8.0) ** 2 + (r2 - x1 * x1))
-        return GridFunction(spec, _mollifier(shifted / (spec.L / 8.0)))
-    if name.startswith("random_band_"):
-        idx = _parameter(name, "random_band_", int)
-        rng = np.random.default_rng(seed * 1000 + idx)
-        return GridFunction(spec, _random_band(spec, rng, band=12.0, envelope=3.0))
+    """One corpus entry: a name of DEFAULT_ENTRIES, or "zero"."""
     if name == "zero":
         return GridFunction.zeros(spec)
-    raise ValueError(f"unknown corpus entry {name!r}")
+    if name not in _ENTRIES:
+        raise ValueError(f"unknown corpus entry {name!r}")
+    return GridFunction(spec, _ENTRIES[name](spec, *_radial2(spec), seed))
 
 
 def build_corpus(spec: GridSpec, seed: int = 0, names=None) -> tuple:
@@ -129,34 +97,25 @@ def build_corpus(spec: GridSpec, seed: int = 0, names=None) -> tuple:
 
 
 def make_exponent(spec: GridSpec, kind: str = "constant", base: float = 2.0,
-                  amplitude: float = 0.0, frequency: float = 1.0,
-                  width: float = 0.25) -> ExponentField:
+                  amplitude: float = 0.0, frequency: float = 1.0) -> ExponentField:
     """Named exponent families: constant, sine, or a smooth bump.
 
     sine:  base + amplitude * sin(pi * frequency * x / L) (periodic for
            integer frequency; product of per-axis sines in 2d)
-    bump:  base + amplitude * smooth bump of relative width `width`
+    bump:  base + amplitude * smooth bump of radius L / 4 about the origin
     """
     if kind == "constant":
         return ExponentField.from_constant(spec, base)
     if kind == "sine":
-        def fn(*coords):
-            out = np.full(spec.shape, base, dtype=float)
-            wave = np.ones(spec.shape)
-            for c in coords:
-                wave = wave * np.sin(np.pi * frequency * c / spec.L)
-            return out + amplitude * wave
-        return ExponentField.from_callable(spec, fn)
+        wave = np.prod([np.sin(np.pi * frequency * c / spec.L) for c in spec.coords()], axis=0)
+        return ExponentField(spec, base + amplitude * wave)
     if kind == "bump":
-        def fn(*coords):
-            r2 = sum(c * c for c in coords)
-            u = np.sqrt(r2) / (width * spec.L)
-            return base + amplitude * _mollifier(u)
-        return ExponentField.from_callable(spec, fn)
+        u = np.sqrt(_radial2(spec)[1]) / (_BUMP_WIDTH * spec.L)
+        return ExponentField(spec, base + amplitude * _mollifier(u))
     raise ValueError(f"unknown exponent kind {kind!r}")
 
 
-EXPONENT_PRESETS = {
+_EXPONENT_PRESETS = {
     "const-half": dict(kind="constant", base=0.5),
     "const-2": dict(kind="constant", base=2.0),
     "sine-alpha": dict(kind="sine", base=0.5, amplitude=0.2, frequency=1.0),
@@ -180,4 +139,4 @@ def make_triple(spec: GridSpec, name: str):
     except KeyError:
         raise ValueError(f"unknown exponent triple {name!r}; "
                          f"known: {sorted(TRIPLE_PRESETS)}") from None
-    return tuple(make_exponent(spec, **EXPONENT_PRESETS[k]) for k in keys)
+    return tuple(make_exponent(spec, **_EXPONENT_PRESETS[k]) for k in keys)

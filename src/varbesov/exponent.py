@@ -103,10 +103,10 @@ class ExponentField:
         return bool(np.all(np.isfinite(self.samples)))
 
     def reciprocal(self) -> "ExponentField":
-        """Field 1/g with 1/inf = 0; used for the 1/q hypotheses."""
+        """Field 1/g, with 1/inf = +0 in IEEE arithmetic; used for the 1/q
+        hypotheses."""
         with np.errstate(divide="ignore"):
-            r = np.where(np.isinf(self.samples), 0.0, 1.0 / self.samples)
-        return ExponentField(self.spec, r)
+            return ExponentField(self.spec, 1.0 / self.samples)
 
     # -- class checks ------------------------------------------------------
 

@@ -32,7 +32,7 @@ from .besov import BesovParams, besov_continuous, besov_discrete, \
     besov_local_means, besov_peetre
 from .calderon import build_continuous_pair, build_dyadic, build_local_means, \
     max_dyadic_level
-from .corpus import build_corpus, make_triple
+from .corpus import build_corpus, make_entry, make_triple
 from .exponent import ExponentField
 from .grid import GridFunction, GridSpec, ScaleGrid, dft
 
@@ -41,7 +41,7 @@ __all__ = ["HarnessConfig", "ConfigError", "RatioReport", "EntryResult",
 
 
 class ConfigError(ValueError):
-    """Bad experiment name, empty corpus, or malformed configuration."""
+    """Bad experiment name, empty corpus or triples, or malformed configuration."""
 
 
 # column -> (evaluator, kernel), both by name and looked up at fill time, as a
@@ -80,7 +80,8 @@ def threshold_key(experiment: str) -> str:
 
 
 def _csv(text: str) -> tuple:
-    return tuple(x.strip() for x in text.split(","))
+    """The non-empty comma-separated names in `text`."""
+    return tuple(filter(None, (x.strip() for x in text.split(","))))
 
 
 # The sections and keys of the README's config sample, each with the
@@ -91,8 +92,7 @@ _INI_FIELDS = {
     "grid": {"n": ("n", int), "N": ("N", int), "L": ("L", float)},
     "scales": {"K": ("K", int), "J": ("J", int)},
     "run": {"seed": ("seed", int), "threads": ("threads", int), "out": ("out", str)},
-    "corpus": {"names": ("corpus_names",
-                         lambda v: tuple(filter(None, _csv(v))) if v else None)},
+    "corpus": {"names": ("corpus_names", lambda v: _csv(v) if v else None)},
     "experiment:independence": {"triples": ("triples", _csv),
                                 "profile_a": ("profile_a", str),
                                 "profile_b": ("profile_b", str)},
@@ -369,7 +369,7 @@ def _hardy(spec, scales, seed, profile):
 
 
 def _rtrick(spec, scales, seed, profile):
-    g = GridFunction(spec, np.exp(-spec.axis() ** 2 / 2.0))
+    g = make_entry(spec, "gaussian")
     return {f"N={Nd}": lemmas.check_rtrick(g, Nd, 0.5, _M) for Nd in (1.0, 2.0, 4.0)}
 
 
@@ -396,7 +396,7 @@ def _reproducing(spec, scales, seed, profile):
 
 
 def _rychkov(spec, scales, seed, profile):
-    g = GridFunction(spec, np.exp(-spec.axis() ** 2 / 2.0))
+    g = make_entry(spec, "gaussian")
     return {f"M={M}": lemmas.check_rychkov_decay(
         build_local_means(M, 1.0, spec).k_hat, g, 2.0, ScaleGrid(4, 6)) for M in (-1, 1, 3)}
 
@@ -474,6 +474,8 @@ def run_experiments(names, cfg: HarnessConfig = None):
     def inputs() -> tuple:
         if cfg.corpus_names is not None and len(cfg.corpus_names) == 0:
             raise ConfigError("empty corpus")
+        if not cfg.triples:
+            raise ConfigError("no exponent triples")
         corpus, triples = build_corpus(spec, seed=cfg.seed, names=cfg.corpus_names), {}
         for tname in cfg.triples:
             alpha, p, q = make_triple(spec, tname)

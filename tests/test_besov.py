@@ -255,23 +255,21 @@ def _reference_row(g, t, a, spec):
         k = np.arange(N)
         d = h * np.minimum(k, N - k)
         w = (1.0 + d / t) ** (-a)
-        keep = k
         out = np.zeros(N)
-        idx0 = np.arange(N)
         chunk = max(1, (1 << 22) // N)
-        for start in range(0, len(keep), chunk):
-            ks = keep[start:start + chunk]
-            cand = w[ks][:, None] * g[(idx0[None, :] - ks[:, None]) % N]
+        for start in range(0, N, chunk):
+            ks = k[start:start + chunk]
+            cand = w[ks][:, None] * g[(k[None, :] - ks[:, None]) % N]
             out = np.maximum(out, cand.max(axis=0))
         return out
     k = np.arange(N)
     d1 = h * np.minimum(k, N - k)
     dist = np.sqrt(d1[:, None] ** 2 + d1[None, :] ** 2)
     w = (1.0 + dist / t) ** (-a)
-    mask = np.ones_like(w, dtype=bool)
     out = np.zeros_like(g)
-    for k1, k2 in zip(*np.nonzero(mask)):
-        out = np.maximum(out, w[k1, k2] * np.roll(g, (k1, k2), axis=(0, 1)))
+    for k1 in range(N):
+        for k2 in range(N):
+            out = np.maximum(out, w[k1, k2] * np.roll(g, (k1, k2), axis=(0, 1)))
     return out
 
 

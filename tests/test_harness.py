@@ -58,9 +58,9 @@ def test_corpus_reproducible_from_seed(spec):
 
 
 def test_corpus_unknown_entry(spec):
-    # a parametrised name whose parameter is not a finite number is unknown too
+    # the corpus names are DEFAULT_ENTRIES and "zero"; no other name is parsed
     for name in ("nope", "dilated_x", "modulated_", "random_band_x", "dilated_inf",
-                 "dilated_1_0"):
+                 "dilated_1_0", "dilated_3", "modulated_2.5", "random_band_3"):
         with pytest.raises(ValueError, match=f"unknown corpus entry '{name}'"):
             build_corpus(spec, names=(name,))
 
@@ -143,6 +143,21 @@ def test_empty_corpus_rejected():
     cfg = HarnessConfig(**{**SMALL, "corpus_names": ()})
     with pytest.raises(ConfigError, match="empty corpus"):
         run_experiment("discrete-vs-continuous", cfg)
+
+
+def test_empty_triples_rejected(tmp_path, capsys):
+    """No exponent triples is an error, as an empty corpus is, not a report
+    of 0 entries that passes; an INI list of empty names reads as none."""
+    path = tmp_path / "cfg.ini"
+    path.write_text("[experiment:independence]\ntriples = , ,\n")
+    ini = HarnessConfig.from_ini(path)
+    assert ini.triples == ()
+    for cfg in (HarnessConfig(**{**SMALL, "triples": ()}), ini):
+        with pytest.raises(ConfigError, match="no exponent triples"):
+            run_experiment("independence", cfg)
+    assert cli_main(["run", "independence", "--config", str(path),
+                     "--out", str(tmp_path / "rep")]) == 2
+    assert "no exponent triples" in capsys.readouterr().err
 
 
 def test_zero_entry_marked_vacuous():
