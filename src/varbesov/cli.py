@@ -9,8 +9,8 @@
 `run` writes report.json and report.csv into --out; `run all` runs every
 experiment, each into <out>/<name with ':' -> '_'>, evaluating each norm once.
 
-Exit codes: 0 run passed (with `all`: every run passed), 1 spread over
-threshold or a failed check, 2 hypothesis or configuration error.
+Exit codes: 0 run passed (with `all`: every run passed), 1 the
+experiment's rule failed, 2 hypothesis or configuration error.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ def _emit(report, out: str) -> bool:
     print(f"entries: {len(report.entries)} ({n_ok} non-vacuous)")
     print(f"ratio min/max: {report.ratio_min:.6g} / {report.ratio_max:.6g}")
     print(f"spread: {report.spread:.6g}  threshold: {report.threshold:g}")
-    print(f"checks: {'ok' if report.checks_ok else 'FAILED'}")
     for path in written:
         print(f"wrote {path}")
     print("PASS" if report.passed else "FAIL")
@@ -136,7 +135,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run an experiment and emit reports")
     p_run.add_argument("experiment",
                        help=f"one of: {', '.join(EXPERIMENTS)}; or all")
-    p_run.add_argument("--threshold", type=float, help="spread threshold override")
+    p_run.add_argument("--threshold", type=float, help="threshold of the experiment's rule")
     _add_flags(p_run, "config", "seed", "grid", "scales", "threads", "out")
     p_run.set_defaults(fn=cmd_run, parser=p_run)
 

@@ -1,15 +1,15 @@
 """Experiment orchestration: equivalence sweeps, lemma sweeps, reports.
 
 A norm experiment is the per-entry ratio of two columns of one table, a
-column being one evaluator on one kernel over every (triple, corpus entry),
-and reports the corpus-wide spread (max ratio over min ratio); each column
-is evaluated once per `run_experiments` call.  The inequalities behind the
-norms never quantify their constants, so thresholds are configuration data
-with deliberately loose defaults; a run passes when the spread stays under
-its threshold and all hypothesis checks hold.
+column being one evaluator on one kernel over every (triple, corpus entry)
+evaluated once per `run_experiments` call; a lemma sweep compares its
+constants on the lemma grid N and on 2N.  Each experiment has one rule,
+the only source of its report's `passed`.  The inequalities never quantify
+their constants, so thresholds are configuration data with loose defaults.
 
-Reports serialise losslessly to JSON and CSV, with no timestamps, so
-identical config + seed reproduces byte-identical files.
+Reports serialise to strict JSON (a non-finite float as the string "nan",
+"inf" or "-inf") and CSV, with no timestamps, so identical config + seed
+reproduces byte-identical files.
 """
 
 from __future__ import annotations
@@ -54,17 +54,9 @@ _COLUMNS = {
     "local-means": ("besov_local_means", "local-means"),
 }
 
-# norm experiment -> (column a, column b); its entry ratios are a / b
-NORM_EXPERIMENTS = {
-    "independence": ("continuous", "continuous-b"),
-    "peetre-vs-continuous": ("peetre", "continuous"),
-    "discrete-vs-continuous": ("continuous", "discrete"),
-    "local-means-vs-discrete": ("local-means", "discrete"),
-}
-
-# Default spread threshold per norm experiment, and the allowed drift of a
-# lemma constant under N -> 2N; a config that sets only some keeps these
-# for the rest.
+# Default spread threshold per norm experiment, and the bound on each
+# ratio c(2N)/c(N) of a `_stable` lemma sweep; a config that sets only
+# some keeps these for the rest.
 _THRESHOLDS = {
     "independence": 20.0,
     "discrete-vs-continuous": 20.0,
@@ -174,14 +166,14 @@ class EntryResult:
 
 @dataclass
 class RatioReport:
-    """Per-entry norm values and ratios plus corpus-wide statistics."""
+    """Per-entry values, the rule's verdict and statistics of the judged values."""
 
     experiment: str
     entries: list
     threshold: float
+    passed: bool
     hypothesis: dict = field(default_factory=dict)
     config: dict = field(default_factory=dict)
-    checks_ok: bool = True
 
     @property
     def ratios(self):
@@ -204,10 +196,6 @@ class RatioReport:
         lo = self.ratio_min
         return self.ratio_max / lo if lo != 0 else math.inf
 
-    @property
-    def passed(self) -> bool:
-        return bool(self.checks_ok and (not self.ratios or self.spread <= self.threshold))
-
     # -- serialisation (deterministic bytes: sorted keys, repr floats) -----
 
     def to_dict(self) -> dict:
@@ -216,7 +204,6 @@ class RatioReport:
             "threshold": self.threshold,
             "hypothesis": self.hypothesis,
             "config": self.config,
-            "checks_ok": self.checks_ok,
             "entries": [asdict(e) for e in self.entries],
             "ratio_min": self.ratio_min,
             "ratio_max": self.ratio_max,
@@ -225,8 +212,8 @@ class RatioReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2,
-                          allow_nan=True) + "\n"
+        return json.dumps(_strict(self.to_dict()), sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -236,6 +223,15 @@ class RatioReport:
             writer.writerow([e.name, repr(e.norm_a), repr(e.norm_b),
                              repr(e.ratio), int(e.vacuous)])
         return buf.getvalue()
+
+
+def _strict(x):
+    """x with every non-finite float written as the string float() reads back."""
+    if isinstance(x, dict):
+        return {k: _strict(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_strict(v) for v in x]
+    return str(float(x)) if isinstance(x, float) and not math.isfinite(x) else x
 
 
 def emit_report(report: RatioReport, out_dir):
@@ -250,7 +246,61 @@ def emit_report(report: RatioReport, out_dir):
     return written
 
 
+def _spread(cases, threshold: float) -> tuple:
+    """Ratios a/b, passing when max/min is at most the threshold."""
+    ratios = [a / b if b != 0 else math.inf for _, a, b in cases]
+    lo, hi = (float(np.min(ratios)), float(np.max(ratios))) if ratios else (math.nan,) * 2
+    return ratios, (hi / lo if lo != 0 else math.inf) <= threshold, threshold
+
+
+def _dominates(cases, threshold: float) -> tuple:
+    """_spread, and the maximal form a dominates: a >= b (1 - 1e-12) in every case."""
+    ratios, ok, bound = _spread(cases, threshold)
+    return ratios, ok and all(a >= b * (1.0 - 1e-12) for _, a, b in cases), bound
+
+
+def _stable(cases, threshold: float) -> tuple:
+    """Every c(2N)/c(N) of positive constants in [1/threshold, threshold]."""
+    ratios = [b / a if a != 0 else math.nan for _, a, b in cases]
+    return ratios, all(a > 0 and b > 0 and r * threshold >= 1.0 and r <= threshold
+                       for (_, a, b), r in zip(cases, ratios)), threshold
+
+
+def _slope(cases, threshold: float) -> tuple:
+    """Decay slopes drifting by at most 0.1, case M=<M> >= M + 0.9 on both grids."""
+    drifts = [b - a for _, a, b in cases]
+    return drifts, all(min(a, b) >= int(name.split("M=")[-1]) + 0.9 and abs(d) <= 0.1
+                       for (name, a, b), d in zip(cases, drifts)), 0.1
+
+
+def _degrades(cases, threshold: float) -> tuple:
+    """Growth c(N)/c_first(N) of positive constants, the largest at least 3."""
+    ok = bool(cases) and all(0 < c < math.inf for case in cases for c in case[1:])
+    growth = [a / cases[0][1] if ok else math.nan for _, a, _ in cases]
+    return growth, ok and max(growth) >= 3.0, 3.0
+
+
+def _judge(experiment: str, cases, blank, rule, threshold: float, **fields) -> RatioReport:
+    """The report of `cases` (name, a, b), vacuous where both values are `blank`.  `rule`
+    maps the judged cases and `threshold` to the value judged in each, the verdict
+    and the finite bound it used."""
+    vacuous = [blank(a) and blank(b) for _, a, b in cases]
+    values, passed, bound = rule([c for c, v in zip(cases, vacuous) if not v], threshold)
+    values = iter(values)
+    entries = [EntryResult(name, a, b, math.nan if vac else next(values), vac)
+               for (name, a, b), vac in zip(cases, vacuous)]
+    return RatioReport(experiment, entries, bound, bool(passed) and not all(vacuous), **fields)
+
+
 # --- norm experiments ------------------------------------------------------------
+
+# norm experiment -> (column a, column b, rule); its entry ratios are a / b
+NORM_EXPERIMENTS = {
+    "independence": ("continuous", "continuous-b", _spread),
+    "peetre-vs-continuous": ("peetre", "continuous", _dominates),
+    "discrete-vs-continuous": ("continuous", "discrete", _spread),
+    "local-means-vs-discrete": ("local-means", "discrete", _spread),
+}
 
 
 def _entry_map(cfg: HarnessConfig, corpus: tuple, fn):
@@ -262,12 +312,6 @@ def _entry_map(cfg: HarnessConfig, corpus: tuple, fn):
     return [fn(name, f) for name, f in corpus]
 
 
-def _ratio_entry(name, na, nb):
-    if na == 0.0 and nb == 0.0:
-        return EntryResult(name, 0.0, 0.0, math.nan, vacuous=True)
-    return EntryResult(name, na, nb, na / nb if nb != 0 else math.inf)
-
-
 def _kernels(kernel: str, cfg: HarnessConfig, spec: GridSpec, scales: ScaleGrid):
     if kernel == "dyadic":
         return build_dyadic(spec, max_dyadic_level(spec))
@@ -277,13 +321,9 @@ def _kernels(kernel: str, cfg: HarnessConfig, spec: GridSpec, scales: ScaleGrid)
 
 
 def _norm_report(name: str, cfg: HarnessConfig, corpus, triples, column) -> RatioReport:
-    """The entry ratios of the experiment's two columns, and each triple's hypothesis data."""
-    cols = NORM_EXPERIMENTS[name]
-    names = [f"{tname}/{ename}" for tname in triples for ename, _ in corpus]
-    entries = [_ratio_entry(*e) for e in zip(names, *map(column, cols))]
-    # the maximal form dominates the pointwise one, entry by entry
-    checks_ok = name != "peetre-vs-continuous" or all(
-        e.vacuous or not e.norm_a < e.norm_b * (1.0 - 1e-12) for e in entries)
+    """The experiment's two columns judged by its rule, and each triple's hypothesis data."""
+    *cols, rule = NORM_EXPERIMENTS[name]
+    cases = list(zip([f"{t}/{e}" for t in triples for e, _ in corpus], *map(column, cols)))
     meta = {"profiles": f"{cfg.profile_a}|{cfg.profile_b}"} if "continuous-b" in cols else {}
     if "local-means" in cols:
         meta.update(S=cfg.S, eps=cfg.eps)
@@ -293,8 +333,8 @@ def _norm_report(name: str, cfg: HarnessConfig, corpus, triples, column) -> Rati
         meta[f"clog_alpha[{tname}]"] = alpha.clog_local
         meta[f"clog_1q[{tname}]"] = q.reciprocal().clog_local
         meta[f"p_min[{tname}]"] = p.range_min
-    return RatioReport(name, entries, cfg.threshold_for(name), hypothesis=meta,
-                       config=_config_snapshot(cfg), checks_ok=checks_ok)
+    return _judge(name, cases, lambda v: v == 0.0, rule, cfg.threshold_for(name),
+                  hypothesis=meta, config=_config_snapshot(cfg))
 
 
 def _config_snapshot(cfg: HarnessConfig) -> dict:
@@ -309,10 +349,9 @@ def _config_snapshot(cfg: HarnessConfig) -> dict:
 #
 # One row of _LEMMAS per sweep: its constants on one grid, from a function
 # that builds only the inputs it reads and reaches lemmas.check_* and the
-# kernel builders through module globals (as a tracer needs), and the rule
-# that judges them on N and 2N.  A rule maps the (entry name, c(N), c(2N),
-# vacuous) of each case and the lemma threshold to the entry ratios,
-# checks_ok and the report's threshold.
+# kernel builders through module globals (as a tracer needs), the rule
+# that judges the cases (name, c(N), c(2N)), and the hypothesis data the
+# constants read.
 
 _M = 3.0  # eta decay order m = n + 2 (the sweeps run at n = 1)
 _NOISE_BAND = 8.0
@@ -392,7 +431,7 @@ def _averaged(spec, scales, seed, profile):
 def _reproducing(spec, scales, seed, profile):
     pair = build_continuous_pair(spec, scales, profile=profile)
     return dict(zip(("low", "band"), lemmas.check_reproducing_bounds(
-        _band_noise(spec, seed + 17), pair, 0.5, 2.0 * spec.n + 1.0, scales)))
+        _band_noise(spec, seed + 17), pair, 0.5, _M, scales)))
 
 
 def _rychkov(spec, scales, seed, profile):
@@ -401,38 +440,17 @@ def _rychkov(spec, scales, seed, profile):
         build_local_means(M, 1.0, spec).k_hat, g, 2.0, ScaleGrid(4, 6)) for M in (-1, 1, 3)}
 
 
-def _stable(cases, threshold: float) -> tuple:
-    """Constants positive and each ratio c(2N)/c(N) in [1/threshold, threshold]."""
-    ratios = [b / a if not vac and a != 0 else math.nan for _, a, b, vac in cases]
-    return ratios, all(vac or (a > 0 and b > 0 and r * threshold >= 1.0 and r <= threshold)
-                       for (_, a, b, vac), r in zip(cases, ratios)), threshold
-
-
-def _slope(cases, threshold: float) -> tuple:
-    """Decay slopes, not ratios: case M=<M> needs M + 1 - 0.1 on both grids, drift <= 0.1."""
-    return [1.0] * len(cases), all(
-        not vac and min(a, b) >= int(name.split("M=")[-1]) + 1 - 0.1 and abs(b - a) <= 0.1
-        for name, a, b, vac in cases), threshold
-
-
-def _degrades(cases, threshold: float) -> tuple:
-    """Constants positive and the largest on N at least 3x the first; no ratio is judged."""
-    ratios, ok, _ = _stable(cases, math.inf)
-    g = [a for _, a, _, vac in cases if not vac]
-    return ratios, ok and (len(g) < 2 or g[0] <= 0 or max(g) / g[0] >= 3.0), math.inf
-
-
 _LEMMAS = {
-    "transfer": (_transfer, _stable),
-    "transfer-violation": (_transfer_violation, _degrades),
-    "dzw": (_dzw, _stable),
-    "hardy": (_hardy, _stable),
-    "rtrick": (_rtrick, _stable),
-    "eta-conv-discrete": (_eta_conv_discrete, _stable),
-    "eta-conv-continuous": (_eta_conv_continuous, _stable),
-    "averaged": (_averaged, _stable),
-    "reproducing": (_reproducing, _stable),
-    "rychkov": (_rychkov, _slope),
+    "transfer": (_transfer, _stable, {}),
+    "transfer-violation": (_transfer_violation, _degrades, {}),
+    "dzw": (_dzw, _stable, {}),
+    "hardy": (_hardy, _stable, {}),
+    "rtrick": (_rtrick, _stable, {"m": _M}),
+    "eta-conv-discrete": (_eta_conv_discrete, _stable, {"m": _M}),
+    "eta-conv-continuous": (_eta_conv_continuous, _stable, {"m": _M}),
+    "averaged": (_averaged, _stable, {"m": _M}),
+    "reproducing": (_reproducing, _stable, {"m": _M}),
+    "rychkov": (_rychkov, _slope, {}),
 }
 LEMMA_IDS = tuple(_LEMMAS)
 EXPERIMENTS = tuple(NORM_EXPERIMENTS) + tuple(f"lemma:{i}" for i in LEMMA_IDS)
@@ -448,18 +466,14 @@ def _lemma_experiment(lemma: str, cfg: HarnessConfig) -> RatioReport:
     if 2 * kmax >= spec.N:
         raise ConfigError(f"the lemma noise band |xi| < {_NOISE_BAND:g} at L = {spec.L:g} "
                           f"needs N >= {2 ** (2 * kmax).bit_length()}, got N = {spec.N}")
-    constants, rule = _LEMMAS[lemma]
+    constants, rule, meta = _LEMMAS[lemma]
     scales = ScaleGrid(cfg.lemma_K, cfg.lemma_J)
     c1 = constants(spec, scales, cfg.seed, cfg.profile_a)
     c2 = constants(GridSpec(cfg.n, 2 * cfg.N, cfg.lemma_L), scales, cfg.seed, cfg.profile_a)
-    cases = [(f"{lemma}/{case}", a, b, not (math.isfinite(a) and math.isfinite(b)))
-             for (case, a), b in zip(c1.items(), c2.values())]
-    ratios, checks_ok, threshold = rule(cases, cfg.threshold_for(f"lemma:{lemma}"))
-    entries = [EntryResult(name, a, b, r, vacuous=vac)
-               for (name, a, b, vac), r in zip(cases, ratios)]
-    meta = {"m": _M, "grid_N": cfg.N, "grid_N_refined": 2 * cfg.N}
-    return RatioReport(f"lemma:{lemma}", entries, threshold, hypothesis=meta,
-                       config=_config_snapshot(cfg), checks_ok=checks_ok)
+    cases = [(f"{lemma}/{case}", a, b) for (case, a), b in zip(c1.items(), c2.values())]
+    return _judge(f"lemma:{lemma}", cases, math.isnan, rule,
+                  cfg.threshold_for(f"lemma:{lemma}"), config=_config_snapshot(cfg),
+                  hypothesis={**meta, "grid_N": cfg.N, "grid_N_refined": 2 * cfg.N})
 
 
 def run_experiments(names, cfg: HarnessConfig = None):

@@ -28,7 +28,9 @@ from varbesov.harness import (
     EntryResult,
     HarnessConfig,
     RatioReport,
-    _ratio_entry,
+    _judge,
+    _spread,
+    _stable,
     emit_report,
     run_experiment,
     run_experiments,
@@ -85,6 +87,7 @@ def test_report_roundtrip_and_csv(tmp_path):
         entries=[EntryResult("a", 1.0, 2.0, 0.5),
                  EntryResult("z", 0.0, 0.0, math.nan, vacuous=True)],
         threshold=10.0,
+        passed=True,
         hypothesis={"a": 1.5},
         config={"N": 256},
     )
@@ -93,6 +96,7 @@ def test_report_roundtrip_and_csv(tmp_path):
     text = rep.to_json()
     d = json.loads(text)
     assert d["spread"] == 1.0 and d["passed"] and len(d["entries"]) == 2
+    assert "checks_ok" not in d and d["entries"][1]["ratio"] == "nan"
     files = emit_report(rep, tmp_path)
     assert (tmp_path / "report.json").read_text() == text
     csv_text = (tmp_path / "report.csv").read_text()
@@ -100,33 +104,46 @@ def test_report_roundtrip_and_csv(tmp_path):
     assert len(files) == 2
 
 
+def _norm_judge(cases):
+    """The report the norm experiments build for `cases` under `_spread`."""
+    return _judge("demo", cases, lambda v: v == 0.0, _spread, 10.0)
+
+
+def _lemma_judge(cases):
+    """The report a lemma sweep builds for `cases` under `_stable`."""
+    return _judge("demo", cases, math.isnan, _stable, 10.0)
+
+
 def test_zero_ratio_fails_report():
     """A non-vacuous ratio of 0 makes the spread infinite, and the report fails."""
-    zero = _ratio_entry("x", 0.0, 2.0)
+    rep = _norm_judge([("x", 0.0, 2.0), ("y", 1.0, 2.0)])
+    zero = rep.entries[0]
     assert not zero.vacuous and zero.ratio == 0.0
-    rep = RatioReport("demo", [zero, _ratio_entry("y", 1.0, 2.0)], 10.0)
     assert rep.spread == math.inf
     assert not rep.passed
-    assert json.loads(rep.to_json())["spread"] == math.inf
+    assert float(json.loads(rep.to_json())["spread"]) == math.inf
 
 
 def test_nan_ratio_fails_report_in_any_order():
-    """A non-vacuous NaN ratio (a lemma constant of 0 on the coarse grid)
-    makes the range and spread NaN whatever its position, so the report
-    fails; min/max over the list would pass (2, 4, NaN) with spread 2."""
-    nan = EntryResult("z", 0.0, 1.0, math.nan)
-    two, four = EntryResult("a", 1.0, 2.0, 2.0), EntryResult("b", 1.0, 4.0, 4.0)
-    for entries in ([nan, two, four], [two, four, nan], [two, nan, four]):
-        rep = RatioReport("demo", entries, 10.0)
-        assert math.isnan(rep.ratio_min) and math.isnan(rep.ratio_max)
-        assert math.isnan(rep.spread)
-        assert not rep.passed
-        assert math.isnan(json.loads(rep.to_json())["spread"])
+    """A non-vacuous NaN ratio (a NaN norm, or a lemma constant of 0 on the
+    coarse grid) makes the range and spread NaN whatever its position, so
+    the report fails; min/max over the list would pass (2, 4, NaN) with
+    spread 2."""
+    for judge, nan, two, four in (
+            (_norm_judge, ("z", math.nan, 1.0), ("a", 2.0, 1.0), ("b", 4.0, 1.0)),
+            (_lemma_judge, ("z", 0.0, 1.0), ("a", 1.0, 2.0), ("b", 1.0, 4.0))):
+        for cases in ([nan, two, four], [two, four, nan], [two, nan, four]):
+            rep = judge(cases)
+            assert [e.vacuous for e in rep.entries] == [False] * 3
+            assert math.isnan(rep.ratio_min) and math.isnan(rep.ratio_max)
+            assert math.isnan(rep.spread)
+            assert not rep.passed
+            assert json.loads(rep.to_json())["spread"] == "nan"
 
 
 def test_spread_at_least_one():
     rep = RatioReport("demo", [EntryResult("a", 2.0, 1.0, 2.0),
-                               EntryResult("b", 3.0, 1.0, 3.0)], 10.0)
+                               EntryResult("b", 3.0, 1.0, 3.0)], 10.0, passed=True)
     assert rep.spread >= 1.0
     assert rep.ratio_min == 2.0 and rep.ratio_max == 3.0
 
@@ -161,12 +178,14 @@ def test_empty_triples_rejected(tmp_path, capsys):
 
 
 def test_zero_entry_marked_vacuous():
+    """The zero entry is left out, and the gaussian entries beside it are judged."""
     cfg = HarnessConfig(**{**SMALL, "corpus_names": ("gaussian", "zero")})
     rep = run_experiment("discrete-vs-continuous", cfg)
     vac = [e for e in rep.entries if e.vacuous]
     assert len(vac) == len(cfg.triples)
     for e in vac:
         assert e.norm_a == e.norm_b == 0.0
+    assert rep.passed
 
 
 def test_independence_small_run():
@@ -178,7 +197,7 @@ def test_independence_small_run():
 def test_peetre_domination_check_recorded():
     cfg = HarnessConfig(**{**SMALL, "corpus_names": ("gaussian",), "triples": ("constant",)})
     rep = run_experiment("peetre-vs-continuous", cfg)
-    assert rep.checks_ok
+    assert rep.passed
     for e in rep.entries:
         assert e.ratio >= 1.0 - 1e-12
 
@@ -303,10 +322,44 @@ def test_lemma_refinement_drift_fails(monkeypatch, tmp_path, lemma, check, facto
     rep = run_experiment(f"lemma:{lemma}", cfg)
     assert rep.spread <= rep.threshold
     assert all(r == pytest.approx(factor, rel=0.02) for r in rep.ratios)
-    assert not rep.checks_ok and not rep.passed
+    assert not rep.passed
     out = tmp_path / "out"
     assert cli_main(["run", f"lemma:{lemma}", "--grid", "512,16", "--out", str(out)]) == 1
     assert json.loads((out / "report.json").read_text())["passed"] is False
+
+
+def _half_continuous(f, P):
+    return 0.5 * harness.besov_continuous(f, P)
+
+
+@pytest.mark.parametrize("experiment, patch, corpus", [
+    ("lemma:dzw", ("check_dzw", lambda *args: False), None),
+    ("lemma:rtrick", ("check_rtrick", lambda *args: math.inf), None),
+    ("lemma:rtrick", ("check_rtrick", lambda *args: math.nan), None),
+    ("lemma:hardy", ("check_hardy", lambda *args: math.inf), None),
+    ("lemma:transfer", ("check_transfer", lambda *args, **kw: math.inf), None),
+    ("lemma:transfer-violation", ("check_transfer", lambda *args, **kw: math.inf), None),
+    ("discrete-vs-continuous", None, "zero"),
+    ("peetre-vs-continuous", ("besov_peetre", _half_continuous), "gaussian"),
+], ids=["dzw-false", "rtrick-inf", "rtrick-nan", "hardy-inf", "transfer-inf",
+        "transfer-violation-inf", "zero-corpus", "peetre-below-continuous"])
+def test_forced_failure_fails_report(monkeypatch, tmp_path, experiment, patch, corpus):
+    """A constant that blows up (inf, or NaN on every grid), a failed dzw
+    comparison, a corpus with no judged entry and a Peetre norm below the
+    continuous one each fail their report, and `varbesov run` exits 1."""
+    if patch:
+        name, fake = patch
+        monkeypatch.setattr(harness if name.startswith("besov") else lemmas, name, fake)
+    argv = ["run", experiment, "--grid", "256,16", "--scales", "4,3"]
+    if corpus:
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(f"[corpus]\nnames = {corpus}\n")
+        argv += ["--config", str(ini)]
+    out = tmp_path / "out"
+    assert cli_main(argv + ["--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] is False
+    assert math.isfinite(report["threshold"])
 
 
 @pytest.mark.parametrize("lemma, noise_grids", [("hardy", []), ("dzw", [256, 512])])
@@ -487,7 +540,13 @@ def test_cli_run_all(tmp_path, capsys):
                      "--out", str(out)])
     dirs = sorted(os.listdir(out))
     assert dirs == sorted(name.replace(":", "_") for name in EXPERIMENTS)
-    passed = [json.loads((out / d / "report.json").read_text())["passed"] for d in dirs]
+
+    def strict(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    reports = [json.loads((out / d / "report.json").read_text(), parse_constant=strict)
+               for d in dirs]
+    passed = [r["passed"] for r in reports]
     assert code == (0 if all(passed) else 1)
     assert capsys.readouterr().out.count("PASS") == sum(passed)
 
