@@ -181,10 +181,13 @@ def _normalised_bump_pair(profile: str, construction_K: int, params: tuple) -> K
 
     # Phi_hat table in s = log2(r) on the even lattice nodes, spacing 2^-15.
     delta = math.log(2.0) / K
+    # vals[shift::2] read from a contiguous even half (every shift is even
+    # for K <= 2^15) or, for odd shifts, from the odd half as a view
     s_tab = np.ascontiguousarray(s_grid[::2])
-    acc = 0.5 * vals[::2]
+    halves = (np.ascontiguousarray(vals[::2]), vals[1::2])
+    acc = 0.5 * halves[0]
     for shift in range(_DENSE // (2 * K), _DENSE, _DENSE // (2 * K)):
-        tail = vals[shift::2]
+        tail = halves[shift % 2][shift // 2:]
         acc[:tail.size] += tail
     phi0_tab = delta * acc / c
     s_tab.setflags(write=False)

@@ -24,8 +24,8 @@ import numpy as np
 from .calderon import (build_continuous_pair, build_dyadic, build_local_means,
                        export_radial_table, max_dyadic_level)
 from .corpus import boundary_mass, build_corpus
-from .harness import (ConfigError, EXPERIMENTS, HarnessConfig, emit_report, run_experiments,
-                      threshold_key)
+from .harness import (ConfigError, EXPERIMENTS, HarnessConfig, _summary, emit_report,
+                      run_experiments, threshold_key)
 
 
 _FLAGS = {
@@ -72,8 +72,7 @@ def _emit(report, out: str) -> bool:
     n_ok = sum(1 for e in report.entries if not e.vacuous)
     print(f"experiment: {report.experiment}")
     print(f"entries: {len(report.entries)} ({n_ok} non-vacuous)")
-    print(f"ratio min/max: {report.ratio_min:.6g} / {report.ratio_max:.6g}")
-    print(f"spread: {report.spread:.6g}  threshold: {report.threshold:g}")
+    print(*_summary(report), sep="\n")
     for path in written:
         print(f"wrote {path}")
     print("PASS" if report.passed else "FAIL")

@@ -265,8 +265,14 @@ def eta_periodized(t, m: float, spec: GridSpec) -> np.ndarray:
     if not np.all((t > 0) & (t <= 1)):
         raise ValueError(f"scale t must lie in (0, 1], got {t}")
     tc, period, x = t.reshape(-1, 1), 2.0 * spec.L, spec.axis()
-    images = (tc / period) ** m * (_hurwitz_zeta(m, 1.0 + (tc + x) / period)
-                                   + _hurwitz_zeta(m, 1.0 + (tc - x) / period))
+    # t - x[i] is t + x[N - i] wherever x[N - i] == -x[i], so the second tail
+    # reads the first one backwards; x[0] = -L and inexact mirrors are evaluated
+    mirror = -np.arange(spec.N) % spec.N
+    plus = _hurwitz_zeta(m, 1.0 + (tc + x) / period)
+    minus = plus[:, mirror]
+    fix = np.flatnonzero(x[mirror] != -x)
+    minus[:, fix] = _hurwitz_zeta(m, 1.0 + (tc - x[fix]) / period)
+    images = (tc / period) ** m * (plus + minus)
     return (eta_pointwise(tc, m, np.abs(x), 1) + images / tc).reshape(t.shape + spec.shape)
 
 

@@ -393,12 +393,12 @@ def _transfer_violation(spec, scales, seed, profile):
 
 
 def _dzw(spec, scales, seed, profile):
-    # the power-quotient norm is not 1-homogeneous in f for variable q,
-    # so walk the scaling up until the hypothesis bound is cleared
+    # |c f|^q >= c^q- |f|^q for c >= 1 and >= c^q+ |f|^q for c <= 1, so by the
+    # lattice property and homogeneity of the Luxemburg norm this c clears
+    # the hypothesis || |c f|^q ||_(p/q) >= 1
     f, (p, q) = _band_noise(spec, seed + 17), _pq(spec)
-    c = 1.0 / lemmas.power_quotient_norm(f, p, q)
-    while lemmas.power_quotient_norm(c * f, p, q) < 1.0:
-        c *= 1.3
+    n0 = lemmas.power_quotient_norm(f, p, q)
+    c = n0 ** (-1.0 / (q.range_min if n0 < 1.0 else q.range_max))
     return {"noisy": 1.0 if lemmas.check_dzw(c * f, p, q) else math.inf}
 
 
@@ -454,6 +454,28 @@ _LEMMAS = {
 }
 LEMMA_IDS = tuple(_LEMMAS)
 EXPERIMENTS = tuple(NORM_EXPERIMENTS) + tuple(f"lemma:{i}" for i in LEMMA_IDS)
+
+# rule -> the value it judges per case and the bound it applies, with the
+# norm columns a and b and the report's threshold t
+_RULE_TEXT = {
+    _spread: ("ratio {a}/{b}", "spread max/min <= {t:g}"),
+    _dominates: ("ratio {a}/{b}", "spread max/min <= {t:g} and {a} >= {b}"),
+    _stable: ("ratio c(2N)/c(N)", "every ratio in [1/{t:g}, {t:g}]"),
+    _slope: ("drift c(2N) - c(N)", "every |drift| <= {t:g} and slope >= M + 0.9 on both grids"),
+    _degrades: ("growth c(N)/c_first(N)", "largest growth >= {t:g}"),
+}
+
+
+def _summary(report: RatioReport) -> list:
+    """Lines naming what the report's rule judged, their range and the rule's
+    bound; a spread only where the rule judges one."""
+    name = report.experiment
+    a, b, rule = NORM_EXPERIMENTS.get(name) or (None, None, _LEMMAS[name[len("lemma:"):]][1])
+    judged, bound = (text.format(a=a, b=b, t=report.threshold) for text in _RULE_TEXT[rule])
+    lines = [f"{judged} min/max: {report.ratio_min:.6g} / {report.ratio_max:.6g}"]
+    if rule in (_spread, _dominates):
+        lines.append(f"spread: {report.spread:.6g}")
+    return lines + [f"bound: {bound}"]
 
 
 def _lemma_experiment(lemma: str, cfg: HarnessConfig) -> RatioReport:

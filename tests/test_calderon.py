@@ -180,6 +180,23 @@ def test_bump_pair_bit_identical_to_reference(kind, K):
     assert np.array_equal(fast.phi_hat(r), ref.phi_hat(r))
 
 
+def test_phi0_table_with_odd_shifts_equals_strided_sum():
+    """At construction_K = 2^16, the one rate whose lattice shifts are odd,
+    the table summed from the two halves of the lattice equals the strided
+    sum 0.5 b[::2] + sum_shift b[shift::2] exactly, on every node."""
+    K = 1 << 16
+    s_grid = np.linspace(-1.0, 1.0, calderon._DENSE + 1)
+    vals = annulus_bump("mollifier")(2.0**s_grid)
+    c = math.log(2.0) * np.trapezoid(vals, s_grid)
+    acc = 0.5 * vals[::2]
+    for shift in range(1, calderon._DENSE):
+        tail = vals[shift::2]
+        acc[:tail.size] += tail
+    fast = calderon._normalised_bump_pair("mollifier", K, ())
+    table = inspect.getclosurevars(fast.phi0_hat._fn).nonlocals["phi0_tab"]
+    assert table.tobytes() == (math.log(2.0) / K * acc / c).tobytes()
+
+
 def test_construction_rate_must_divide_lattice(spec, scales):
     """A shift by 1/K must be a whole number of lattice nodes."""
     for _ in range(2):

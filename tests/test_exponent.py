@@ -172,6 +172,10 @@ def _clog_field(spec, kind):
         v.flat[5] = 1.0
     elif kind == "all-inf":
         v = np.full(spec.shape, math.inf)
+    elif kind == "ties":  # three values, so most differences are tied
+        v = rng.integers(0, 3, spec.shape).astype(float)
+    elif kind == "signed-zeros":  # sparse finite pairs: many offsets whose extremes are +-0
+        v = rng.choice([0.0, -0.0, math.inf], spec.shape, p=[0.05, 0.05, 0.9])
     return ExponentField(spec, v)
 
 
@@ -185,6 +189,29 @@ def test_clog_matches_all_pairs_reference(spec, kind):
     ref = _all_pairs_clog(g)
     assert g.clog_local == pytest.approx(ref, rel=1e-12, abs=0.0)
     assert (ref > 0) == (kind not in ("one-finite", "all-inf"))
+
+
+def _all_pairs_oscillation(g):
+    """osc[k] = fmax over x of g(x - k h) - g(x), one offset at a time, +inf as
+    NaN; zeros for a constant field (an all-+inf one included)."""
+    v = np.where(np.isinf(g.samples), np.nan, g.samples)
+    axes = tuple(range(v.ndim))
+    osc = np.zeros(v.shape)
+    if g.is_constant:
+        return osc
+    for k in np.ndindex(v.shape):
+        osc[k] = np.fmax.reduce((np.roll(v, k, axis=axes) - v).ravel())
+    return osc
+
+
+@pytest.mark.parametrize("kind", ["smooth", "rough", "some-inf", "one-finite", "all-inf",
+                                  "ties", "signed-zeros"])
+@pytest.mark.parametrize("spec", [GridSpec(1, 1024, 16.0), GridSpec(2, 32, 4.0)],
+                         ids=["1d-1024", "2d-32"])
+def test_oscillation_bit_identical_to_all_pairs_reference(spec, kind):
+    """Every offset, the mirrored half and the sign of every zero included."""
+    g = _clog_field(spec, kind)
+    assert g.oscillation.tobytes() == _all_pairs_oscillation(g).tobytes()
 
 
 # --- field plumbing ---------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from varbesov import grid
 from varbesov.grid import (
     GridFunction,
     GridSpec,
@@ -238,6 +239,30 @@ def test_eta_periodized_1d_exact(m, N, L):
                     mpmath.zeta(m, 1 + (tm + xi) / P) + mpmath.zeta(m, 1 + (tm - xi) / P))) / tm
                 rel = abs((mpmath.mpf(float(got[i])) - want) / want)
                 assert rel <= 1e-14, f"t={t} x={x[i]}: relative error {float(rel):.2e}"
+
+
+def _two_zeta_eta(t, m, spec):
+    """The closed form with each Hurwitz zeta tail evaluated on its own."""
+    t = np.asarray(t, dtype=float)
+    tc, P, x = t.reshape(-1, 1), 2.0 * spec.L, spec.axis()
+    images = (tc / P) ** m * (grid._hurwitz_zeta(m, 1.0 + (tc + x) / P)
+                              + grid._hurwitz_zeta(m, 1.0 + (tc - x) / P))
+    return (eta_pointwise(tc, m, np.abs(x), 1) + images / tc).reshape(t.shape + spec.shape)
+
+
+@pytest.mark.parametrize("L", [8.0, 16.0 / 3.0, 3.7])
+@pytest.mark.parametrize("N", [64, 2048])
+@pytest.mark.parametrize("m", [1.5, 3.0])
+def test_eta_periodized_bit_identical_to_two_tails(m, N, L):
+    """Reading the second tail off the first at mirrored samples gives the
+    two-tail evaluation exactly, also where x[N - i] != -x[i] (non-dyadic L)
+    and the tail is evaluated directly."""
+    spec = GridSpec(1, N, L)
+    x = spec.axis()
+    inexact = np.count_nonzero(x[-np.arange(N) % N] != -x)  # x[0] = -L always
+    assert (inexact > 1) == (L != 8.0)
+    for t in (2.0 ** -np.arange(0.0, 6.0, 0.25), 0.3, 1.0):
+        assert eta_periodized(t, m, spec).tobytes() == _two_zeta_eta(t, m, spec).tobytes()
 
 
 @pytest.mark.parametrize("n,N,L,m", [(1, 64, 1.0, 1.05), (1, 1024, 8.0, 3.0)])

@@ -372,6 +372,25 @@ def test_lemma_row_builds_only_what_it_reads(monkeypatch, lemma, noise_grids):
     assert built == noise_grids
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
+def test_dzw_scaling_clears_hypothesis_in_one_step(monkeypatch, scale):
+    """c = n0^(-1/q-) when n0 = || |f|^q ||_(p/q) < 1, else n0^(-1/q+), gives
+    || |c f|^q ||_(p/q) >= 1 on both branches: one norm for c and one in
+    check_dzw per grid, and the sweep passes."""
+    noise, power_quotient = harness._band_noise, lemmas.power_quotient_norm
+    monkeypatch.setattr(harness, "_band_noise", lambda spec, seed: scale * noise(spec, seed))
+    norms = []
+    monkeypatch.setattr(lemmas, "power_quotient_norm",
+                        lambda *args: norms.append(power_quotient(*args)) or norms[-1])
+    rep = run_experiment("lemma:dzw", HarnessConfig(N=256))
+    assert rep.passed and [(e.norm_a, e.norm_b) for e in rep.entries] == [(1.0, 1.0)]
+    assert len(norms) == 4
+    n0, scaled = norms[0::2], norms[1::2]
+    assert all(n >= 1.0 for n in scaled)
+    if scale != 1.0:
+        assert all((n < 1.0) == (scale < 1.0) for n in n0)
+
+
 @pytest.mark.parametrize("args, message", [
     (["lemma:transfer", "--grid", "1024,inf"], "L must be finite and positive, got inf"),
     (["lemma:transfer", "--grid", "1024,-4"], "L must be finite and positive, got -4"),
@@ -507,6 +526,26 @@ def test_cli_run_pass_and_outputs(tmp_path, capsys):
     assert "PASS" in captured
     assert (out / "report.json").exists() and (out / "report.csv").exists()
     assert json.loads((out / "report.json").read_text())["passed"]
+
+
+@pytest.mark.parametrize("experiment, lines", [
+    ("discrete-vs-continuous", ["ratio continuous/discrete min/max: ", "spread: ",
+                                "bound: spread max/min <= 20\n"]),
+    ("lemma:rychkov", ["drift c(2N) - c(N) min/max: ",
+                       "bound: every |drift| <= 0.1 and slope >= M + 0.9 on both grids\n"]),
+    ("lemma:transfer-violation", ["growth c(N)/c_first(N) min/max: 1 / 4\n",
+                                  "bound: largest growth >= 3\n"]),
+    ("lemma:hardy", ["ratio c(2N)/c(N) min/max: ", "bound: every ratio in [1/1.05, 1.05]\n"]),
+])
+def test_cli_names_judged_values_and_bound(tmp_path, capsys, experiment, lines):
+    """The summary names what the rule judged and the bound it applied, and
+    prints a spread only for the rules that judge one."""
+    assert cli_main(["run", experiment, "--grid", "256,16", "--scales", "4,3",
+                     "--out", str(tmp_path / "x")]) == 0
+    out = capsys.readouterr().out
+    assert all(line in out for line in lines), out
+    assert ("spread: " in out) == (experiment == "discrete-vs-continuous")
+    assert "threshold" not in out
 
 
 def test_cli_determinism(tmp_path):
