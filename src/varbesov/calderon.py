@@ -17,11 +17,10 @@ annulus bump a(r) supported in [1/2, 2]: phi_hat = a/c with
 c = integral_0^inf a(r)/r dr, which makes the full dt/t integral equal 1
 by scale invariance, and Phi_hat(xi) = integral_1^inf phi_hat(t xi) dt/t
 accumulated from one evaluation of the bump on a dyadic lattice in
-s = log2|xi|.  The pair is built once per (profile,
-construction_K, params) per process, shared read-only and certified there:
-at the construction rate the reproducing identity is a full-line trapezoid
-sum in s, whose error depends on s mod 1/construction_K only, not on the
-grid, so it is measured once, on that lattice.
+s = log2|xi|.  The pair is built once per profile per process, shared
+read-only and certified there: at the construction rate the reproducing
+identity is a full-line trapezoid sum in s, whose error depends on
+s mod 1/K only, not on the grid, so it is measured once, on that lattice.
 """
 
 from __future__ import annotations
@@ -52,6 +51,7 @@ ANNULUS = (0.5, 2.0)
 OUTER_RADIUS = 2.0
 
 _DENSE = 1 << 17  # intervals of the s = log2 r lattice on [-1, 1]
+_CONSTRUCTION_K = 64  # nodes per octave of the Phi_hat quadrature
 _RESIDUAL_TOL = 1e-6  # reproducing residual a built pair must reach
 
 
@@ -94,12 +94,12 @@ def _smoothstep(z):
     return gz / (gz + g1z)
 
 
-def annulus_bump(kind: str = "mollifier", **params) -> RadialProfile:
+def annulus_bump(kind: str = "mollifier") -> RadialProfile:
     """Smooth bump a(r) supported in [1/2, 2], parametrised in s = log2(r).
 
     kinds:
       mollifier -- exp-of-reciprocal bump over the full annulus
-      gauss     -- Gaussian in s, truncated where it falls below ~1e-15
+      gauss     -- Gaussian in s of width 0.12, cut where it falls below ~1e-15
       mu-eta    -- product of a Gaussian ring (positive on the annulus) and
                    a mollifier strictly inside it, mirroring the two-kernel
                    construction of the reproducing pair
@@ -107,14 +107,10 @@ def annulus_bump(kind: str = "mollifier", **params) -> RadialProfile:
     if kind == "mollifier":
         return RadialProfile(lambda r: _mollifier(_log2(r)), "mollifier")
     if kind == "gauss":
-        w = params.get("width", 0.12)
-        c = params.get("center", 0.0)
-        if abs(c) + 4 * w > 0.99:
-            raise ValueError("gauss bump parameters leak outside the annulus")
         def fn(r):
             s = _log2(r)
-            return np.where(np.abs(s) < 1.0, np.exp(-((s - c) ** 2) / (2.0 * w * w)), 0.0)
-        return RadialProfile(fn, f"gauss(w={w},c={c})")
+            return np.where(np.abs(s) < 1.0, np.exp(-(s**2) / (2.0 * 0.12 * 0.12)), 0.0)
+        return RadialProfile(fn, "gauss")
     if kind == "mu-eta":
         s_lo, s_hi = math.log2(0.55), math.log2(1.9)
         def fn(r):
@@ -149,16 +145,15 @@ def _support_leak(profile: RadialProfile, lo: float, hi: float) -> float:
 
 
 @lru_cache(maxsize=4)
-def _normalised_bump_pair(profile: str, construction_K: int, params: tuple) -> KernelPair:
-    """Normalise the bump annulus_bump(profile, **dict(params)) and
-    accumulate the low-pass profile; built once per (profile,
-    construction_K, params) per process, its tables read-only.  Raises if
-    construction_K does not divide 2^16 or either profile leaks outside its
-    support; an exception is not cached, so a bad pair raises on every call.
+def _normalised_bump_pair(profile: str) -> KernelPair:
+    """Normalise the bump annulus_bump(profile) and accumulate the low-pass
+    profile; built once per profile per process, its tables read-only.
+    Raises if either profile leaks outside its support; an exception is not
+    cached, so a bad pair raises on every call.
 
     phi_hat = a/c with c = integral_0^inf a(r)/r dr.  Phi_hat is the upward
     scale integral integral_1^inf phi_hat(t .) dt/t evaluated by the same
-    log-geometric trapezoid rule (construction_K nodes per octave,
+    log-geometric trapezoid rule (K = _CONSTRUCTION_K nodes per octave,
     half-weight at t = 1) that the downward quadratures use; the two rules
     then join seamlessly at t = 1, so the discrete reproducing identity
     holds to the accuracy of a full-line trapezoid sum of a smooth bump.
@@ -167,27 +162,21 @@ def _normalised_bump_pair(profile: str, construction_K: int, params: tuple) -> K
     0.5 b(s) + sum_j b(s + j/K) (ascending j; b = 0 past s = 1) comes from it.
     Its 2K blocks of 2^16/K nodes (node s = 1, b = 0, dropped) sum to the residual.
     """
-    K = construction_K
-    if K < 1 or (1 << 16) % K:
-        raise ValueError(f"construction_K must divide 2^16, got {K}")
-    bump = annulus_bump(profile, **dict(params))
+    K = _CONSTRUCTION_K
+    bump = annulus_bump(profile)
     s_grid = np.linspace(-1.0, 1.0, _DENSE + 1)
     vals = bump(2.0**s_grid)
     c = math.log(2.0) * np.trapezoid(vals, s_grid)
-    if not c > 0:
-        raise ValueError("annulus bump integrates to zero")
 
     phi_fn = lambda r: bump(r) / c
 
-    # Phi_hat table in s = log2(r) on the even lattice nodes, spacing 2^-15.
+    # Phi_hat table on the even lattice nodes, where a shift by j/K is j 2^15/K nodes
     delta = math.log(2.0) / K
-    # vals[shift::2] read from a contiguous even half (every shift is even
-    # for K <= 2^15) or, for odd shifts, from the odd half as a view
     s_tab = np.ascontiguousarray(s_grid[::2])
-    halves = (np.ascontiguousarray(vals[::2]), vals[1::2])
-    acc = 0.5 * halves[0]
-    for shift in range(_DENSE // (2 * K), _DENSE, _DENSE // (2 * K)):
-        tail = halves[shift % 2][shift // 2:]
+    even = np.ascontiguousarray(vals[::2])
+    acc = 0.5 * even
+    for start in range(_DENSE // (4 * K), _DENSE // 2, _DENSE // (4 * K)):
+        tail = even[start:]
         acc[:tail.size] += tail
     phi0_tab = delta * acc / c
     s_tab.setflags(write=False)
@@ -215,32 +204,32 @@ def _normalised_bump_pair(profile: str, construction_K: int, params: tuple) -> K
     return pair
 
 
-def reproducing_residual(pair: KernelPair, radii, check_K: int = 64) -> float:
+def reproducing_residual(pair: KernelPair, radii) -> float:
     """Max over the given |xi| samples of |Phi_hat + sum_j w_j phi_hat(t_j .) - 1|,
-    with a dt/t quadrature fine enough (check_K scales per octave) to cover
-    the full annulus of every sample."""
+    with the dt/t quadrature at the construction rate, over enough octaves
+    to cover the full annulus of every sample."""
     radii = np.asarray(radii, dtype=float).ravel()
     rmax = float(radii.max())
     J = max(1, int(math.ceil(math.log2(max(2.0 * rmax, 2.0)))))
-    s = ScaleGrid(check_K, J)
+    s = ScaleGrid(_CONSTRUCTION_K, J)
     acc = pair.phi0_hat(radii)
     for t, w in zip(s.t, s.weights):
         acc = acc + w * pair.phi_hat(t * radii)
     return float(np.abs(acc - 1.0).max())
 
 
-def build_continuous_pair(spec: GridSpec, s: ScaleGrid, profile: str = "mollifier",
-                          construction_K: int = 64, **bump_params) -> KernelPair:
+def build_continuous_pair(spec: GridSpec, s: ScaleGrid,
+                          profile: str = "mollifier") -> KernelPair:
     """Construct and verify a resolution-of-unity pair usable on `spec`.
 
-    The pair is shared per (profile, construction_K, params), and its
-    support check (phi_hat inside [1/2, 2], Phi_hat inside [0, 2]) and its
-    reproducing residual are taken once, where it is built.  Raises if the
+    The pair is shared per profile, and its support check (phi_hat inside
+    [1/2, 2], Phi_hat inside [0, 2]) and its reproducing residual are
+    taken once, where it is built.  Raises if the
     scale grid cannot resolve its smallest annulus on the grid, the only
     check that depends on the grid, or if the pair's residual exceeds 1e-6.
     """
     s.require_resolvable(spec)
-    pair = _normalised_bump_pair(profile, construction_K, tuple(sorted(bump_params.items())))
+    pair = _normalised_bump_pair(profile)
     if pair.residual > _RESIDUAL_TOL:
         raise ValueError(
             f"reproducing residual {pair.residual:.2e} exceeds {_RESIDUAL_TOL:.0e}; "

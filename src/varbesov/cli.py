@@ -10,7 +10,7 @@
 experiment, each into <out>/<name with ':' -> '_'>, evaluating each norm once.
 
 Exit codes: 0 run passed (with `all`: every run passed), 1 the
-experiment's rule failed, 2 hypothesis or configuration error.
+experiment's rule failed, 2 hypothesis, configuration or --out error.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import numpy as np
 from .calderon import (build_continuous_pair, build_dyadic, build_local_means,
                        export_radial_table, max_dyadic_level)
 from .corpus import boundary_mass, build_corpus
-from .harness import (ConfigError, EXPERIMENTS, HarnessConfig, _summary, emit_report,
-                      run_experiments, threshold_key)
+from .harness import (ConfigError, EXPERIMENTS, HarnessConfig, _FIXED_BOUNDS, _summary,
+                      emit_report, run_experiments, threshold_key)
 
 
 _FLAGS = {
@@ -82,10 +82,11 @@ def _emit(report, out: str) -> bool:
 def cmd_run(args) -> int:
     cfg = _config_from_args(args)
     every = args.experiment == "all"
-    if every and args.threshold is not None:
-        raise ConfigError("--threshold sets one experiment's threshold; "
-                          "it cannot be combined with 'all'")
     if args.threshold is not None:
+        fixed = _FIXED_BOUNDS.get(args.experiment)
+        if every or fixed is not None:
+            why = "it runs every experiment" if every else f"its bound is fixed at {fixed:g}"
+            raise ConfigError(f"--threshold cannot be combined with {args.experiment}: {why}")
         cfg.thresholds[threshold_key(args.experiment)] = args.threshold
     passed = []  # each report is written as it comes, so an error keeps the earlier ones
     for report in run_experiments(EXPERIMENTS if every else (args.experiment,), cfg):
@@ -156,7 +157,7 @@ def main(argv=None) -> int:
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.fn(args)
-    except ValueError as exc:  # includes ConfigError and HypothesisError
+    except (ValueError, OSError) as exc:  # ValueError includes ConfigError and HypothesisError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

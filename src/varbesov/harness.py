@@ -64,6 +64,7 @@ _THRESHOLDS = {
     "local-means-vs-discrete": 30.0,
     "lemma": 1.05,
 }
+_MAX_DRIFT, _MIN_GROWTH = 0.1, 3.0  # the bounds of _slope and _degrades, set by no threshold
 
 
 def threshold_key(experiment: str) -> str:
@@ -192,9 +193,7 @@ class RatioReport:
 
     @property
     def spread(self) -> float:
-        """max ratio / min ratio; inf when the smallest ratio is 0."""
-        lo = self.ratio_min
-        return self.ratio_max / lo if lo != 0 else math.inf
+        return _max_over_min(self.ratios)
 
     # -- serialisation (deterministic bytes: sorted keys, repr floats) -----
 
@@ -246,11 +245,16 @@ def emit_report(report: RatioReport, out_dir):
     return written
 
 
+def _max_over_min(values) -> float:
+    """max/min of `values`: inf when the smallest is 0, NaN for none or a NaN."""
+    lo, hi = (float(np.min(values)), float(np.max(values))) if values else (math.nan,) * 2
+    return hi / lo if lo != 0 else math.inf
+
+
 def _spread(cases, threshold: float) -> tuple:
     """Ratios a/b, passing when max/min is at most the threshold."""
     ratios = [a / b if b != 0 else math.inf for _, a, b in cases]
-    lo, hi = (float(np.min(ratios)), float(np.max(ratios))) if ratios else (math.nan,) * 2
-    return ratios, (hi / lo if lo != 0 else math.inf) <= threshold, threshold
+    return ratios, _max_over_min(ratios) <= threshold, threshold
 
 
 def _dominates(cases, threshold: float) -> tuple:
@@ -269,15 +273,15 @@ def _stable(cases, threshold: float) -> tuple:
 def _slope(cases, threshold: float) -> tuple:
     """Decay slopes drifting by at most 0.1, case M=<M> >= M + 0.9 on both grids."""
     drifts = [b - a for _, a, b in cases]
-    return drifts, all(min(a, b) >= int(name.split("M=")[-1]) + 0.9 and abs(d) <= 0.1
-                       for (name, a, b), d in zip(cases, drifts)), 0.1
+    return drifts, all(min(a, b) >= int(name.split("M=")[-1]) + 0.9 and abs(d) <= _MAX_DRIFT
+                       for (name, a, b), d in zip(cases, drifts)), _MAX_DRIFT
 
 
 def _degrades(cases, threshold: float) -> tuple:
     """Growth c(N)/c_first(N) of positive constants, the largest at least 3."""
     ok = bool(cases) and all(0 < c < math.inf for case in cases for c in case[1:])
     growth = [a / cases[0][1] if ok else math.nan for _, a, _ in cases]
-    return growth, ok and max(growth) >= 3.0, 3.0
+    return growth, ok and max(growth) >= _MIN_GROWTH, _MIN_GROWTH
 
 
 def _judge(experiment: str, cases, blank, rule, threshold: float, **fields) -> RatioReport:
@@ -454,6 +458,9 @@ _LEMMAS = {
 }
 LEMMA_IDS = tuple(_LEMMAS)
 EXPERIMENTS = tuple(NORM_EXPERIMENTS) + tuple(f"lemma:{i}" for i in LEMMA_IDS)
+# lemma experiment -> its rule's bound, where the rule takes no threshold
+_FIXED_BOUNDS = {f"lemma:{i}": {_slope: _MAX_DRIFT, _degrades: _MIN_GROWTH}[rule]
+                 for i, (_, rule, _) in _LEMMAS.items() if rule in (_slope, _degrades)}
 
 # rule -> the value it judges per case and the bound it applies, with the
 # norm columns a and b and the report's threshold t

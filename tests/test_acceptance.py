@@ -39,7 +39,7 @@ def test_criterion_01_reproducing_identity():
     t0 = time.monotonic()
     pair = build_continuous_pair(SPEC, SCALES)
     radii = SPEC.xi_radius().ravel()
-    res_pair = reproducing_residual(pair, radii, check_K=64)
+    res_pair = reproducing_residual(pair, radii)
     dyad = build_dyadic(SPEC, 5)
     res_dyad = dyad.partition_residual(radii)
     elapsed = time.monotonic() - t0

@@ -46,7 +46,7 @@ def test_support_containment(pair):
 @pytest.mark.parametrize("profile", ["mollifier", "gauss", "mu-eta"])
 def test_reproducing_residual_all_profiles(spec, scales, profile):
     p = build_continuous_pair(spec, scales, profile=profile)
-    res = reproducing_residual(p, spec.xi_radius().ravel(), check_K=64)
+    res = reproducing_residual(p, spec.xi_radius().ravel())
     assert res < 1e-6
 
 
@@ -61,25 +61,22 @@ def test_construction_rejects_unresolvable():
         build_continuous_pair(spec, ScaleGrid(4, 4))
 
 
-def test_coarse_construction_rejected(spec, scales):
-    # 8 scales per octave cannot reach the 1e-6 identity residual; the pair
-    # is shared after the first call, the check still runs on the second
+def test_coarse_construction_rejected(monkeypatch, spec, scales):
+    """A box of width 0.6 in s = log2 r is no smooth bump: its trapezoid sum
+    at the construction rate misses the identity by 1.6e-2.  The pair is
+    shared after the first call, the check still runs on the second."""
+    box = RadialProfile(lambda r: np.where(np.abs(calderon._log2(r)) < 0.3, 1.0, 0.0), "box")
+    monkeypatch.setattr(calderon, "annulus_bump", lambda kind: box)
     for _ in range(2):
         with pytest.raises(ValueError, match="residual"):
-            build_continuous_pair(spec, scales, construction_K=8)
-
-
-def test_leaky_bump_rejected_on_every_call(spec, scales):
-    for _ in range(2):
-        with pytest.raises(ValueError, match="leak"):
-            build_continuous_pair(spec, scales, profile="gauss", width=0.3)
+            build_continuous_pair(spec, scales, profile="box")
 
 
 def test_support_leak_raised_where_pair_is_built(monkeypatch, spec, scales):
-    """annulus_bump rejects leaking parameters itself, so a bump non-zero
+    """Every annulus_bump kind lies inside the annulus, so a bump non-zero
     past r = 2 takes a replaced annulus_bump.  The pair construction then
     finds the leak, and, as no exception is cached, on every call."""
-    def leaky_bump(kind, **params):
+    def leaky_bump(kind):
         def fn(r):
             out = np.zeros_like(r)
             pos = r > 0
@@ -113,17 +110,17 @@ def test_calderon_reconstruction(spec, profile):
     assert norm_l2(rec - f) / norm_l2(f) < 1e-4
 
 
-def _reference_bump_pair(bump, label, construction_K):
+def _reference_bump_pair(bump, label):
     """Per-shift brute force on the lattice nodes s = -1 + i 2^-15: the
-    Phi_hat table 0.5 b(s) + sum_j b(s + j/K), b(s) = a(2^s), evaluating the
-    bump anew for every upward shift j/K until s + j/K >= 1 on every node.
-    Reference for `calderon._normalised_bump_pair`."""
+    Phi_hat table 0.5 b(s) + sum_j b(s + j/K), b(s) = a(2^s), at K = 64,
+    evaluating the bump anew for every upward shift j/K until s + j/K >= 1
+    on every node.  Reference for `calderon._normalised_bump_pair`."""
     s_grid = np.linspace(-1.0, 1.0, calderon._DENSE + 1)
     c = math.log(2.0) * np.trapezoid(bump(2.0**s_grid), s_grid)
 
     phi_fn = lambda r: bump(r) / c
 
-    K = construction_K
+    K = 64
     s_tab = np.linspace(-1.0, 1.0, (1 << 16) + 1)
     acc = 0.5 * bump(2.0**s_tab)
     for j in range(1, 2 * K + 1):
@@ -147,22 +144,18 @@ def _reference_bump_pair(bump, label, construction_K):
     )
 
 
-BUMPS = {"mollifier": ("mollifier", {}), "gauss": ("gauss", {}),
-         "gauss-w0.2-c0.1": ("gauss", {"width": 0.2, "center": 0.1}),
-         "mu-eta": ("mu-eta", {})}
+PROFILES = ("mollifier", "gauss", "mu-eta")
 
 
-@pytest.mark.parametrize("K", [8, 16, 32, 64])
-@pytest.mark.parametrize("kind", list(BUMPS))
-def test_bump_pair_bit_identical_to_reference(kind, K):
+@pytest.mark.parametrize("profile", PROFILES)
+def test_bump_pair_bit_identical_to_reference(profile):
     """Taking every shift from the one lattice evaluation gives the per-shift
     brute force exactly, on every table node, between nodes and around the
     support edges.  At r = 0 (and -0) the bump is exactly 0 and Phi_hat
     exactly 1, with no numpy warning: s = log2 r is -inf there."""
-    profile, params = BUMPS[kind]
-    bump = annulus_bump(profile, **params)
-    ref = _reference_bump_pair(bump, profile, K)
-    fast = calderon._normalised_bump_pair(profile, K, tuple(sorted(params.items())))
+    bump = annulus_bump(profile)
+    ref = _reference_bump_pair(bump, profile)
+    fast = calderon._normalised_bump_pair(profile)
     origin = np.array([0.0, -0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -180,75 +173,33 @@ def test_bump_pair_bit_identical_to_reference(kind, K):
     assert np.array_equal(fast.phi_hat(r), ref.phi_hat(r))
 
 
-def test_phi0_table_with_odd_shifts_equals_strided_sum():
-    """At construction_K = 2^16, the one rate whose lattice shifts are odd,
-    the table summed from the two halves of the lattice equals the strided
-    sum 0.5 b[::2] + sum_shift b[shift::2] exactly, on every node."""
-    K = 1 << 16
-    s_grid = np.linspace(-1.0, 1.0, calderon._DENSE + 1)
-    vals = annulus_bump("mollifier")(2.0**s_grid)
-    c = math.log(2.0) * np.trapezoid(vals, s_grid)
-    acc = 0.5 * vals[::2]
-    for shift in range(1, calderon._DENSE):
-        tail = vals[shift::2]
-        acc[:tail.size] += tail
-    fast = calderon._normalised_bump_pair("mollifier", K, ())
-    table = inspect.getclosurevars(fast.phi0_hat._fn).nonlocals["phi0_tab"]
-    assert table.tobytes() == (math.log(2.0) / K * acc / c).tobytes()
-
-
-def test_construction_rate_must_divide_lattice(spec, scales):
-    """A shift by 1/K must be a whole number of lattice nodes."""
-    for _ in range(2):
-        with pytest.raises(ValueError, match="divide 2\\^16"):
-            build_continuous_pair(spec, scales, construction_K=48)
-
-
 def test_pair_built_once_per_process(monkeypatch, scales):
-    """The pair depends on (profile, construction_K, params) only: another
-    grid reuses it, another rate or other params construct again."""
+    """The pair depends on the profile only: another grid reuses it,
+    another profile constructs again."""
     calderon._normalised_bump_pair.cache_clear()
     built = []
     bump = calderon.annulus_bump
-    monkeypatch.setattr(calderon, "annulus_bump",
-                        lambda kind, **kw: built.append(kind) or bump(kind, **kw))
+    monkeypatch.setattr(calderon, "annulus_bump", lambda kind: built.append(kind) or bump(kind))
     a = build_continuous_pair(GridSpec(1, 1024, 8.0), scales)
     b = build_continuous_pair(GridSpec(1, 2048, 8.0), scales)
     assert built == ["mollifier"]
     assert a.phi0_hat is b.phi0_hat and a.phi_hat is b.phi_hat
-    build_continuous_pair(GridSpec(1, 1024, 8.0), scales, construction_K=32)
-    g = build_continuous_pair(GridSpec(1, 1024, 8.0), scales, profile="gauss",
-                              width=0.2, center=0.1)
-    assert build_continuous_pair(GridSpec(1, 1024, 8.0), scales, profile="gauss",
-                                 center=0.1, width=0.2).phi_hat is g.phi_hat
-    assert built == ["mollifier", "mollifier", "gauss"]
+    g = build_continuous_pair(GridSpec(1, 1024, 8.0), scales, profile="gauss")
+    assert build_continuous_pair(GridSpec(1, 2048, 8.0), scales, profile="gauss") is g
+    assert built == ["mollifier", "gauss"]
 
 
-# (bump, K) whose reproducing residual exceeds 1e-6, on the lattice and on
-# every grid alike
-UNCERTIFIED = {("mollifier", 8), ("mollifier", 16), ("mu-eta", 8), ("mu-eta", 16),
-               ("gauss-w0.2-c0.1", 8), ("gauss-w0.2-c0.1", 16), ("gauss-w0.2-c0.1", 32)}
-
-
-@pytest.mark.parametrize("K", [8, 16, 32, 64])
-@pytest.mark.parametrize("kind", list(BUMPS))
-def test_lattice_residual_certifies_every_grid(kind, K):
+@pytest.mark.parametrize("profile", PROFILES)
+def test_lattice_residual_certifies_every_grid(profile):
     """The identity at the construction rate is a full-line trapezoid sum in
     s = log2|xi|, so its error depends on s mod 1/K only: the lattice value
     bounds the grid residual (which adds the Phi_hat interpolation, ~1e-9),
     and the 1e-6 verdict is the same on every grid."""
-    profile, params = BUMPS[kind]
-    pair = calderon._normalised_bump_pair(profile, K, tuple(sorted(params.items())))
+    pair = calderon._normalised_bump_pair(profile)
     for spec in (GridSpec(1, 1024, 16.0), GridSpec(2, 64, 8.0)):
-        assert pair.residual + 1e-8 >= reproducing_residual(pair, spec.xi_radius(), K)
-    assert (pair.residual > 1e-6) == ((kind, K) in UNCERTIFIED)
-    spec, scales = GridSpec(1, 1024, 16.0), ScaleGrid(4, 4)
-    if (kind, K) in UNCERTIFIED:
-        with pytest.raises(ValueError, match="residual"):
-            build_continuous_pair(spec, scales, profile, construction_K=K, **params)
-    else:
-        assert build_continuous_pair(spec, scales, profile, construction_K=K,
-                                     **params) is pair
+        assert pair.residual + 1e-8 >= reproducing_residual(pair, spec.xi_radius())
+    assert pair.residual <= 1e-6
+    assert build_continuous_pair(GridSpec(1, 1024, 16.0), ScaleGrid(4, 4), profile) is pair
 
 
 def test_build_evaluates_nothing_on_grid_radii(monkeypatch, scales):

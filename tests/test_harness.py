@@ -591,10 +591,25 @@ def test_cli_run_all(tmp_path, capsys):
 
 
 def test_cli_run_all_rejects_threshold(tmp_path, capsys):
-    code = cli_main(["run", "all", "--threshold", "5", "--out", str(tmp_path / "z")])
-    assert code == 2
-    assert "threshold" in capsys.readouterr().err
-    assert not (tmp_path / "z").exists()
+    """--threshold is a configuration error with `all` and with the sweeps
+    whose rule judges against a fixed bound, which the message names."""
+    for experiment, named in (("all", "every experiment"), ("lemma:rychkov", "fixed at 0.1"),
+                              ("lemma:transfer-violation", "fixed at 3")):
+        out = tmp_path / experiment.replace(":", "_")
+        code = cli_main(["run", experiment, "--threshold", "5", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "threshold" in err and named in err, err
+        assert not out.exists()
+
+
+def test_cli_unwritable_out_is_an_error(tmp_path, capsys):
+    """An --out that is an existing file ends in exit 2 and an error line."""
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert cli_main(["run", "lemma:hardy", "--grid", "256,16", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_text() == ""
 
 
 def test_cli_config_error(capsys):
