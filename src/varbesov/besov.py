@@ -57,7 +57,7 @@ __all__ = [
 
 
 class HypothesisError(ValueError):
-    """A theorem hypothesis (exponent class, a > n/p-, alpha+ < S+1) fails."""
+    """A theorem hypothesis (exponent class, a > n/p-, alpha+ < S+1, odd S) fails."""
 
 
 @dataclass(frozen=True)
@@ -281,12 +281,17 @@ def besov_peetre(f: GridFunction, P: BesovParams) -> float:
 
 
 def besov_local_means(f: GridFunction, P: BesovParams) -> float:
-    """Local-means form: Peetre norm built from (k0, k); requires
-    alpha+ < S+1 in addition to a > n/p-."""
+    """Local-means form: Peetre norm built from (k0, k); requires alpha+ < S+1
+    and S odd or -1 (for even S, |xi|^(S+1) is not smooth at 0, and k decays
+    only like |x|^-(n+S+1)) in addition to a > n/p-."""
     kern = _setup(f, P, LocalMeansKernels, "besov_local_means")
     if not P.alpha.range_max < kern.S + 1:
         raise HypothesisError(
             f"local means need alpha+ < S+1; got alpha+ = {P.alpha.range_max} "
             f"with S = {kern.S}"
+        )
+    if kern.S % 2 == 0:
+        raise HypothesisError(
+            f"local means need S odd or -1, so that |xi|^(S+1) is smooth; got S = {kern.S}"
         )
     return _scale_norm(f, P, kern.k0_hat, kern.k_hat, True)

@@ -18,9 +18,10 @@ c = integral_0^inf a(r)/r dr, which makes the full dt/t integral equal 1
 by scale invariance, and Phi_hat(xi) = integral_1^inf phi_hat(t xi) dt/t
 accumulated from one evaluation of the bump on a dyadic lattice in
 s = log2|xi|.  The pair is built once per profile per process, shared
-read-only and certified there: at the construction rate the reproducing
-identity is a full-line trapezoid sum in s, whose error depends on
-s mod 1/K only, not on the grid, so it is measured once, on that lattice.
+read-only and certified there: phi_hat must vanish off the annulus (Phi_hat
+is 0 from r = 2 on by construction), and at the construction rate the
+reproducing identity is a full-line trapezoid sum in s, whose error depends
+on s mod 1/K only, not on the grid, so it is measured once, on that lattice.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ __all__ = [
 ]
 
 ANNULUS = (0.5, 2.0)
-OUTER_RADIUS = 2.0
 
 _DENSE = 1 << 17  # intervals of the s = log2 r lattice on [-1, 1]
 _CONSTRUCTION_K = 64  # nodes per octave of the Phi_hat quadrature
@@ -124,7 +124,7 @@ def annulus_bump(kind: str = "mollifier") -> RadialProfile:
 class KernelPair:
     """Resolution-of-unity pair: low-pass profile Phi_hat and annulus
     profile phi_hat, with phi_hat supported in ANNULUS = [1/2, 2] and
-    Phi_hat in [0, OUTER_RADIUS].  residual is max |delta/c sum_j b(s + j/K) - 1|
+    Phi_hat in [0, 2].  residual is max |delta/c sum_j b(s + j/K) - 1|
     over all integers j (b(s) = a(2^s), delta = ln2/K): the reproducing
     identity at the construction rate K before the Phi_hat table is
     interpolated, over s = log2|xi| on the construction lattice, which holds
@@ -136,20 +136,20 @@ class KernelPair:
     residual: float = math.nan
 
 
-def _support_leak(profile: RadialProfile, lo: float, hi: float) -> float:
-    parts = [np.linspace(hi, 4.0 * hi, 2048)]
-    if lo > 0:
-        parts.append(np.linspace(0.0, lo, 2048, endpoint=False))
-    vals = np.abs(profile(np.concatenate(parts)))
-    return float(vals.max())
+def _support_leak(profile: RadialProfile) -> float:
+    lo, hi = ANNULUS
+    r = np.concatenate([np.linspace(hi, 4.0 * hi, 2048),
+                        np.linspace(0.0, lo, 2048, endpoint=False)])
+    return float(np.abs(profile(r)).max())
 
 
 @lru_cache(maxsize=4)
 def _normalised_bump_pair(profile: str) -> KernelPair:
     """Normalise the bump annulus_bump(profile) and accumulate the low-pass
     profile; built once per profile per process, its tables read-only.
-    Raises if either profile leaks outside its support; an exception is not
-    cached, so a bad pair raises on every call.
+    Raises if phi_hat leaks outside ANNULUS (Phi_hat is 0 from r = 2 on by
+    construction); an exception is not cached, so a bad pair raises on
+    every call.
 
     phi_hat = a/c with c = integral_0^inf a(r)/r dr.  Phi_hat is the upward
     scale integral integral_1^inf phi_hat(t .) dt/t evaluated by the same
@@ -197,8 +197,7 @@ def _normalised_bump_pair(profile: str) -> KernelPair:
         label=profile,
         residual=float(np.abs(full_line - 1.0).max()),
     )
-    leak = max(_support_leak(pair.phi_hat, *ANNULUS),
-               _support_leak(pair.phi0_hat, 0.0, OUTER_RADIUS))
+    leak = _support_leak(pair.phi_hat)
     if leak > 1e-12:
         raise ValueError(f"kernel support leaks outside its annulus: {leak:.2e}")
     return pair
@@ -223,8 +222,8 @@ def build_continuous_pair(spec: GridSpec, s: ScaleGrid,
     """Construct and verify a resolution-of-unity pair usable on `spec`.
 
     The pair is shared per profile, and its support check (phi_hat inside
-    [1/2, 2], Phi_hat inside [0, 2]) and its reproducing residual are
-    taken once, where it is built.  Raises if the
+    [1/2, 2]) and its reproducing residual are taken once, where it is
+    built.  Raises if the
     scale grid cannot resolve its smallest annulus on the grid, the only
     check that depends on the grid, or if the pair's residual exceeds 1e-6.
     """

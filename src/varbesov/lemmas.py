@@ -59,6 +59,8 @@ _RTRICK_OMEGA = RadialProfile(
 # the dyadic cutoff Psi
 _REPRODUCING_THETA = _PSI
 _RYCHKOV_T_FIT_MAX = 0.125  # the decay fit uses t <= this, where the power law is clean
+_RYCHKOV_N_W = 2.0  # exponent of the decay weight (1+|z|)^N_w
+_RYCHKOV_SCALES = ScaleGrid(4, 6)  # t = 2^(-j/4) down to 2^-6, before the fit's cuts
 
 
 def _eta_convolve(F: np.ndarray, t, m: float, spec: GridSpec) -> np.ndarray:
@@ -75,9 +77,7 @@ def _ratio_max(num: np.ndarray, den: np.ndarray) -> float:
     scale = float(den.max())
     if scale <= 0.0:
         return math.nan
-    mask = den > _DEN_FLOOR * scale
-    if not mask.any():
-        return math.nan
+    mask = den > _DEN_FLOOR * scale  # holds at the maximum of a finite den
     return float((num[mask] / den[mask]).max())
 
 
@@ -279,23 +279,22 @@ def check_reproducing_bounds(f: GridFunction, kernels: KernelPair, r: float,
 # --- moment-driven decay of dilated kernels --------------------------------------
 
 
-def check_rychkov_decay(mu_hat: RadialProfile, rho: GridFunction, N_w: float,
-                        scales: ScaleGrid) -> float:
-    """Fitted log-log slope of D(t) = sup_z |mu_t * rho(z)| (1+|z|)^N_w.
+def check_rychkov_decay(mu_hat: RadialProfile, rho: GridFunction) -> float:
+    """Fitted log-log slope of D(t) = sup_z |mu_t * rho(z)| (1+|z|)^2.
 
     If mu has M+1 vanishing moments (a |xi|^(M+1) factor in its profile),
-    D(t) should decay at least like t^(M+1); the fit is restricted to
-    t <= 1/8 where the pure power law is clean, and to scales whose
-    dilated profile the grid still resolves.
+    D(t) should decay at least like t^(M+1); the fit takes t = 2^(-j/4)
+    down to 2^-6, restricted to t <= 1/8 where the pure power law is clean,
+    and to scales whose dilated profile the grid still resolves.
     """
     spec = rho.spec
     if float(np.abs(rho.values).max()) == 0.0:
         return math.nan
-    t = scales.t
+    t = _RYCHKOV_SCALES.t
     t = t[(t <= _RYCHKOV_T_FIT_MAX) & (1.0 / t <= 0.5 * spec.xi_max)]
     bank = mu_hat(t.reshape((-1,) + (1,) * spec.n) * spec.xi_radius())
     conv = dft(dft(rho.values, spec) * bank * (2 * np.pi) ** (spec.n / 2), spec, inverse=True)
-    weight = (1.0 + spec.periodic_radius()) ** N_w
+    weight = (1.0 + spec.periodic_radius()) ** _RYCHKOV_N_W
     D = (np.abs(conv) * weight).max(axis=tuple(range(1, conv.ndim)))
     if np.count_nonzero(D > 0) < 3:
         raise ValueError("not enough usable scales for the decay fit")

@@ -385,6 +385,13 @@ def test_peetre_maximal_rejects_bad_scale(spec, pair, corpus_fns, t):
         peetre_maximal(f, t, 1.5, const(spec, 0.5), pair.phi_hat)
 
 
+@pytest.mark.parametrize("a", [0.0, -1.5, math.nan])
+def test_peetre_maximal_rejects_bad_exponent(spec, pair, corpus_fns, a):
+    f = GridFunction(spec, corpus_fns["gauss"])
+    with pytest.raises(ValueError, match="Peetre exponent a must be positive"):
+        peetre_maximal(f, 0.5, a, const(spec, 0.5), pair.phi_hat)
+
+
 @pytest.mark.parametrize("N,L", [(1024, 8.0), (512, 16.0)])
 def test_peetre_maximal_rejects_alpha_on_another_grid(spec, pair, corpus_fns, N, L):
     """Same N and another L would read the wrong samples silently, another N
@@ -477,7 +484,32 @@ def test_local_means_ratio_to_discrete(spec, scales, local_means, dyadic, corpus
 def test_local_means_moment_hypothesis_guard(spec, scales, corpus_fns):
     weak = build_local_means(0, 1.0, spec)  # S+1 = 1 <= alpha+ = 1.5
     P = BesovParams(const(spec, 1.5), const(spec, 2.0), const(spec, 2.0), 1.5, scales, weak)
-    with pytest.raises(HypothesisError, match="S\\+1"):
+    with pytest.raises(HypothesisError, match="alpha\\+ < S\\+1"):
+        besov_local_means(GridFunction(spec, corpus_fns["gauss"]), P)
+
+
+@pytest.mark.parametrize("S", [0, 2])
+def test_local_means_even_S_rejected(spec, scales, corpus_fns, S):
+    """alpha+ = 0.5 < S+1 holds, but for even S the kernel k is no Schwartz
+    function: |xi|^(S+1) is not smooth at 0."""
+    P = BesovParams(const(spec, 0.5), const(spec, 2.0), const(spec, 2.0), 1.5, scales,
+                    build_local_means(S, 1.0, spec))
+    with pytest.raises(HypothesisError, match=f"S odd or -1.*S\\+1.*got S = {S}"):
+        besov_local_means(GridFunction(spec, corpus_fns["gauss"]), P)
+
+
+@pytest.mark.parametrize("S,alpha", [(-1, -0.5), (1, 0.5), (3, 0.5)])
+def test_local_means_odd_S_evaluates(spec, scales, corpus_fns, S, alpha):
+    P = BesovParams(const(spec, alpha), const(spec, 2.0), const(spec, 2.0), 1.5, scales,
+                    build_local_means(S, 1.0, spec))
+    value = besov_local_means(GridFunction(spec, corpus_fns["gauss"]), P)
+    assert math.isfinite(value) and value > 0
+
+
+def test_local_means_peetre_hypothesis_guard(spec, scales, local_means, corpus_fns):
+    P = BesovParams(const(spec, 0.5), const(spec, 2.0), const(spec, 2.0), 0.3, scales,
+                    local_means)
+    with pytest.raises(HypothesisError, match="n/p-"):
         besov_local_means(GridFunction(spec, corpus_fns["gauss"]), P)
 
 

@@ -89,6 +89,13 @@ def test_support_leak_raised_where_pair_is_built(monkeypatch, spec, scales):
             build_continuous_pair(spec, scales, profile="leaky")
 
 
+def test_unknown_bump_kind_rejected(spec, scales):
+    with pytest.raises(ValueError, match="unknown bump kind 'nope'"):
+        annulus_bump("nope")
+    with pytest.raises(ValueError, match="unknown bump kind 'nope'"):
+        build_continuous_pair(spec, scales, profile="nope")
+
+
 @pytest.mark.parametrize("profile", ["mollifier", "gauss", "mu-eta"])
 def test_calderon_reconstruction(spec, profile):
     """Low-pass plus dt/t aggregate of the band parts rebuilds f.
@@ -152,7 +159,9 @@ def test_bump_pair_bit_identical_to_reference(profile):
     """Taking every shift from the one lattice evaluation gives the per-shift
     brute force exactly, on every table node, between nodes and around the
     support edges.  At r = 0 (and -0) the bump is exactly 0 and Phi_hat
-    exactly 1, with no numpy warning: s = log2 r is -inf there."""
+    exactly 1, with no numpy warning: s = log2 r is -inf there.  On [2, 8],
+    the range a support check would sample, Phi_hat is exactly 0 whatever
+    the bump, so the pair needs no such check."""
     bump = annulus_bump(profile)
     ref = _reference_bump_pair(bump, profile)
     fast = calderon._normalised_bump_pair(profile)
@@ -171,6 +180,7 @@ def test_bump_pair_bit_identical_to_reference(profile):
     ])
     assert np.array_equal(fast.phi0_hat(r), ref.phi0_hat(r))
     assert np.array_equal(fast.phi_hat(r), ref.phi_hat(r))
+    assert not np.any(fast.phi0_hat(np.linspace(2.0, 8.0, 2048)))
 
 
 def test_pair_built_once_per_process(monkeypatch, scales):
@@ -248,6 +258,12 @@ def test_dyadic_rejects_oversized_level(spec):
     with pytest.raises(ValueError, match="top annulus"):
         build_dyadic(spec, 7)
     assert max_dyadic_level(spec) == 5
+
+
+@pytest.mark.parametrize("v", [-1, 6])
+def test_dyadic_block_index_checked(dyadic, v):
+    with pytest.raises(ValueError, match=f"block index {v} outside 0..5"):
+        dyadic.psi_hat(v)
 
 
 def test_dyadic_rejects_grid_without_blocks():
@@ -340,11 +356,19 @@ def test_local_means_moment_slope(spec, S):
     assert k.moment_slope() >= S + 1 - 0.1
 
 
+def test_local_means_moment_slope_infinite_when_profile_underflows(spec):
+    """At S = 250 every |k_hat| sample near 0 underflows to 0: no slope can
+    be fitted, and the moments count as infinitely many."""
+    assert build_local_means(250, 1.0, spec).moment_slope() == math.inf
+
+
 def test_local_means_rejects_bad_inputs(spec):
     with pytest.raises(ValueError, match="S must be >= -1"):
         build_local_means(-2, 1.0, spec)
     with pytest.raises(ValueError, match="eps"):
         build_local_means(3, 0.0, spec)
+    with pytest.raises(ValueError, match="Tauberian annulus exceeds"):
+        build_local_means(3, 1.0, GridSpec(1, 16, 16.0))  # xi_max = pi/2 < 2 eps
 
 
 # --- export ----------------------------------------------------------------------

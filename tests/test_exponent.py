@@ -248,3 +248,12 @@ def test_nan_rejected():
     vals[3] = math.nan
     with pytest.raises(ValueError, match="NaN"):
         ExponentField(spec, vals)
+
+
+def test_neg_inf_rejected():
+    """+inf is an admissible exponent (p = inf); -inf is not."""
+    spec = GridSpec(1, 64, 4.0)
+    vals = np.ones(64)
+    vals[3] = -math.inf
+    with pytest.raises(ValueError, match="-inf"):
+        ExponentField(spec, vals)

@@ -297,6 +297,14 @@ def test_eta_rejects_small_m(spec):
         eta_periodized(0.5, 1.0, spec)
 
 
+@pytest.mark.parametrize("t,m,match", [(0.5, 1.0, "m > n"), (0.0, 3.0, "scale t"),
+                                       (np.array([0.5, -0.5]), 3.0, "scale t")],
+                         ids=["m-equals-n", "t-zero", "t-negative"])
+def test_eta_pointwise_rejects_bad_inputs(t, m, match):
+    with pytest.raises(ValueError, match=match):
+        eta_pointwise(t, m, np.linspace(0.0, 1.0, 5), 1)
+
+
 def test_eta_hat_realises_convolution(spec, gaussian):
     # convolving with eta approximates integral eta(y) f(x-y) dy; for the
     # wide Gaussian the result must stay between c(m)*min f and c(m)*max f
@@ -347,6 +355,14 @@ def test_scale_grid_resolvability(spec):
     ScaleGrid(8, 5).require_resolvable(spec)  # 2/t_min = 64 <= 100.5
     with pytest.raises(ValueError, match="resolves only"):
         ScaleGrid(8, 7).require_resolvable(spec)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_grid_function_rejects_non_finite(spec, bad):
+    vals = np.ones(spec.N, dtype=complex)
+    vals[7] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        GridFunction(spec, vals)
 
 
 def test_values_immutable(spec, gaussian):

@@ -21,6 +21,7 @@ from varbesov.corpus import (
     make_exponent,
     make_triple,
 )
+from varbesov.grid import GridSpec
 from varbesov.harness import (
     EXPERIMENTS,
     NORM_EXPERIMENTS,
@@ -67,6 +68,13 @@ def test_corpus_unknown_entry(spec):
             build_corpus(spec, names=(name,))
 
 
+def test_corpus_rejects_boundary_mass():
+    """On a half-period of 2 the wide Gaussian still has 6e-2 of its mass
+    at the boundary: it is no function on this torus."""
+    with pytest.raises(ValueError, match="'gaussian_wide' has boundary mass 5.99e-02"):
+        build_corpus(GridSpec(1, 64, 2.0), names=("gaussian_wide",))
+
+
 def test_exponent_presets(spec):
     alpha, p, q = make_triple(spec, "sine-p")
     assert alpha.is_constant
@@ -76,6 +84,8 @@ def test_exponent_presets(spec):
         make_triple(spec, "nope")
     g = make_exponent(spec, kind="bump", base=0.5, amplitude=0.4)
     assert g.range_max == pytest.approx(0.9, abs=1e-6)
+    with pytest.raises(ValueError, match="unknown exponent kind 'nope'"):
+        make_exponent(spec, kind="nope")
 
 
 # --- reports ----------------------------------------------------------------
@@ -206,6 +216,18 @@ def test_local_means_hypothesis_rejection():
     cfg = HarnessConfig(**{**SMALL, "S": -1})
     with pytest.raises(HypothesisError, match="S\\+1"):
         run_experiment("local-means-vs-discrete", cfg)
+
+
+def test_local_means_even_S_rejected(tmp_path, capsys):
+    """S = 2 clears alpha+ < S+1, but its kernel is no Schwartz function:
+    the experiment raises, and the CLI exits with code 2."""
+    with pytest.raises(HypothesisError, match="S odd or -1"):
+        run_experiment("local-means-vs-discrete", HarnessConfig(**{**SMALL, "S": 2}))
+    ini = tmp_path / "cfg.ini"
+    ini.write_text("[experiment:local-means-vs-discrete]\nS = 2\n")
+    assert cli_main(["run", "local-means-vs-discrete", "--config", str(ini), "--grid", "256,16",
+                     "--scales", "4,3", "--out", str(tmp_path / "y")]) == 2
+    assert "S odd or -1" in capsys.readouterr().err
 
 
 def test_run_experiments_matches_run_experiment():
@@ -395,7 +417,8 @@ def test_dzw_scaling_clears_hypothesis_in_one_step(monkeypatch, scale):
     (["lemma:transfer", "--grid", "1024,inf"], "L must be finite and positive, got inf"),
     (["lemma:transfer", "--grid", "1024,-4"], "L must be finite and positive, got -4"),
     (["lemma:hardy", "--scales", "0,0"], "ScaleGrid needs K >= 1"),
-], ids=["L-inf", "L-negative", "scales-0"])
+    (["lemma:hardy", "--grid", "256"], "--grid expects two comma-separated values, got '256'"),
+], ids=["L-inf", "L-negative", "scales-0", "grid-one-value"])
 def test_config_validated_for_every_experiment(tmp_path, capsys, args, message):
     """The lemma sweeps read neither --grid's L nor --scales, but a bad
     value is still a configuration error, and no report is written."""

@@ -302,6 +302,26 @@ def test_hardy_matches_reference(K, J, s_exp):
         assert check_hardy(sH.t, s_exp, sH) == _reference_hardy(sH.t, s_exp, sH)
 
 
+@pytest.mark.parametrize("call", ["check_transfer", "check_hardy", "check_rtrick",
+                                  "check_reproducing_bounds"])
+def test_oracles_reject_out_of_range_parameters(lspec, lscales, lpair, call):
+    """t = 0, s = 0, N_dil = 1/2 and m = 1.5 <= n/r = 2 each leave the
+    stated range of their oracle."""
+    (x,) = lspec.coords()
+    g = GridFunction(lspec, np.exp(-(x**2) / 2.0))
+    calls = {
+        "check_transfer": (lambda: check_transfer(ExponentField.from_constant(lspec, 0.5),
+                                                  0.0, 1.0), "need t > 0"),
+        "check_hardy": (lambda: check_hardy(lscales.t, 0.0, lscales), "s must be positive"),
+        "check_rtrick": (lambda: check_rtrick(g, 0.5, 0.5, 3.0), "N_dil >= 1"),
+        "check_reproducing_bounds": (lambda: check_reproducing_bounds(g, lpair, 0.5, 1.5, lscales),
+                                     "m > max"),
+    }
+    fn, match = calls[call]
+    with pytest.raises(ValueError, match=match):
+        fn()
+
+
 # --- r-trick --------------------------------------------------------------------
 
 
@@ -378,6 +398,11 @@ def test_averaged_support_bookkeeping(lspec, lscales):
     expected = {i for i, t in enumerate(lscales.t)
                 if tau0 / 4.0 - 1e-15 <= t <= 4.0 * tau0 + 1e-15}
     assert active == expected
+
+
+def test_averaged_zero_family(lspec, lscales, p2):
+    fam = np.zeros((len(lscales.t), lspec.N), dtype=complex)
+    assert check_averaged(fam, p2, p2, 3.0, (0.25, 4.0), lscales) == 0.0
 
 
 def test_averaged_rejects_bad_band(lspec, lscales, wave_family, p2):
@@ -696,8 +721,7 @@ def test_oracles_without_eta_accept_n2():
     spec = GridSpec(2, 64, 4.0)
     p, g = ExponentField.from_constant(spec, 2.0), GridFunction(spec, _gauss_2d(spec))
     assert check_dzw(4.0 * g, p, p)
-    assert check_rychkov_decay(build_local_means(1, 1.0, spec).k_hat, g, 2.0,
-                               ScaleGrid(4, 6)) >= 1.9
+    assert check_rychkov_decay(build_local_means(1, 1.0, spec).k_hat, g) >= 1.9
 
 
 # --- moment-driven decay --------------------------------------------------------------
@@ -708,13 +732,13 @@ def test_rychkov_slopes(lspec, M, floor):
     (x,) = lspec.coords()
     rho = GridFunction(lspec, np.exp(-(x**2) / 2.0))
     mu = build_local_means(M, 1.0, lspec).k_hat
-    slope = check_rychkov_decay(mu, rho, 2.0, ScaleGrid(4, 6))
+    slope = check_rychkov_decay(mu, rho)
     assert slope >= floor
 
 
 def test_rychkov_zero_rho_vacuous(lspec):
     mu = build_local_means(1, 1.0, lspec).k_hat
-    assert math.isnan(check_rychkov_decay(mu, GridFunction.zeros(lspec), 2.0, ScaleGrid(4, 6)))
+    assert math.isnan(check_rychkov_decay(mu, GridFunction.zeros(lspec)))
 
 
 # --- degree-zero homogeneity and refinement stability ----------------------------------
