@@ -25,13 +25,12 @@ its Peetre supremum.  The stack goes as it is to
 aggregate it in l^q(.)(L^p(.)).  The Peetre supremum over the torus is
 taken over grid points, exactly, and bit-identical to the brute-force
 scan: in 1-D the offsets within one tile edge densely and the far ones
-through a per-block, then per-point bound, in 2-D every offset through a
-per-point bound.
+through a per-block, then per-point bound, in 2-D every offset densely in
+two separable passes, +-k folded along one axis and +-d2 along the other.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -42,7 +41,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .calderon import (DyadicFamily, KernelPair, LocalMeansKernels, RadialProfile,
                        multiplier_bank)
 from .exponent import ExponentField
-from .grid import GridFunction, GridSpec, ScaleGrid, _circulant, dft, fourier
+from .grid import GridFunction, GridSpec, ScaleGrid, dft, fourier
 from .modular_norms import luxemburg_norm, mixed_norm_continuous, mixed_norm_discrete
 
 __all__ = [
@@ -157,20 +156,18 @@ def peetre_maximal(f: GridFunction, t: float, a: float, alpha: ExponentField,
     return GridFunction(f.spec, _weighted_sup(G, (t,), a, f.spec)[0])
 
 
-_TILE = {1: 32, 2: 16}  # tile edge of the x grid, per dimension
+_TILE = 32  # 1-D tile edge of the x grid
 _GROUP = 1 << 14  # w entries per 1-D row group: 2^14 // N rows
-_CHUNK = 1 << 15  # products per gather
+_CHUNK = 1 << 15  # products per 1-D gather
+_BLOCK = 16  # offsets d2 per 2-D stage-1 pass
 
 
 def _window_max(x: np.ndarray, T: int) -> np.ndarray:
-    """Max of x over the T^n periodic offsets from each index onward, for a
-    stack of rows (axis 0) of n-D arrays: the window doubles along each axis."""
-    x = np.pad(x, [(0, 0)] + [(0, T - 1)] * (x.ndim - 1), "wrap")
-    for axis in range(1, x.ndim):
-        for s in (1 << j for j in range(T.bit_length() - 1)):
-            head = (slice(None),) * axis + (slice(-s),)
-            tail = (slice(None),) * axis + (slice(s, None),)
-            x = np.maximum(x[head], x[tail])
+    """Max of x over the T periodic offsets from each index onward, for a
+    stack of 1-D rows (axis 0): the window doubles T.bit_length() - 1 times."""
+    x = np.pad(x, [(0, 0), (0, T - 1)], "wrap")
+    for s in (1 << j for j in range(T.bit_length() - 1)):
+        x = np.maximum(x[:, :-s], x[:, s:])
     return x
 
 
@@ -216,59 +213,70 @@ def _sup_1d(g: np.ndarray, w: np.ndarray, T: int, o: np.ndarray) -> None:
         o2[cs[starts]] = np.maximum(o2[cs[starts]], np.maximum.reduceat(cand, starts))
 
 
+def _sup_2d(g: np.ndarray, w: np.ndarray, o: np.ndarray) -> None:
+    """o = max(o, max over y of w[x - y] g[y]) for one (N, N) row, with o
+    at +0, in two dense stages over d2 blocks (see `_weighted_sup`)."""
+    N, R = len(g), len(g) // 2
+    gp, fold = np.pad(g, [(R, R), (0, 0)], "wrap"), np.empty_like(g)
+    H, prod = np.empty((_BLOCK, N, N)), np.empty((_BLOCK, N, N))
+    for b0 in range(0, R + 1, _BLOCK):
+        b1 = min(b0 + _BLOCK, R + 1)
+        h, p = H[:b1 - b0], prod[:b1 - b0]
+        np.multiply(w[0, b0:b1, None, None], g, out=h)
+        for k in range(1, R + 1):
+            np.maximum(gp[R - k:R - k + N], gp[R + k:R + k + N], out=fold)
+            np.multiply(w[k, b0:b1, None, None], fold, out=p)
+            np.maximum(h, p, out=h)
+        # h[j] wrapped along its last axis: x2 - d2 starts at (N - d2) % N
+        h = np.concatenate((h, h), axis=2)
+        for j, d2 in enumerate(range(b0, b1)):
+            np.maximum(o, h[j, :, (N - d2) % N:(N - d2) % N + N], out=o)
+            np.maximum(o, h[j, :, d2:d2 + N], out=o)
+
+
 def _weighted_sup(G: np.ndarray, t, a: float, spec: GridSpec) -> np.ndarray:
     """out[j, x] = max over grid y of w_j[(x - y) mod N] G[j, y], with
     w_j = (1 + d/t_j)^(-a), for each row G[j] of the scale stack G.
 
     Bit-identical to the full scan over all offsets, NaN rows included (all
     NaN): out starts at +0, no product is negative, and every product kept
-    is the same w g the scan takes.  Rounding is monotone, so G[j, y] hi_j
-    and G[j, y] lo_j bound every product of y over a tile of x (hi / lo:
-    the largest / smallest w_j on the offsets from y to the tile), and a y
-    whose upper bound is below the tile's lower bound, or is 0, is skipped.
-    The kept points are gathered as windows of w_j, _CHUNK products at a
-    time, and max-reduced per tile.
+    is the same w g the scan takes.  Rounding is monotone and w_j is even
+    along each axis bit for bit (w_j[k] = w_j[N - k]), so w max(u, v) =
+    max(w u, w v): the two offsets +-k of one distance are folded before
+    the product.
 
-    1-D works on groups of 2^14 // N rows.  Its near field, every offset
-    of index distance at most R = T (the tile edge, capped at N/2), is taken
-    densely, one shifted slice per distance k on both sides at once:
-    w_j[k] = w_j[N - k] bit for bit, and w max(u, v) = max(w u, w v).  Its
-    far field is pruned per (row, tile) with hi over the far offsets only,
-    first per block of T points y (the block's largest G times the largest
-    far w over the 2T - 1 block-to-tile offsets), then per point of the
-    kept blocks.  The tile's lower bound is the larger of its smallest near
-    value and the largest block term, a block's largest G times the
-    smallest w over the two aligned offset blocks that hold its offsets to
-    the tile, so far peaks that dominate a row still prune its tails.
+    1-D works on groups of 2^14 // N rows, cut into tiles of T = _TILE
+    points x.  Its near field, every offset of index distance at most
+    R = T (capped at N/2), is taken densely, one folded slice per k.  Its
+    far field is pruned per (row, tile): G[j, y] hi_j bounds every far
+    product of y over the tile (hi: the largest far w_j on the offsets from
+    y to the tile), first per block of T points y (the block's largest G
+    times the largest far w over the 2T - 1 block-to-tile offsets), then
+    per point of the kept blocks, and a y whose bound is below the tile's
+    lower bound, or is 0, is skipped.  That lower bound is the larger of
+    the tile's smallest near value and the largest block term, a block's
+    largest G times the smallest w over the two aligned offset blocks that
+    hold its offsets to the tile, so far peaks that dominate a row still
+    prune its tails.  The kept points are gathered as windows of w_j,
+    _CHUNK products at a time, and max-reduced per tile.
 
-    2-D goes row by row and tile by tile over all offsets; the tile's lower
-    bound is the largest G lo over all y.  That one test keeps about 1/6 of
-    the products on the benchmark's 2-D stacks; batched rows measured 2-5x
-    slower, a dense near field no faster.
+    2-D goes row by row and is separable and dense, with no bound: stage 1
+    takes H[d2, x1, y2] = max over k <= N/2 of w_j[k, d2] times the +-k
+    fold of G[j] along axis 0, stage 2 out[x1, x2] = max over d2 <= N/2 of
+    H[d2, x1, x2 - d2] and H[d2, x1, x2 + d2].  That is (N/2 + 1)^2 N^2
+    products per row, contiguous slices only; d2 goes in blocks of
+    _BLOCK, so no work array exceeds _BLOCK N^2.
     """
     t, d, N, n = np.asarray(t, dtype=float), spec.offset_distance(), spec.N, spec.n
-    T, out = min(_TILE[n], N), np.zeros(G.shape)
+    out = np.zeros(G.shape)
     rows = max(1, _GROUP // N) if n == 1 else 1
     for r0 in range(0, len(G), rows):
         g, o = G[r0:r0 + rows], out[r0:r0 + rows]
         w = (1.0 + d / t[r0:r0 + rows].reshape((-1,) + (1,) * n)) ** (-a)
         if n == 1:
-            _sup_1d(g, w, T, o)
-            continue
-        hi, lo = _window_max(w, T), -_window_max(-w, T)
-        g, o = g[0], o[0]
-        circ, circ_hi, circ_lo = _circulant(w[0]), _circulant(hi[0]), _circulant(lo[0])
-        gflat, chunk = g.ravel(), _CHUNK // T**n
-        for corner in itertools.product(range(0, N, T), repeat=n):
-            tile = tuple(slice(c, c + T) for c in corner)
-            at = (Ellipsis,) + corner
-            ub = (g * circ_hi[at]).ravel()
-            keep = np.flatnonzero((ub >= (g * circ_lo[at]).max()) & (ub > 0))
-            for start in range(0, keep.size, chunk):
-                ks = keep[start:start + chunk]
-                cand = circ[np.unravel_index(ks, g.shape) + tile]
-                cand *= gflat[ks].reshape((-1,) + (1,) * n)
-                o[tile] = np.maximum(o[tile], cand.max(axis=0))
+            _sup_1d(g, w, min(_TILE, N), o)
+        else:
+            _sup_2d(g[0], w[0], o[0])
     out[np.isnan(G).reshape(len(G), -1).any(axis=1)] = np.nan
     return out
 

@@ -319,9 +319,10 @@ def test_weighted_sup_bit_identical_to_reference(n, N, monkeypatch):
     row at its own t in [2^-5, 2] with one row at t = 1 and one at the grid
     spacing h; a in [0.2, 40].  Exact equality, with NaN where the
     reference has NaN.  At N = 2048 a 1-D stack spans two row groups and a
-    tile takes several gathers.  Each stack is also checked with smaller
-    gathers, 64 kept points in 1-D and one in 2-D, so that the kept points
-    of a row (1-D) or a tile (2-D) straddle gathers."""
+    tile takes several gathers.  Each 1-D stack is also checked with
+    gathers of 64 kept points, so that the kept points of a row straddle
+    gathers, and each 2-D stack with d2 blocks of 1 and 4, so that the 9
+    (N = 16) or 17 (N = 32) offsets d2 straddle blocks."""
     rng = np.random.default_rng(7919 * n + N)
     spec = GridSpec(n, N, float(rng.choice([1.0, 8.0, 16.0])))
     for trial in range(4):
@@ -332,9 +333,26 @@ def test_weighted_sup_bit_identical_to_reference(n, N, monkeypatch):
                       for j in range(9)])
         ref = _reference_sup(G, t, a, spec)
         assert np.array_equal(besov._weighted_sup(G, t, a, spec), ref, equal_nan=True)
-        with monkeypatch.context() as m:
-            m.setattr(besov, "_CHUNK", 64 * min(besov._TILE[1], N) if n == 1 else besov._TILE[n] ** n)
-            assert np.array_equal(besov._weighted_sup(G, t, a, spec), ref, equal_nan=True)
+        patches = [("_CHUNK", 64 * min(besov._TILE, N))] if n == 1 else [("_BLOCK", 1), ("_BLOCK", 4)]
+        for name, value in patches:
+            with monkeypatch.context() as m:
+                m.setattr(besov, name, value)
+                assert np.array_equal(besov._weighted_sup(G, t, a, spec), ref, equal_nan=True)
+
+
+@pytest.mark.parametrize("a", [2.0, 7.0 / 3.0], ids=["2", "7/3"])
+def test_weighted_sup_2d_benchmark_grid_bit_identical(a):
+    """The 2-D grid of the benchmark, N = 64 and L = 8: one stack of 10
+    rows, every SUP_INPUTS kind and two more smooth rows, at t = 1, h and
+    eight scales in [2^-5, 2]; the Peetre exponents of n/p- + 1 with
+    p- = 2 and p- = 3/2.  Exact equality with the brute force."""
+    rng = np.random.default_rng(64)
+    spec = GridSpec(2, 64, 8.0)
+    t = 2.0 ** rng.uniform(-5.0, 1.0, 10)
+    t[:2] = 1.0, spec.h
+    G = np.stack([_random_sup_input(rng, spec.shape, kind) for kind in SUP_INPUTS + ("smooth",) * 2])
+    assert np.array_equal(besov._weighted_sup(G, t, a, spec), _reference_sup(G, t, a, spec),
+                          equal_nan=True)
 
 
 def _far_peak(spec, rng):
@@ -365,7 +383,7 @@ def test_weighted_sup_near_far_split_bit_identical(N, monkeypatch):
         ref = _reference_sup(G, t, a, spec)
         assert np.array_equal(besov._weighted_sup(G, t, a, spec), ref, equal_nan=True)
         with monkeypatch.context() as m:
-            m.setattr(besov, "_CHUNK", besov._TILE[1])
+            m.setattr(besov, "_CHUNK", besov._TILE)
             assert np.array_equal(besov._weighted_sup(G, t, a, spec), ref, equal_nan=True)
 
 
@@ -376,6 +394,18 @@ def test_peetre_maximal_matches_reference(spec, pair, corpus_fns, monkeypatch):
     monkeypatch.setattr(besov, "_weighted_sup", _reference_sup)
     ref = peetre_maximal(f, 0.5, 2.5, alpha, pair.phi_hat)
     assert np.array_equal(fast.values, ref.values)
+
+
+def test_peetre_maximal_2d_matches_reference(monkeypatch):
+    spec = GridSpec(2, 32, 4.0)
+    X, Y = spec.coords()
+    f = GridFunction(spec, np.exp(1j * 3 * X) * np.exp(-(X**2 + 2 * Y**2) / 2.0))
+    alpha = ExponentField.from_callable(
+        spec, lambda x, y: 0.5 + 0.1 * np.sin(np.pi * x / 4.0) * np.sin(np.pi * y / 4.0))
+    kernel = build_continuous_pair(spec, ScaleGrid(4, 2)).phi_hat
+    fast = peetre_maximal(f, 0.5, 2.5, alpha, kernel)
+    monkeypatch.setattr(besov, "_weighted_sup", _reference_sup)
+    assert np.array_equal(fast.values, peetre_maximal(f, 0.5, 2.5, alpha, kernel).values)
 
 
 @pytest.mark.parametrize("t", [0.0, -0.5, math.nan, math.inf])
