@@ -19,8 +19,9 @@ band(t_j |xi|) (for the dyadic norm the blocks psi_v, the band
 Psi - Psi(2 .) at t_v = 2^-v).  All three kernel families go through the
 one `calderon.multiplier_bank`, built once per (kernel, grid, scales) and
 shared by every later call; one batched inverse transform turns a bank
-into the whole family.  The maximal-function norms replace each row by
-its Peetre supremum.  The stack goes as it is to
+into the moduli |k_j * f|, once per (function, bank): every triple, and
+the continuous and Peetre norms, read them.  The maximal-function norms
+replace each row by its Peetre supremum.  The stack goes as it is to
 `modular_norms.mixed_norm_continuous` or `mixed_norm_discrete`, which
 aggregate it in l^q(.)(L^p(.)).  The Peetre supremum over the torus is
 taken over grid points, exactly, and bit-identical to the brute-force
@@ -32,6 +33,7 @@ two separable passes, +-k folded along one axis and +-d2 along the other.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Union
 
@@ -96,13 +98,27 @@ def _setup(f: GridFunction, P: BesovParams, cls, which: str):
     return P.kernels
 
 
+# f -> (bank, moduli): one slot per f, gone with it.  A GridFunction is immutable
+# and hashed by identity; the slot holds the bank, so no recycled id aliases it.
+_MODULI = weakref.WeakKeyDictionary()
+
+
+def _moduli(f: GridFunction, bank: np.ndarray) -> np.ndarray:
+    """Read-only stack |k_j * f| over the bank's rows k_j, once per (f, bank)."""
+    slot = _MODULI.get(f)
+    if slot is None or slot[0] is not bank:
+        moduli = np.abs(dft(fourier(f).values * bank, f.spec, inverse=True))
+        moduli.setflags(write=False)
+        slot = _MODULI[f] = bank, moduli
+    return slot[1]
+
+
 def _family(f: GridFunction, bank: np.ndarray, t, alpha: ExponentField) -> np.ndarray:
-    """t_j^(-alpha(.)) |k_j * f| for every row k_j of the bank, as one
+    """t_j^(-alpha(.)) |k_j * f| for every row k_j of the bank, as one new
     (T, *shape) array; a row at t_j = 1, such as the low-pass row, gets the
-    weight exactly 1."""
-    moduli = np.abs(dft(fourier(f).values * bank, f.spec, inverse=True))
+    weight exactly 1.  The moduli come from `_moduli`, once per (f, bank)."""
     log_t = np.log(np.asarray(t, dtype=float)).reshape((-1,) + (1,) * f.spec.n)
-    return np.exp(-log_t * alpha.samples) * moduli
+    return np.exp(-log_t * alpha.samples) * _moduli(f, bank)
 
 
 def _scale_norm(f: GridFunction, P: BesovParams, low: RadialProfile,

@@ -78,7 +78,10 @@ def _mollifier(z):
     out = np.zeros_like(z)
     inside = np.abs(z) < 1.0
     zi = z[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - zi * zi))
+    zi *= zi  # op for op in place: a kernel build's 2^17 points set a run's peak memory
+    np.subtract(1.0, zi, out=zi)
+    np.divide(1.0, zi, out=zi)
+    out[inside] = np.exp(np.subtract(1.0, zi, out=zi), out=zi)
     return out
 
 

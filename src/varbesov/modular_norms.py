@@ -113,16 +113,17 @@ def _newton(fn, u):
 
 def _log_roots(a: np.ndarray, e: np.ndarray, u=None):
     """Row-wise u with log sum_x exp(a[:, x] - e[x] u) = 0, for e > 0 and no
-    row of a all -inf, returned with the weights W and row sums S of the
-    last evaluation (see `_lse`).  Default start: the largest single term
-    equals 1, below the root."""
+    row of a all -inf, returned with the weights W of the last evaluation
+    (see `_lse`) and their products W @ e, which its derivative formed.
+    Default start: the largest single term equals 1, below the root."""
     last = []
 
     def fn(u):
-        W = a - u[:, None] * e
+        last.clear()  # free the previous W before forming the next
+        W = -u[:, None] * e + a  # a - u e, formed in the product's buffer
         F, S = _lse(W)
-        last[:] = W, S
-        return F, -(W @ e) / S
+        last[:] = W, W @ e
+        return F, -last[1] / S
 
     u = _newton(fn, np.max(a / e, axis=-1) if u is None else u)
     return u, *last
@@ -196,8 +197,8 @@ def _mixed_norm(A: np.ndarray, w: np.ndarray, p: ExponentField,
     def fn(s):
         nonlocal prev
         start = None if prev is None else prev[1] + prev[2] * (s - prev[0])
-        u, W, _ = _log_roots(a0 - s * ps, e, start)
-        du = -(W @ ps) / (W @ e)
+        u, W, We = _log_roots(a0 - s * ps, e, start)
+        du = -(W @ ps) / We
         prev = s, u, du
         z = logw + u
         H, S = _lse(z)

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from varbesov.besov import (
     peetre_maximal,
 )
 from varbesov.calderon import build_continuous_pair, build_dyadic, build_local_means
-from varbesov.corpus import make_triple
+from varbesov.corpus import build_corpus, make_triple
 from varbesov.exponent import ExponentField
 from varbesov.grid import (
     GridFunction,
@@ -738,6 +739,103 @@ def test_banks_built_once(spec, scales, kernels_1d, corpus_fns, monkeypatch):
         calls.clear()
         evaluate(GridFunction(spec, corpus_fns["mod8"]), P)
         assert calls == [], kind
+
+
+def _pointwise_sum(A, w, p):
+    """(sum_v w_v A_v(x)^p(x))^(1/p(x)) for a (T, *shape) stack A of moduli."""
+    return GridFunction(p.spec, np.einsum("v,v...->...", w, A ** p.samples) ** (1.0 / p.samples))
+
+
+@pytest.mark.parametrize("base,amp", [(2.0, 0.5), (0.8, 0.3), (1.5, 1.0)])
+def test_besov_at_q_equal_p_match_pointwise_sum(spec, scales, pair, dyadic, base, amp):
+    """At q = p both mixed-norm evaluators reduce to Luxemburg norms of the
+    pointwise sum over their family (B = F at p(.) = q(.); see
+    test_mixed_norms_at_q_equal_p_match_pointwise_sum), over the ten default
+    entries at alpha = sine-alpha.  rtol 1e-13; measured worst 1.0e-15."""
+    alpha = make_triple(spec, "sine-alpha")[0]
+    p = ExponentField.from_callable(spec, lambda x: base + amp * np.sin(np.pi * x / spec.L))
+    tc, td = (1.0, *scales.t), tuple(2.0 ** -np.arange(dyadic.v_max + 1))
+    bank_c = calderon.multiplier_bank(pair.phi0_hat, pair.phi_hat, spec, tc)
+    bank_d = calderon.multiplier_bank(dyadic.psi0_hat, dyadic.band, spec, td)
+    for name, f in build_corpus(spec):
+        M, D = besov._family(f, bank_c, tc, alpha), besov._family(f, bank_d, td, alpha)
+        ref_c = (luxemburg_norm(GridFunction(spec, M[0]), p)
+                 + luxemburg_norm(_pointwise_sum(M[1:], scales.weights, p), p))
+        ref_d = luxemburg_norm(_pointwise_sum(D, np.ones(len(D)), p), p)
+        got_c = besov_continuous(f, BesovParams(alpha, p, p, 1.5, scales, pair))
+        got_d = besov_discrete(f, BesovParams(alpha, p, p, 1.5, scales, dyadic))
+        assert got_c == pytest.approx(ref_c, rel=1e-13), name
+        assert got_d == pytest.approx(ref_d, rel=1e-13), name
+
+
+# --- the moduli memo: |k_j * f| once per (function, bank) ---------------------------
+
+
+def _counting_transforms(monkeypatch):
+    """Count the forward transforms of f that a moduli stack is built from."""
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return fourier(f)
+
+    monkeypatch.setattr(besov, "fourier", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_warm_moduli_give_the_cold_norm(setups, n, monkeypatch):
+    """Each evaluator on an f whose slot another triple has warmed (for
+    besov_continuous, besov_peetre on another triple) builds no stack and
+    equals, as a float, a cold run on a fresh copy of f."""
+    f, scales, kernels = setups[n]
+    warm, fields = _triple(f.spec, "sine-alpha"), _triple(f.spec, "sine-q")
+    a = f.spec.n / min(warm[1].range_min, fields[1].range_min) + 1.0
+    calls = _counting_transforms(monkeypatch)
+    for kind, evaluate in EVALUATORS.items():
+        first = "peetre" if kind == "continuous" else kind
+        g = f.with_values(f.values)
+        EVALUATORS[first](g, BesovParams(*warm, a, scales, kernels[first]))
+        P = BesovParams(*fields, a, scales, kernels[kind])
+        calls.clear()
+        got = evaluate(g, P)
+        assert calls == [], kind
+        assert got == evaluate(f.with_values(f.values), P), kind
+        assert len(calls) == 1, kind
+
+
+def test_moduli_slot_keyed_on_bank_identity(spec, pair, gaussian):
+    """A bank equal in value but another object recomputes the stack, and
+    the slot keeps only the stack of the latest bank."""
+    bank = calderon.multiplier_bank(pair.phi0_hat, pair.phi_hat, spec, (1.0, 0.5, 0.25))
+    twin = bank.copy()
+    first = besov._moduli(gaussian, bank)
+    assert besov._moduli(gaussian, bank) is first
+    again = besov._moduli(gaussian, twin)
+    assert again is not first and np.array_equal(again, first)
+    assert besov._MODULI[gaussian][0] is twin
+    assert besov._moduli(gaussian, bank) is not again
+
+
+def test_moduli_slot_dies_with_its_function(spec, pair):
+    (x,) = spec.coords()
+    f = GridFunction(spec, np.exp(-(x**2) / 3.0))
+    bank = calderon.multiplier_bank(pair.phi0_hat, pair.phi_hat, spec, (1.0, 0.5))
+    besov._moduli(f, bank)
+    gc.collect()
+    held = len(besov._MODULI)
+    assert f in besov._MODULI
+    del f
+    gc.collect()
+    assert len(besov._MODULI) == held - 1
+
+
+def test_moduli_stack_read_only(spec, pair, gaussian):
+    bank = calderon.multiplier_bank(pair.phi0_hat, pair.phi_hat, spec, (1.0, 0.5))
+    stack = besov._moduli(gaussian, bank)
+    assert not stack.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        stack[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("name", ["alpha", "p", "q"])

@@ -242,6 +242,21 @@ def test_run_experiments_matches_run_experiment():
         assert rep.to_csv() == alone.to_csv()
 
 
+def test_norms_do_not_depend_on_call_pattern():
+    """One run of the four norm experiments, four runs of one each, and the
+    one run with threads=4 give the same norm_a and norm_b to the bit,
+    whichever column first built a function's moduli on a shared kernel."""
+    def norms(reports):
+        return {r.experiment: [(e.norm_a, e.norm_b) for e in r.entries] for r in reports}
+
+    cfg = HarnessConfig(**SMALL)
+    shared = norms(run_experiments(NORM_EXPERIMENTS, cfg))
+    alone = norms(run_experiment(name, cfg) for name in NORM_EXPERIMENTS)
+    threaded = norms(run_experiments(NORM_EXPERIMENTS, HarnessConfig(**{**SMALL, "threads": 4})))
+    assert list(shared) == list(NORM_EXPERIMENTS)
+    assert shared == alone == threaded
+
+
 def test_each_column_value_evaluated_once(monkeypatch):
     """One run of the norm experiments calls each evaluator once per
     (kernel, triple, corpus entry) and builds each kernel once: 5 columns

@@ -637,6 +637,30 @@ def test_warm_start_takes_fewer_lse_calls(monkeypatch):
     assert 0 < counts["warm"] < counts["cold"]
 
 
+def test_tangent_start_at_or_below_inner_roots(monkeypatch):
+    """Every warm inner solve starts on the tangent of the previous outer
+    evaluation, at or below its root (u_v is convex in s), up to rounding:
+    1e-12 relative, measured worst 2.6e-16.  A start at the previous root
+    alone lies above it wherever s grew (by up to 1.4 here) and leaves
+    every norm unchanged, so no value test can see it."""
+    log_roots, seen = modular_norms._log_roots, []
+
+    def recording(a, e, u=None):
+        out = log_roots(a, e, u)
+        if u is not None:
+            seen.append((u, out[0]))
+        return out
+
+    monkeypatch.setattr(modular_norms, "_log_roots", recording)
+    fam, p, q, s = _variable_q_family()
+    mixed_norm_continuous(fam, p, q, s)
+    mixed_norm_discrete(fam, p, q)
+    mixed_norm_discrete(fam, p, p)
+    assert len(seen) > 4
+    for start, root in seen:
+        assert np.all(start <= root + 1e-12 * np.maximum(1.0, np.abs(root)))
+
+
 def test_solver_fails_loudly(monkeypatch):
     fam, p, q, _ = _variable_q_family()
     with monkeypatch.context() as m:
@@ -650,3 +674,29 @@ def test_solver_fails_loudly(monkeypatch):
     monkeypatch.setattr(modular_norms, "_lse", nan_lse)
     with pytest.raises(ArithmeticError, match="not finite"):
         mixed_norm_discrete(fam, p, q)
+
+
+# --- B = F at q = p: one Luxemburg norm of the pointwise sum -------------------------
+
+
+def _pointwise_sum(A: np.ndarray, w: np.ndarray, p: ExponentField) -> GridFunction:
+    """(sum_v w_v A_v(x)^p(x))^(1/p(x)) for a (T, *shape) stack A of moduli."""
+    return GridFunction(p.spec, np.einsum("v,v...->...", w, A ** p.samples) ** (1.0 / p.samples))
+
+
+@pytest.mark.parametrize("base,amp", [(2.0, 0.5), (0.6, 0.3), (1.3, 0.9)])
+def test_mixed_norms_at_q_equal_p_match_pointwise_sum(base, amp):
+    """At q = p the mixed modular sum_v w_v int |f_v / mu|^p(x) dx is the
+    modular of (sum_v w_v |f_v|^p(x))^(1/p(x)), so both mixed norms equal
+    one Luxemburg norm, with no outer solve (B = F at p(.) = q(.)).
+    rtol 1e-13; measured worst 1.1e-15."""
+    spec = GridSpec(1, 1024, 16.0)
+    (x,) = spec.coords()
+    p = ExponentField(spec, base + amp * np.sin(np.pi * x / spec.L))
+    s = ScaleGrid(4, 3)
+    fam = np.stack([t**0.5 * np.exp(-((x - 3.0 * t) ** 2) / (2.0 * t) + 4j * x / t)
+                    for t in s.t])
+    A = np.abs(fam)
+    for got, w in ((mixed_norm_discrete(fam, p, p), np.ones(len(fam))),
+                   (mixed_norm_continuous(fam, p, p, s), s.weights)):
+        assert got == pytest.approx(luxemburg_norm(_pointwise_sum(A, w, p), p), rel=1e-13)
