@@ -113,12 +113,11 @@ def _moduli(f: GridFunction, bank: np.ndarray) -> np.ndarray:
     return slot[1]
 
 
-def _family(f: GridFunction, bank: np.ndarray, t, alpha: ExponentField) -> np.ndarray:
-    """t_j^(-alpha(.)) |k_j * f| for every row k_j of the bank, as one new
-    (T, *shape) array; a row at t_j = 1, such as the low-pass row, gets the
-    weight exactly 1.  The moduli come from `_moduli`, once per (f, bank)."""
-    log_t = np.log(np.asarray(t, dtype=float)).reshape((-1,) + (1,) * f.spec.n)
-    return np.exp(-log_t * alpha.samples) * _moduli(f, bank)
+def _family(moduli: np.ndarray, t, alpha: ExponentField) -> np.ndarray:
+    """t_j^(-alpha(.)) times each row of the (T, *shape) moduli stack, as a new
+    array; a row at t_j = 1, such as the low-pass row, gets the weight exactly 1."""
+    log_t = np.log(np.asarray(t, dtype=float)).reshape((-1,) + (1,) * (moduli.ndim - 1))
+    return np.exp(-log_t * alpha.samples) * moduli
 
 
 def _scale_norm(f: GridFunction, P: BesovParams, low: RadialProfile,
@@ -132,7 +131,7 @@ def _scale_norm(f: GridFunction, P: BesovParams, low: RadialProfile,
             f"{f.spec.n / P.p.range_min:.4f}"
         )
     t = (1.0, *P.scales.t)
-    M = _family(f, multiplier_bank(low, band, f.spec, t), t, P.alpha)
+    M = _family(_moduli(f, multiplier_bank(low, band, f.spec, t)), t, P.alpha)
     if maximal:
         M = _weighted_sup(M, t, P.a, f.spec)
     return (luxemburg_norm(GridFunction(P.p.spec, M[0]), P.p)
@@ -151,7 +150,7 @@ def besov_discrete(f: GridFunction, P: BesovParams) -> float:
     fam = _setup(f, P, DyadicFamily, "besov_discrete")
     t = tuple(2.0 ** -np.arange(fam.v_max + 1))
     bank = multiplier_bank(fam.psi0_hat, fam.band, f.spec, t)
-    return mixed_norm_discrete(_family(f, bank, t, P.alpha), P.p, P.q)
+    return mixed_norm_discrete(_family(_moduli(f, bank), t, P.alpha), P.p, P.q)
 
 
 # --- Peetre maximal functions --------------------------------------------------
@@ -161,14 +160,15 @@ def peetre_maximal(f: GridFunction, t: float, a: float, alpha: ExponentField,
                    kernel: RadialProfile) -> GridFunction:
     """max over grid y of t^(-alpha(y)) |k_t * f(y)| / (1 + d(x,y)/t)^a.
 
-    d is the periodic distance; the maximum is exact over all grid points.
-    """
+    d is the periodic distance; the maximum is exact over all grid points.  f's
+    stack of moduli, which the norms share, is left as it was."""
     if not a > 0:
         raise ValueError("Peetre exponent a must be positive")
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"scale t must be finite and positive, got {t}")
     alpha.require_grid(f.spec, "alpha")
-    G = _family(f, kernel(t * f.spec.xi_radius())[None], (t,), alpha)
+    k_t = kernel(t * f.spec.xi_radius())[None]
+    G = _family(np.abs(dft(fourier(f).values * k_t, f.spec, inverse=True)), (t,), alpha)
     return GridFunction(f.spec, _weighted_sup(G, (t,), a, f.spec)[0])
 
 

@@ -24,8 +24,8 @@ import numpy as np
 from .calderon import (build_continuous_pair, build_dyadic, build_local_means,
                        export_radial_table, max_dyadic_level)
 from .corpus import boundary_mass, build_corpus
-from .harness import (ConfigError, EXPERIMENTS, HarnessConfig, _FIXED_BOUNDS, _summary,
-                      emit_report, run_experiments, threshold_key)
+from .harness import (ConfigError, EXPERIMENTS, HarnessConfig, _summary, emit_report,
+                      run_experiments, threshold_key)
 
 
 _FLAGS = {
@@ -83,11 +83,12 @@ def cmd_run(args) -> int:
     cfg = _config_from_args(args)
     every = args.experiment == "all"
     if args.threshold is not None:
-        fixed = _FIXED_BOUNDS.get(args.experiment)
-        if every or fixed is not None:
-            why = "it runs every experiment" if every else f"its bound is fixed at {fixed:g}"
+        key = None if every else threshold_key(args.experiment)
+        if key is None:
+            why = "it runs every experiment" if every else \
+                f"its bound is fixed at {cfg.threshold_for(args.experiment):g}"
             raise ConfigError(f"--threshold cannot be combined with {args.experiment}: {why}")
-        cfg.thresholds[threshold_key(args.experiment)] = args.threshold
+        cfg.thresholds[key] = args.threshold
     passed = []  # each report is written as it comes, so an error keeps the earlier ones
     for report in run_experiments(EXPERIMENTS if every else (args.experiment,), cfg):
         out = os.path.join(cfg.out, report.experiment.replace(":", "_")) if every else cfg.out

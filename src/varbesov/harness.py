@@ -1,11 +1,13 @@
-"""Experiment orchestration: equivalence sweeps, lemma sweeps, reports.
+"""Experiment orchestration: one table of experiments, one runner, reports.
 
-A norm experiment is the per-entry ratio of two columns of one table, a
-column being one evaluator on one kernel over every (triple, corpus entry)
-evaluated once per `run_experiments` call; a lemma sweep compares its
-constants on the lemma grid N and on 2N.  Each experiment has one rule,
-the only source of its report's `passed`.  The inequalities never quantify
-their constants, so thresholds are configuration data with loose defaults.
+Each experiment is a row of `EXPERIMENTS`: (axis, quantity, rule,
+hypothesis data, supported n).  The runner evaluates the quantity at each
+point of the axis into cases (name, a, b) for the rule, the only source of
+the report's `passed`.  On the `entries` axis the quantity is two norm
+columns, each one evaluator on one kernel over every (triple, corpus
+entry) and filled once per `run_experiments` call; on the `N` axis it is a
+lemma sweep's constants on the lemma grid N and on 2N.  The inequalities
+never quantify their constants, so thresholds are configuration data.
 
 Reports serialise to strict JSON (a non-finite float as the string "nan",
 "inf" or "-inf") and CSV, with no timestamps, so identical config + seed
@@ -22,6 +24,7 @@ import json
 import math
 import os
 import warnings
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -64,12 +67,6 @@ _THRESHOLDS = {
     "local-means-vs-discrete": 30.0,
     "lemma": 1.05,
 }
-_MAX_DRIFT, _MIN_GROWTH = 0.1, 3.0  # the bounds of _slope and _degrades, set by no threshold
-
-
-def threshold_key(experiment: str) -> str:
-    """The thresholds key of an experiment: every lemma sweep shares "lemma"."""
-    return "lemma" if experiment.startswith("lemma:") else experiment
 
 
 def _csv(text: str) -> tuple:
@@ -131,7 +128,10 @@ class HarnessConfig:
         return ScaleGrid(self.K, self.J)
 
     def threshold_for(self, experiment: str) -> float:
+        """The bound of the experiment's rule: fixed, or the threshold under its key."""
         key = threshold_key(experiment)
+        if key is None:
+            return _RULES[EXPERIMENTS[experiment].rule][2]
         return float(self.thresholds.get(key, _THRESHOLDS[key]))
 
     @classmethod
@@ -236,13 +236,11 @@ def _strict(x):
 def emit_report(report: RatioReport, out_dir):
     """Write report.json and report.csv into out_dir; returns their paths."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-    for name, text in (("report.json", report.to_json()), ("report.csv", report.to_csv())):
-        path = os.path.join(out_dir, name)
+    paths = [os.path.join(out_dir, name) for name in ("report.json", "report.csv")]
+    for path, text in zip(paths, (report.to_json(), report.to_csv())):
         with open(path, "w") as fh:
             fh.write(text)
-        written.append(path)
-    return written
+    return paths
 
 
 def _max_over_min(values) -> float:
@@ -251,82 +249,69 @@ def _max_over_min(values) -> float:
     return hi / lo if lo != 0 else math.inf
 
 
-def _spread(cases, threshold: float) -> tuple:
-    """Ratios a/b, passing when max/min is at most the threshold."""
+def _spread(cases, bound: float) -> tuple:
+    """Ratios a/b, passing when max/min is at most the bound."""
     ratios = [a / b if b != 0 else math.inf for _, a, b in cases]
-    return ratios, _max_over_min(ratios) <= threshold, threshold
+    return ratios, _max_over_min(ratios) <= bound
 
 
-def _dominates(cases, threshold: float) -> tuple:
+def _dominates(cases, bound: float) -> tuple:
     """_spread, and the maximal form a dominates: a >= b (1 - 1e-12) in every case."""
-    ratios, ok, bound = _spread(cases, threshold)
-    return ratios, ok and all(a >= b * (1.0 - 1e-12) for _, a, b in cases), bound
+    ratios, ok = _spread(cases, bound)
+    return ratios, ok and all(a >= b * (1.0 - 1e-12) for _, a, b in cases)
 
 
-def _stable(cases, threshold: float) -> tuple:
-    """Every c(2N)/c(N) of positive constants in [1/threshold, threshold]."""
+def _stable(cases, bound: float) -> tuple:
+    """Every c(2N)/c(N) of positive constants in [1/bound, bound]."""
     ratios = [b / a if a != 0 else math.nan for _, a, b in cases]
-    return ratios, all(a > 0 and b > 0 and r * threshold >= 1.0 and r <= threshold
-                       for (_, a, b), r in zip(cases, ratios)), threshold
+    return ratios, all(a > 0 and b > 0 and r * bound >= 1.0 and r <= bound
+                       for (_, a, b), r in zip(cases, ratios))
 
 
-def _slope(cases, threshold: float) -> tuple:
-    """Decay slopes drifting by at most 0.1, case M=<M> >= M + 0.9 on both grids."""
+def _slope(cases, bound: float) -> tuple:
+    """Decay slopes drifting by at most the bound, case M=<M> >= M + 0.9 on both grids."""
     drifts = [b - a for _, a, b in cases]
-    return drifts, all(min(a, b) >= int(name.split("M=")[-1]) + 0.9 and abs(d) <= _MAX_DRIFT
-                       for (name, a, b), d in zip(cases, drifts)), _MAX_DRIFT
+    return drifts, all(min(a, b) >= int(name.split("M=")[-1]) + 0.9 and abs(d) <= bound
+                       for (name, a, b), d in zip(cases, drifts))
 
 
-def _degrades(cases, threshold: float) -> tuple:
-    """Growth c(N)/c_first(N) of positive constants, the largest at least 3."""
+def _degrades(cases, bound: float) -> tuple:
+    """Growth c(N)/c_first(N) of positive constants, the largest at least the bound."""
     ok = bool(cases) and all(0 < c < math.inf for case in cases for c in case[1:])
     growth = [a / cases[0][1] if ok else math.nan for _, a, _ in cases]
-    return growth, ok and max(growth) >= _MIN_GROWTH, _MIN_GROWTH
+    return growth, ok and max(growth) >= bound
 
 
-def _judge(experiment: str, cases, blank, rule, threshold: float, **fields) -> RatioReport:
+# rule -> the value it judges per case and the bound it applies, with a norm
+# row's columns q and the bound t, and its fixed bound (None: a threshold's)
+_RULES = {
+    _spread: ("ratio {q[0]}/{q[1]}", "spread max/min <= {t:g}", None),
+    _dominates: ("ratio {q[0]}/{q[1]}", "spread max/min <= {t:g} and {q[0]} >= {q[1]}", None),
+    _stable: ("ratio c(2N)/c(N)", "every ratio in [1/{t:g}, {t:g}]", None),
+    _slope: ("drift c(2N) - c(N)", "every |drift| <= {t:g} and slope >= M + 0.9 on both grids",
+             0.1),
+    _degrades: ("growth c(N)/c_first(N)", "largest growth >= {t:g}", 3.0),
+}
+
+
+def _judge(experiment: str, cases, blank, rule, bound: float, **fields) -> RatioReport:
     """The report of `cases` (name, a, b), vacuous where both values are `blank`.  `rule`
-    maps the judged cases and `threshold` to the value judged in each, the verdict
-    and the finite bound it used."""
+    maps the judged cases and the bound to the value judged in each and the verdict."""
     vacuous = [blank(a) and blank(b) for _, a, b in cases]
-    values, passed, bound = rule([c for c, v in zip(cases, vacuous) if not v], threshold)
+    values, passed = rule([c for c, v in zip(cases, vacuous) if not v], bound)
     values = iter(values)
     entries = [EntryResult(name, a, b, math.nan if vac else next(values), vac)
                for (name, a, b), vac in zip(cases, vacuous)]
     return RatioReport(experiment, entries, bound, bool(passed) and not all(vacuous), **fields)
 
 
-# --- norm experiments ------------------------------------------------------------
-
-# norm experiment -> (column a, column b, rule); its entry ratios are a / b
-NORM_EXPERIMENTS = {
-    "independence": ("continuous", "continuous-b", _spread),
-    "peetre-vs-continuous": ("peetre", "continuous", _dominates),
-    "discrete-vs-continuous": ("continuous", "discrete", _spread),
-    "local-means-vs-discrete": ("local-means", "discrete", _spread),
-}
+# --- the entries axis: two norm columns over triples x corpus entries ----------------
 
 
-def _entry_map(cfg: HarnessConfig, corpus: tuple, fn):
-    """Ordered map over the (name, GridFunction) corpus entries, optionally
-    threaded."""
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(lambda nf: fn(*nf), corpus))
-    return [fn(name, f) for name, f in corpus]
-
-
-def _kernels(kernel: str, cfg: HarnessConfig, spec: GridSpec, scales: ScaleGrid):
-    if kernel == "dyadic":
-        return build_dyadic(spec, max_dyadic_level(spec))
-    if kernel == "local-means":
-        return build_local_means(cfg.S, cfg.eps, spec)
-    return build_continuous_pair(spec, scales, profile=getattr(cfg, kernel))
-
-
-def _norm_report(name: str, cfg: HarnessConfig, corpus, triples, column) -> RatioReport:
-    """The experiment's two columns judged by its rule, and each triple's hypothesis data."""
-    *cols, rule = NORM_EXPERIMENTS[name]
+def _entries(name: str, row, cfg: HarnessConfig, inputs, column) -> tuple:
+    """The row's columns a and b at every (triple, corpus entry), vacuous where
+    both norms are 0, and each triple's hypothesis data."""
+    (corpus, triples), cols = inputs(), row.quantity
     cases = list(zip([f"{t}/{e}" for t in triples for e, _ in corpus], *map(column, cols)))
     meta = {"profiles": f"{cfg.profile_a}|{cfg.profile_b}"} if "continuous-b" in cols else {}
     if "local-means" in cols:
@@ -337,25 +322,14 @@ def _norm_report(name: str, cfg: HarnessConfig, corpus, triples, column) -> Rati
         meta[f"clog_alpha[{tname}]"] = alpha.clog_local
         meta[f"clog_1q[{tname}]"] = q.reciprocal().clog_local
         meta[f"p_min[{tname}]"] = p.range_min
-    return _judge(name, cases, lambda v: v == 0.0, rule, cfg.threshold_for(name),
-                  hypothesis=meta, config=_config_snapshot(cfg))
+    return cases, lambda v: v == 0.0, meta
 
 
-def _config_snapshot(cfg: HarnessConfig) -> dict:
-    d = asdict(cfg)
-    d.pop("out", None)  # output location is not part of the experiment identity
-    d["corpus_names"] = list(cfg.corpus_names) if cfg.corpus_names else None
-    d["triples"] = list(cfg.triples)
-    return d
-
-
-# --- lemma sweeps ----------------------------------------------------------------
+# --- the N axis: a lemma sweep's constants on the lemma grid N and on 2N -------------
 #
-# One row of _LEMMAS per sweep: its constants on one grid, from a function
-# that builds only the inputs it reads and reaches lemmas.check_* and the
-# kernel builders through module globals (as a tracer needs), the rule
-# that judges the cases (name, c(N), c(2N)), and the hypothesis data the
-# constants read.
+# A sweep's quantity gives its constants on one grid (spec, scales, seed, profile),
+# building only what it reads and reaching lemmas.check_* and the kernel builders
+# through module globals, as a tracer that rebinds the module's names needs.
 
 _M = 3.0  # eta decay order m = n + 2 (the sweeps run at n = 1)
 _NOISE_BAND = 8.0
@@ -444,72 +418,87 @@ def _rychkov(spec, scales, seed, profile):
             for M in (-1, 1, 3)}
 
 
-_LEMMAS = {
-    "transfer": (_transfer, _stable, {}),
-    "transfer-violation": (_transfer_violation, _degrades, {}),
-    "dzw": (_dzw, _stable, {}),
-    "hardy": (_hardy, _stable, {}),
-    "rtrick": (_rtrick, _stable, {"m": _M}),
-    "eta-conv-discrete": (_eta_conv_discrete, _stable, {"m": _M}),
-    "eta-conv-continuous": (_eta_conv_continuous, _stable, {"m": _M}),
-    "averaged": (_averaged, _stable, {"m": _M}),
-    "reproducing": (_reproducing, _stable, {"m": _M}),
-    "rychkov": (_rychkov, _slope, {}),
-}
-LEMMA_IDS = tuple(_LEMMAS)
-EXPERIMENTS = tuple(NORM_EXPERIMENTS) + tuple(f"lemma:{i}" for i in LEMMA_IDS)
-# lemma experiment -> its rule's bound, where the rule takes no threshold
-_FIXED_BOUNDS = {f"lemma:{i}": {_slope: _MAX_DRIFT, _degrades: _MIN_GROWTH}[rule]
-                 for i, (_, rule, _) in _LEMMAS.items() if rule in (_slope, _degrades)}
+def _refined(name: str, row, cfg: HarnessConfig, *_) -> tuple:
+    """The row's constants on the lemma grid N (a) and on 2N (b), vacuous where
+    both are NaN; the grid must hold the noise band."""
+    spec = GridSpec(cfg.n, cfg.N, cfg.lemma_L)
+    kmax = int(_NOISE_BAND * spec.L / math.pi)
+    if 2 * kmax >= spec.N:
+        raise ConfigError(f"the lemma noise band |xi| < {_NOISE_BAND:g} at L = {spec.L:g} "
+                          f"needs N >= {2 ** (2 * kmax).bit_length()}, got N = {spec.N}")
+    scales = ScaleGrid(cfg.lemma_K, cfg.lemma_J)
+    c1 = row.quantity(spec, scales, cfg.seed, cfg.profile_a)
+    c2 = row.quantity(GridSpec(cfg.n, 2 * cfg.N, cfg.lemma_L), scales, cfg.seed, cfg.profile_a)
+    cases = [(f"{name.removeprefix('lemma:')}/{case}", a, b)
+             for (case, a), b in zip(c1.items(), c2.values())]
+    return cases, math.isnan, {"grid_N": cfg.N, "grid_N_refined": 2 * cfg.N}
 
-# rule -> the value it judges per case and the bound it applies, with the
-# norm columns a and b and the report's threshold t
-_RULE_TEXT = {
-    _spread: ("ratio {a}/{b}", "spread max/min <= {t:g}"),
-    _dominates: ("ratio {a}/{b}", "spread max/min <= {t:g} and {a} >= {b}"),
-    _stable: ("ratio c(2N)/c(N)", "every ratio in [1/{t:g}, {t:g}]"),
-    _slope: ("drift c(2N) - c(N)", "every |drift| <= {t:g} and slope >= M + 0.9 on both grids"),
-    _degrades: ("growth c(N)/c_first(N)", "largest growth >= {t:g}"),
+
+# axis -> (its cases, blank test and hypothesis data for a row, the thresholds
+# key its rows share (None: each its own name), what its rows are called)
+_AXES = {"entries": (_entries, None, "norm experiments"),
+         "N": (_refined, "lemma", "lemma sweeps")}
+
+_Row = namedtuple("_Row", "axis quantity rule hypothesis n", defaults=({}, (1, 2)))
+EXPERIMENTS = {
+    "independence": _Row("entries", ("continuous", "continuous-b"), _spread),
+    "peetre-vs-continuous": _Row("entries", ("peetre", "continuous"), _dominates),
+    "discrete-vs-continuous": _Row("entries", ("continuous", "discrete"), _spread),
+    "local-means-vs-discrete": _Row("entries", ("local-means", "discrete"), _spread),
+    "lemma:transfer": _Row("N", _transfer, _stable, n=(1,)),
+    "lemma:transfer-violation": _Row("N", _transfer_violation, _degrades, n=(1,)),
+    "lemma:dzw": _Row("N", _dzw, _stable, n=(1,)),
+    "lemma:hardy": _Row("N", _hardy, _stable, n=(1,)),
+    "lemma:rtrick": _Row("N", _rtrick, _stable, {"m": _M}, (1,)),
+    "lemma:eta-conv-discrete": _Row("N", _eta_conv_discrete, _stable, {"m": _M}, (1,)),
+    "lemma:eta-conv-continuous": _Row("N", _eta_conv_continuous, _stable, {"m": _M}, (1,)),
+    "lemma:averaged": _Row("N", _averaged, _stable, {"m": _M}, (1,)),
+    "lemma:reproducing": _Row("N", _reproducing, _stable, {"m": _M}, (1,)),
+    "lemma:rychkov": _Row("N", _rychkov, _slope, n=(1,)),
 }
+
+
+def _row(experiment: str) -> _Row:
+    if experiment not in EXPERIMENTS:
+        kind = "lemma sweep" if experiment.startswith("lemma:") else "experiment"
+        raise ConfigError(f"unknown {kind} {experiment!r}; known: {', '.join(EXPERIMENTS)}")
+    return EXPERIMENTS[experiment]
+
+
+def threshold_key(experiment: str):
+    """The thresholds key the experiment's rule reads (its axis's shared key or
+    its own name), or None where the rule's bound is fixed."""
+    row = _row(experiment)
+    return None if _RULES[row.rule][2] is not None else _AXES[row.axis][1] or experiment
+
+
+def _config_snapshot(cfg: HarnessConfig, experiment: str) -> dict:
+    d = asdict(cfg)
+    d.pop("out", None)  # output location is not part of the experiment identity
+    d["corpus_names"] = list(cfg.corpus_names) if cfg.corpus_names else None
+    d["triples"] = list(cfg.triples)
+    if threshold_key(experiment) is None:  # no threshold may read as applied to a fixed bound
+        d["thresholds"].pop(_AXES[EXPERIMENTS[experiment].axis][1] or experiment, None)
+    return d
 
 
 def _summary(report: RatioReport) -> list:
     """Lines naming what the report's rule judged, their range and the rule's
     bound; a spread only where the rule judges one."""
-    name = report.experiment
-    a, b, rule = NORM_EXPERIMENTS.get(name) or (None, None, _LEMMAS[name[len("lemma:"):]][1])
-    judged, bound = (text.format(a=a, b=b, t=report.threshold) for text in _RULE_TEXT[rule])
+    row = EXPERIMENTS[report.experiment]
+    judged, bound = (text.format(q=row.quantity, t=report.threshold)
+                     for text in _RULES[row.rule][:2])
     lines = [f"{judged} min/max: {report.ratio_min:.6g} / {report.ratio_max:.6g}"]
-    if rule in (_spread, _dominates):
+    if row.rule in (_spread, _dominates):
         lines.append(f"spread: {report.spread:.6g}")
     return lines + [f"bound: {bound}"]
 
 
-def _lemma_experiment(lemma: str, cfg: HarnessConfig) -> RatioReport:
-    if lemma not in _LEMMAS:
-        raise ConfigError(f"unknown lemma sweep {lemma!r}; known: {', '.join(LEMMA_IDS)}")
-    spec = GridSpec(cfg.n, cfg.N, cfg.lemma_L)
-    if spec.n != 1:
-        raise ConfigError("lemma sweeps are defined for n = 1")
-    kmax = int(_NOISE_BAND * spec.L / math.pi)
-    if 2 * kmax >= spec.N:
-        raise ConfigError(f"the lemma noise band |xi| < {_NOISE_BAND:g} at L = {spec.L:g} "
-                          f"needs N >= {2 ** (2 * kmax).bit_length()}, got N = {spec.N}")
-    constants, rule, meta = _LEMMAS[lemma]
-    scales = ScaleGrid(cfg.lemma_K, cfg.lemma_J)
-    c1 = constants(spec, scales, cfg.seed, cfg.profile_a)
-    c2 = constants(GridSpec(cfg.n, 2 * cfg.N, cfg.lemma_L), scales, cfg.seed, cfg.profile_a)
-    cases = [(f"{lemma}/{case}", a, b) for (case, a), b in zip(c1.items(), c2.values())]
-    return _judge(f"lemma:{lemma}", cases, math.isnan, rule,
-                  cfg.threshold_for(f"lemma:{lemma}"), config=_config_snapshot(cfg),
-                  hypothesis={**meta, "grid_N": cfg.N, "grid_N_refined": 2 * cfg.N})
-
-
 def run_experiments(names, cfg: HarnessConfig = None):
-    """Yield the RatioReport of each named experiment, in order, validating
-    the config's grid and scales whatever the experiments.  The norm columns
-    live for this call, each filled when first read, so an error stops the
-    run after the reports before it."""
+    """Yield the RatioReport of each named experiment, in order: its row's
+    quantity at every point of the row's axis, judged by the row's rule.  The
+    config's grid and scales are validated whatever the experiments.  The norm
+    columns live for this call, each filled when first read."""
     cfg = cfg or HarnessConfig()
     spec, scales = cfg.spec(), cfg.scales()
 
@@ -526,24 +515,34 @@ def run_experiments(names, cfg: HarnessConfig = None):
             triples[tname] = (alpha, p, q, spec.n / p.range_min + cfg.a_offset)
         return corpus, triples
 
-    kernels = functools.cache(lambda kernel: _kernels(kernel, cfg, spec, scales))
+    @functools.cache
+    def kernels(kernel: str):
+        if kernel == "dyadic":
+            return build_dyadic(spec, max_dyadic_level(spec))
+        if kernel == "local-means":
+            return build_local_means(cfg.S, cfg.eps, spec)
+        return build_continuous_pair(spec, scales, profile=getattr(cfg, kernel))
 
     @functools.cache
     def column(col: str) -> list:
+        """The column's norms over every (triple, corpus entry), optionally threaded."""
         (corpus, triples), (evaluator, kernel) = inputs(), _COLUMNS[col]
         norm, values = globals()[evaluator], []
-        for triple in triples.values():
-            P = BesovParams(*triple, scales, kernels(kernel))
-            values += _entry_map(cfg, corpus, lambda _, f: norm(f, P))
+        with ThreadPoolExecutor(max_workers=max(1, cfg.threads)) as pool:  # unused at 1 thread
+            each = pool.map if cfg.threads > 1 else map
+            for triple in triples.values():
+                P = BesovParams(*triple, scales, kernels(kernel))
+                values += each(lambda f: norm(f, P), [f for _, f in corpus])
         return values
 
     for name in names:
-        if name.startswith("lemma:"):
-            yield _lemma_experiment(name.split(":", 1)[1], cfg)
-        elif name in NORM_EXPERIMENTS:
-            yield _norm_report(name, cfg, *inputs(), column)
-        else:
-            raise ConfigError(f"unknown experiment {name!r}; known: {', '.join(EXPERIMENTS)}")
+        row = _row(name)
+        points, _, rows = _AXES[row.axis]
+        if cfg.n not in row.n:
+            raise ConfigError(f"{rows} are defined for n = {' or '.join(map(str, row.n))}")
+        cases, blank, meta = points(name, row, cfg, inputs, column)
+        yield _judge(name, cases, blank, row.rule, cfg.threshold_for(name),
+                     hypothesis={**row.hypothesis, **meta}, config=_config_snapshot(cfg, name))
 
 
 def run_experiment(name: str, cfg: HarnessConfig = None) -> RatioReport:

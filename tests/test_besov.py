@@ -758,7 +758,8 @@ def test_besov_at_q_equal_p_match_pointwise_sum(spec, scales, pair, dyadic, base
     bank_c = calderon.multiplier_bank(pair.phi0_hat, pair.phi_hat, spec, tc)
     bank_d = calderon.multiplier_bank(dyadic.psi0_hat, dyadic.band, spec, td)
     for name, f in build_corpus(spec):
-        M, D = besov._family(f, bank_c, tc, alpha), besov._family(f, bank_d, td, alpha)
+        M = besov._family(besov._moduli(f, bank_c), tc, alpha)
+        D = besov._family(besov._moduli(f, bank_d), td, alpha)
         ref_c = (luxemburg_norm(GridFunction(spec, M[0]), p)
                  + luxemburg_norm(_pointwise_sum(M[1:], scales.weights, p), p))
         ref_d = luxemburg_norm(_pointwise_sum(D, np.ones(len(D)), p), p)
@@ -836,6 +837,24 @@ def test_moduli_stack_read_only(spec, pair, gaussian):
     assert not stack.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         stack[0, 0] = 1.0
+
+
+def test_peetre_maximal_leaves_the_stack_of_the_norms(monkeypatch):
+    """One besov_continuous on f takes one forward transform and two Peetre
+    maximal functions of f take one each; f's stack of moduli survives them,
+    so a second besov_continuous takes none and gives the same float."""
+    spec, scales = GridSpec(1, 256, 16.0), ScaleGrid(4, 3)
+    pair = build_continuous_pair(spec, scales)
+    (x,) = spec.coords()
+    f = GridFunction(spec, np.exp(-(x**2) / 2.0))
+    P = BesovParams(const(spec, 0.5), const(spec, 2.0), const(spec, 2.0), 1.5, scales, pair)
+    calls = _counting_transforms(monkeypatch)
+    first = besov_continuous(f, P)
+    for t in (0.5, 0.25):
+        peetre_maximal(f, t, 1.5, P.alpha, pair.phi_hat)
+    assert len(calls) == 3
+    assert besov_continuous(f, P) == first
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("name", ["alpha", "p", "q"])

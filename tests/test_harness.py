@@ -24,7 +24,6 @@ from varbesov.corpus import (
 from varbesov.grid import GridSpec
 from varbesov.harness import (
     EXPERIMENTS,
-    NORM_EXPERIMENTS,
     ConfigError,
     EntryResult,
     HarnessConfig,
@@ -36,6 +35,8 @@ from varbesov.harness import (
     run_experiment,
     run_experiments,
 )
+
+NORM_EXPERIMENTS = tuple(name for name, row in EXPERIMENTS.items() if row.axis == "entries")
 
 SMALL = dict(N=256, L=16.0, K=4, J=3,
              corpus_names=("gaussian", "modulated_4", "bump"),
@@ -513,13 +514,13 @@ def test_partial_thresholds_keep_the_other_defaults():
     experiment at its documented default (20, and 30 for the two
     maximal-function experiments), not at a looser fallback."""
     cfg = HarnessConfig(thresholds={"lemma": 2.0})
-    assert {name: cfg.threshold_for(name) for name in EXPERIMENTS[:4]} == {
+    assert {name: cfg.threshold_for(name) for name in NORM_EXPERIMENTS} == {
         "independence": 20.0, "peetre-vs-continuous": 30.0,
         "discrete-vs-continuous": 20.0, "local-means-vs-discrete": 30.0}
-    assert cfg.threshold_for(EXPERIMENTS[-1]) == 2.0
+    assert cfg.threshold_for("lemma:hardy") == 2.0
     cfg = HarnessConfig(thresholds={"independence": 15.0})
     assert cfg.threshold_for("independence") == 15.0
-    assert cfg.threshold_for(EXPERIMENTS[-1]) == 1.05
+    assert cfg.threshold_for("lemma:hardy") == 1.05
 
 
 def test_readme_config_sample_loads_as_defaults(tmp_path):
@@ -638,6 +639,57 @@ def test_cli_run_all_rejects_threshold(tmp_path, capsys):
         assert code == 2
         err = capsys.readouterr().err
         assert "threshold" in err and named in err, err
+        assert not out.exists()
+
+
+def test_fixed_bound_reports_record_no_lemma_threshold():
+    """The lemma threshold is recorded by the sweeps that read it and left
+    out of the reports whose rule judges against a fixed bound."""
+    cfg = HarnessConfig(N=256, thresholds={"lemma": 100.0})
+    for name, bound in (("lemma:rychkov", 0.1), ("lemma:transfer-violation", 3.0)):
+        rep = run_experiment(name, cfg)
+        assert "lemma" not in rep.config["thresholds"] and rep.threshold == bound
+    rep = run_experiment("lemma:transfer", cfg)
+    assert rep.config["thresholds"]["lemma"] == 100.0 and rep.threshold == 100.0
+
+
+# experiment -> the value its rule judges, the bound it prints at the default
+# thresholds, and its fixed bound as --threshold's error names it (None: none)
+SUMMARIES = {
+    "independence": ("ratio continuous/continuous-b", "spread max/min <= 20", None),
+    "peetre-vs-continuous": ("ratio peetre/continuous",
+                             "spread max/min <= 30 and peetre >= continuous", None),
+    "discrete-vs-continuous": ("ratio continuous/discrete", "spread max/min <= 20", None),
+    "local-means-vs-discrete": ("ratio local-means/discrete", "spread max/min <= 30", None),
+    "lemma:transfer-violation": ("growth c(N)/c_first(N)", "largest growth >= 3", "3"),
+    "lemma:rychkov": ("drift c(2N) - c(N)",
+                      "every |drift| <= 0.1 and slope >= M + 0.9 on both grids", "0.1"),
+}
+STABLE = ("ratio c(2N)/c(N)", "every ratio in [1/1.05, 1.05]", None)
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_every_row_summary_and_threshold(tmp_path, capsys, name):
+    """Each row's summary names its judged value and bound, and --threshold 5
+    either sets the bound its rule reads or is refused naming the fixed one."""
+    judged, bound, fixed = SUMMARIES.get(name, STABLE)
+    rep = run_experiment(name, HarnessConfig(**SMALL))
+    lines = harness._summary(rep)
+    assert lines[0] == f"{judged} min/max: {rep.ratio_min:.6g} / {rep.ratio_max:.6g}"
+    assert lines[-1] == f"bound: {bound}"
+    assert (harness.threshold_key(name) is None) == (fixed is not None)
+    ini = tmp_path / "small.ini"
+    ini.write_text("[grid]\nN = 256\nL = 16.0\n[scales]\nK = 4\nJ = 3\n"
+                   "[corpus]\nnames = gaussian, modulated_4, bump\n"
+                   "[experiment:independence]\ntriples = constant, sine-alpha\n")
+    assert asdict(HarnessConfig.from_ini(ini)) == asdict(HarnessConfig(**SMALL))
+    out = tmp_path / "out"
+    code = cli_main(["run", name, "--config", str(ini), "--threshold", "5", "--out", str(out)])
+    if fixed is None:
+        assert code in (0, 1)
+        assert json.loads((out / "report.json").read_text())["threshold"] == 5.0
+    else:
+        assert code == 2 and f"its bound is fixed at {fixed}" in capsys.readouterr().err
         assert not out.exists()
 
 
