@@ -5,7 +5,7 @@ hypothesis data, supported n).  The runner evaluates the quantity at each
 point of the axis into cases (name, a, b) for the rule, the only source of
 the report's `passed`.  On the `entries` axis the quantity is two norm
 columns, each one evaluator on one kernel over every (triple, corpus
-entry) and filled once per `run_experiments` call; on the `N` axis it is a
+entry) and filled once per config; on the `N` axis it is a
 lemma sweep's constants on the lemma grid N and on 2N.  The inequalities
 never quantify their constants, so thresholds are configuration data.
 
@@ -97,7 +97,9 @@ _INI_FIELDS = {
 @dataclass
 class HarnessConfig:
     """Defaults for the desk-scale runs; every field can come from the INI
-    config file or a CLI flag (flags win)."""
+    config file or a CLI flag (flags win).  A config keeps the norm columns
+    its runs fill (`_norm_columns`), so running its experiments one call at
+    a time evaluates each column once, as one `run_experiments` call does."""
 
     n: int = 1
     N: int = 1024
@@ -133,6 +135,18 @@ class HarnessConfig:
         if key is None:
             return _RULES[EXPERIMENTS[experiment].rule][2]
         return float(self.thresholds.get(key, _THRESHOLDS[key]))
+
+    def _norm_columns(self) -> dict:
+        """The norm columns filled for this config as it now is, (column,
+        evaluator) -> values as a tuple of floats.  They are dropped when any
+        field changes.  Keyed on the evaluator object, a rebound evaluator
+        name misses; no other rebinding is seen, so a run after one needs a
+        new config."""
+        now = asdict(self)
+        kept = getattr(self, "_columns", None)
+        if kept is None or kept[0] != now:
+            kept = self._columns = now, {}
+        return kept[1]
 
     @classmethod
     def from_ini(cls, path) -> "HarnessConfig":
@@ -497,8 +511,8 @@ def _summary(report: RatioReport) -> list:
 def run_experiments(names, cfg: HarnessConfig = None):
     """Yield the RatioReport of each named experiment, in order: its row's
     quantity at every point of the row's axis, judged by the row's rule.  The
-    config's grid and scales are validated whatever the experiments.  The norm
-    columns live for this call, each filled when first read."""
+    config's grid and scales are validated whatever the experiments.  Each norm
+    column is filled when first read and kept on the config for its later runs."""
     cfg = cfg or HarnessConfig()
     spec, scales = cfg.spec(), cfg.scales()
 
@@ -523,17 +537,20 @@ def run_experiments(names, cfg: HarnessConfig = None):
             return build_local_means(cfg.S, cfg.eps, spec)
         return build_continuous_pair(spec, scales, profile=getattr(cfg, kernel))
 
-    @functools.cache
-    def column(col: str) -> list:
-        """The column's norms over every (triple, corpus entry), optionally threaded."""
-        (corpus, triples), (evaluator, kernel) = inputs(), _COLUMNS[col]
-        norm, values = globals()[evaluator], []
-        with ThreadPoolExecutor(max_workers=max(1, cfg.threads)) as pool:  # unused at 1 thread
-            each = pool.map if cfg.threads > 1 else map
-            for triple in triples.values():
-                P = BesovParams(*triple, scales, kernels(kernel))
-                values += each(lambda f: norm(f, P), [f for _, f in corpus])
-        return values
+    def column(col: str) -> tuple:
+        """The column's norms over every (triple, corpus entry), optionally threaded;
+        a fill that raises stores nothing."""
+        evaluator, kernel = _COLUMNS[col]
+        norm, filled = globals()[evaluator], cfg._norm_columns()
+        if (col, norm) not in filled:
+            (corpus, triples), values = inputs(), []
+            with ThreadPoolExecutor(max_workers=max(1, cfg.threads)) as pool:  # unused at 1 thread
+                each = pool.map if cfg.threads > 1 else map
+                for triple in triples.values():
+                    P = BesovParams(*triple, scales, kernels(kernel))
+                    values += each(lambda f: norm(f, P), [f for _, f in corpus])
+            filled[col, norm] = tuple(values)
+        return filled[col, norm]
 
     for name in names:
         row = _row(name)

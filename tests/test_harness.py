@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -234,11 +234,10 @@ def test_local_means_even_S_rejected(tmp_path, capsys):
 def test_run_experiments_matches_run_experiment():
     """Reading the shared table gives each report byte for byte as a run of
     that experiment alone."""
-    cfg = HarnessConfig(**SMALL)
-    shared = list(run_experiments(EXPERIMENTS, cfg))
+    shared = list(run_experiments(EXPERIMENTS, HarnessConfig(**SMALL)))
     assert [r.experiment for r in shared] == list(EXPERIMENTS)
     for rep in shared:
-        alone = run_experiment(rep.experiment, cfg)
+        alone = run_experiment(rep.experiment, HarnessConfig(**SMALL))  # evaluates afresh
         assert rep.to_json() == alone.to_json()
         assert rep.to_csv() == alone.to_csv()
 
@@ -246,13 +245,13 @@ def test_run_experiments_matches_run_experiment():
 def test_norms_do_not_depend_on_call_pattern():
     """One run of the four norm experiments, four runs of one each, and the
     one run with threads=4 give the same norm_a and norm_b to the bit,
-    whichever column first built a function's moduli on a shared kernel."""
+    whichever column first built a function's moduli on a shared kernel.
+    Each run has a new config, so that it evaluates its columns itself."""
     def norms(reports):
         return {r.experiment: [(e.norm_a, e.norm_b) for e in r.entries] for r in reports}
 
-    cfg = HarnessConfig(**SMALL)
-    shared = norms(run_experiments(NORM_EXPERIMENTS, cfg))
-    alone = norms(run_experiment(name, cfg) for name in NORM_EXPERIMENTS)
+    shared = norms(run_experiments(NORM_EXPERIMENTS, HarnessConfig(**SMALL)))
+    alone = norms(run_experiment(name, HarnessConfig(**SMALL)) for name in NORM_EXPERIMENTS)
     threaded = norms(run_experiments(NORM_EXPERIMENTS, HarnessConfig(**{**SMALL, "threads": 4})))
     assert list(shared) == list(NORM_EXPERIMENTS)
     assert shared == alone == threaded
@@ -289,6 +288,84 @@ def test_each_column_value_evaluated_once(monkeypatch):
     assert builds == {("build_continuous_pair", "mollifier"): 1,
                       ("build_continuous_pair", "mu-eta"): 1,
                       ("build_dyadic", None): 1, ("build_local_means", None): 1}
+
+
+def _count_continuous(monkeypatch) -> Counter:
+    """Calls of the real besov_continuous, by the profile of the kernel pair."""
+    calls, real = Counter(), harness.besov_continuous
+
+    def counting(f, P):
+        calls[P.kernels.label] += 1
+        return real(f, P)
+    monkeypatch.setattr(harness, "besov_continuous", counting)
+    return calls
+
+
+def test_shared_column_read_across_calls(monkeypatch):
+    """discrete-vs-continuous and then independence, as two calls on one config,
+    evaluate their shared continuous column once, and their reports equal
+    those of runs on new configs, which evaluate afresh."""
+    calls, cfg = _count_continuous(monkeypatch), HarnessConfig(**SMALL)
+    reports = [run_experiment(name, cfg) for name in ("discrete-vs-continuous", "independence")]
+    assert calls == {"mollifier": 6, "mu-eta": 6}  # 2 triples x 3 entries per column
+    for rep in reports:
+        fresh = run_experiment(rep.experiment, HarnessConfig(**SMALL))
+        assert rep.to_json() == fresh.to_json() and rep.to_csv() == fresh.to_csv()
+    assert calls == {"mollifier": 18, "mu-eta": 12}
+
+
+def test_rebound_evaluator_misses_the_kept_columns(monkeypatch):
+    """A column is kept under the evaluator object that filled it, so a run
+    after its name is rebound (a tracer, a counting test) evaluates again."""
+    cfg = HarnessConfig(**SMALL)
+    first = run_experiment("discrete-vs-continuous", cfg)
+    calls = _count_continuous(monkeypatch)
+    assert run_experiment("discrete-vs-continuous", cfg).to_json() == first.to_json()
+    assert calls == {"mollifier": 6}
+
+
+def test_failed_column_fill_stores_nothing(monkeypatch):
+    """A fill that raises keeps nothing and raises again on the next call;
+    the columns filled before it are still read."""
+    calls, cfg = _count_continuous(monkeypatch), HarnessConfig(**{**SMALL, "S": 2})
+    run_experiment("discrete-vs-continuous", cfg)
+    for _ in range(2):
+        with pytest.raises(HypothesisError, match="S odd or -1"):
+            run_experiment("local-means-vs-discrete", cfg)
+    run_experiment("discrete-vs-continuous", cfg)
+    assert calls == {"mollifier": 6}
+    kept = cfg._norm_columns()
+    assert sorted(col for col, _ in kept) == ["continuous", "discrete"]
+    for values in kept.values():
+        assert type(values) is tuple and {type(v) for v in values} == {float}
+
+
+# a changed value of every HarnessConfig field, valid on the N = 64 grid of the test below
+CHANGED = dict(n=2, N=128, L=6.0, K=3, J=1, seed=1, threads=2, out="elsewhere",
+               corpus_names=("gaussian", "bump"), triples=("constant",),
+               thresholds={"lemma": 2.0}, a_offset=2.0, S=5, eps=0.5,
+               profile_a="gauss", profile_b="mollifier", lemma_L=4.0, lemma_K=3, lemma_J=2)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(HarnessConfig)])
+def test_changed_field_refills_the_columns(monkeypatch, name):
+    """The kept columns are read while the config is unchanged; a changed
+    value of any field, set on the same config, refills them."""
+    calls = []
+
+    def counting(f, P):
+        calls.append(f)
+        return 1.0
+    for kind in ("continuous", "discrete"):
+        monkeypatch.setattr(harness, f"besov_{kind}", counting)
+    cfg = HarnessConfig(**{**SMALL, "N": 64, "L": 8.0, "J": 2})
+    run_experiment("discrete-vs-continuous", cfg)
+    filled = len(calls)
+    run_experiment("discrete-vs-continuous", cfg)
+    assert len(calls) == filled
+    setattr(cfg, name, CHANGED[name])
+    run_experiment("discrete-vs-continuous", cfg)
+    assert len(calls) - filled == 2 * len(cfg.triples) * len(cfg.corpus_names)  # two columns
 
 
 def test_scaling_invariance_of_ratios():
