@@ -5,7 +5,7 @@ hypothesis data, supported n).  The runner evaluates the quantity at each
 point of the axis into cases (name, a, b) for the rule, the only source of
 the report's `passed`.  On the `entries` axis the quantity is two norm
 columns, each one evaluator on one kernel over every (triple, corpus
-entry) and filled once per config; on the `N` axis it is a
+entry) and built once per config state; on the `N` axis it is a
 lemma sweep's constants on the lemma grid N and on 2N.  The inequalities
 never quantify their constants, so thresholds are configuration data.
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import configparser
 import csv
-import functools
 import io
 import json
 import math
@@ -97,9 +96,10 @@ _INI_FIELDS = {
 @dataclass
 class HarnessConfig:
     """Defaults for the desk-scale runs; every field can come from the INI
-    config file or a CLI flag (flags win).  A config keeps the norm columns
-    its runs fill (`_norm_columns`), so running its experiments one call at
-    a time evaluates each column once, as one `run_experiments` call does."""
+    config file or a CLI flag (flags win).  A config keeps what its runs
+    build (`_kept`: the corpus and triples, the kernels, the norm columns),
+    so running its experiments one call at a time builds each once, as one
+    `run_experiments` call does."""
 
     n: int = 1
     N: int = 1024
@@ -136,17 +136,15 @@ class HarnessConfig:
             return _RULES[EXPERIMENTS[experiment].rule][2]
         return float(self.thresholds.get(key, _THRESHOLDS[key]))
 
-    def _norm_columns(self) -> dict:
-        """The norm columns filled for this config as it now is, (column,
-        evaluator) -> values as a tuple of floats.  They are dropped when any
-        field changes.  Keyed on the evaluator object, a rebound evaluator
-        name misses; no other rebinding is seen, so a run after one needs a
-        new config."""
-        now = asdict(self)
-        kept = getattr(self, "_columns", None)
-        if kept is None or kept[0] != now:
-            kept = self._columns = now, {}
-        return kept[1]
+    def _kept(self, build, *key):
+        """build(self, *key), built on first read and kept in `_memo` until a
+        field changes; a build that raises keeps nothing."""
+        now, kept = asdict(self), (build, *key)
+        if getattr(self, "_fields", None) != now:
+            self._fields, self._memo = now, {}
+        if kept not in self._memo:
+            self._memo[kept] = build(self, *key)
+        return self._memo[kept]
 
     @classmethod
     def from_ini(cls, path) -> "HarnessConfig":
@@ -322,19 +320,57 @@ def _judge(experiment: str, cases, blank, rule, bound: float, **fields) -> Ratio
 # --- the entries axis: two norm columns over triples x corpus entries ----------------
 
 
-def _entries(name: str, row, cfg: HarnessConfig, inputs, column) -> tuple:
+def _inputs(cfg: HarnessConfig) -> tuple:
+    """The corpus, and by triple name its (alpha, p, q, a) and the c_log of 1/q."""
+    if cfg.corpus_names is not None and len(cfg.corpus_names) == 0:
+        raise ConfigError("empty corpus")
+    if not cfg.triples:
+        raise ConfigError("no exponent triples")
+    spec, triples = cfg.spec(), {}
+    for tname in cfg.triples:
+        alpha, p, q = make_triple(spec, tname)
+        # every column gets the Peetre exponent; only the maximal forms read it
+        a = spec.n / p.range_min + cfg.a_offset
+        triples[tname] = (alpha, p, q, a), q.reciprocal().clog_local
+    return build_corpus(spec, seed=cfg.seed, names=cfg.corpus_names), triples
+
+
+def _kernel(cfg: HarnessConfig, kernel: str):
+    spec = cfg.spec()
+    if kernel == "dyadic":
+        return build_dyadic(spec, max_dyadic_level(spec))
+    if kernel == "local-means":
+        return build_local_means(cfg.S, cfg.eps, spec)
+    return build_continuous_pair(spec, cfg.scales(), profile=getattr(cfg, kernel))
+
+
+def _column(cfg: HarnessConfig, col: str, norm) -> tuple:
+    """The column's norms by its evaluator `norm` over every (triple, corpus
+    entry), optionally threaded.  Kept under the evaluator object, a rebound
+    evaluator name misses; another rebound name needs a new config."""
+    (corpus, triples), values = cfg._kept(_inputs), []
+    with ThreadPoolExecutor(max_workers=max(1, cfg.threads)) as pool:  # unused at 1 thread
+        each = pool.map if cfg.threads > 1 else map
+        for triple, _ in triples.values():
+            P = BesovParams(*triple, cfg.scales(), cfg._kept(_kernel, _COLUMNS[col][1]))
+            values += each(lambda f: norm(f, P), [f for _, f in corpus])
+    return tuple(values)
+
+
+def _entries(name: str, row, cfg: HarnessConfig) -> tuple:
     """The row's columns a and b at every (triple, corpus entry), vacuous where
     both norms are 0, and each triple's hypothesis data."""
-    (corpus, triples), cols = inputs(), row.quantity
-    cases = list(zip([f"{t}/{e}" for t in triples for e, _ in corpus], *map(column, cols)))
+    (corpus, triples), cols = cfg._kept(_inputs), row.quantity
+    norms = [cfg._kept(_column, col, globals()[_COLUMNS[col][0]]) for col in cols]
+    cases = list(zip([f"{t}/{e}" for t in triples for e, _ in corpus], *norms))
     meta = {"profiles": f"{cfg.profile_a}|{cfg.profile_b}"} if "continuous-b" in cols else {}
     if "local-means" in cols:
         meta.update(S=cfg.S, eps=cfg.eps)
-    for tname, (alpha, p, q, a) in triples.items():
+    for tname, ((alpha, p, q, a), clog_1q) in triples.items():
         if {"peetre", "local-means"} & set(cols):  # the columns that read a
             meta[f"a[{tname}]"] = a
         meta[f"clog_alpha[{tname}]"] = alpha.clog_local
-        meta[f"clog_1q[{tname}]"] = q.reciprocal().clog_local
+        meta[f"clog_1q[{tname}]"] = clog_1q
         meta[f"p_min[{tname}]"] = p.range_min
     return cases, lambda v: v == 0.0, meta
 
@@ -432,7 +468,7 @@ def _rychkov(spec, scales, seed, profile):
             for M in (-1, 1, 3)}
 
 
-def _refined(name: str, row, cfg: HarnessConfig, *_) -> tuple:
+def _refined(name: str, row, cfg: HarnessConfig) -> tuple:
     """The row's constants on the lemma grid N (a) and on 2N (b), vacuous where
     both are NaN; the grid must hold the noise band."""
     spec = GridSpec(cfg.n, cfg.N, cfg.lemma_L)
@@ -510,54 +546,18 @@ def _summary(report: RatioReport) -> list:
 
 def run_experiments(names, cfg: HarnessConfig = None):
     """Yield the RatioReport of each named experiment, in order: its row's
-    quantity at every point of the row's axis, judged by the row's rule.  The
-    config's grid and scales are validated whatever the experiments.  Each norm
-    column is filled when first read and kept on the config for its later runs."""
+    quantity at every point of the row's axis, judged by the row's rule, all
+    on the config as it is when the report is taken.  The config's grid and
+    scales are validated whatever the experiments.  What a norm row reads is
+    built on first read and kept in the config's memo for its later runs."""
     cfg = cfg or HarnessConfig()
-    spec, scales = cfg.spec(), cfg.scales()
-
-    @functools.cache  # built on first use: the lemma sweeps read neither
-    def inputs() -> tuple:
-        if cfg.corpus_names is not None and len(cfg.corpus_names) == 0:
-            raise ConfigError("empty corpus")
-        if not cfg.triples:
-            raise ConfigError("no exponent triples")
-        corpus, triples = build_corpus(spec, seed=cfg.seed, names=cfg.corpus_names), {}
-        for tname in cfg.triples:
-            alpha, p, q = make_triple(spec, tname)
-            # every column gets the Peetre exponent; only the maximal forms read it
-            triples[tname] = (alpha, p, q, spec.n / p.range_min + cfg.a_offset)
-        return corpus, triples
-
-    @functools.cache
-    def kernels(kernel: str):
-        if kernel == "dyadic":
-            return build_dyadic(spec, max_dyadic_level(spec))
-        if kernel == "local-means":
-            return build_local_means(cfg.S, cfg.eps, spec)
-        return build_continuous_pair(spec, scales, profile=getattr(cfg, kernel))
-
-    def column(col: str) -> tuple:
-        """The column's norms over every (triple, corpus entry), optionally threaded;
-        a fill that raises stores nothing."""
-        evaluator, kernel = _COLUMNS[col]
-        norm, filled = globals()[evaluator], cfg._norm_columns()
-        if (col, norm) not in filled:
-            (corpus, triples), values = inputs(), []
-            with ThreadPoolExecutor(max_workers=max(1, cfg.threads)) as pool:  # unused at 1 thread
-                each = pool.map if cfg.threads > 1 else map
-                for triple in triples.values():
-                    P = BesovParams(*triple, scales, kernels(kernel))
-                    values += each(lambda f: norm(f, P), [f for _, f in corpus])
-            filled[col, norm] = tuple(values)
-        return filled[col, norm]
-
+    cfg.spec(), cfg.scales()
     for name in names:
         row = _row(name)
         points, _, rows = _AXES[row.axis]
         if cfg.n not in row.n:
             raise ConfigError(f"{rows} are defined for n = {' or '.join(map(str, row.n))}")
-        cases, blank, meta = points(name, row, cfg, inputs, column)
+        cases, blank, meta = points(name, row, cfg)
         yield _judge(name, cases, blank, row.rule, cfg.threshold_for(name),
                      hypothesis={**row.hypothesis, **meta}, config=_config_snapshot(cfg, name))
 

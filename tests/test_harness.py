@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from varbesov import harness, lemmas
+from varbesov import exponent, harness, lemmas
 from varbesov.besov import HypothesisError
 from varbesov.cli import main as cli_main
 from varbesov.corpus import (
@@ -168,9 +168,13 @@ def test_unknown_experiment():
 
 
 def test_empty_corpus_rejected():
+    """An empty corpus raises on every call, as a failed build keeps nothing;
+    the lemma sweeps read no inputs, so they still run on that config."""
     cfg = HarnessConfig(**{**SMALL, "corpus_names": ()})
-    with pytest.raises(ConfigError, match="empty corpus"):
-        run_experiment("discrete-vs-continuous", cfg)
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="empty corpus"):
+            run_experiment("discrete-vs-continuous", cfg)
+    assert run_experiment("lemma:hardy", cfg).passed
 
 
 def test_empty_triples_rejected(tmp_path, capsys):
@@ -242,6 +246,21 @@ def test_run_experiments_matches_run_experiment():
         assert rep.to_csv() == alone.to_csv()
 
 
+@pytest.mark.parametrize("name, value", [("seed", 5), ("N", 512)])
+def test_field_set_between_reports_holds_for_the_next(name, value):
+    """A field set between two reports of one run_experiments generator holds
+    for the whole next report: its norms come from the new corpus and grid,
+    as on a new config, not from what the first report built."""
+    small = dict(N=256, L=16.0, K=2, J=2, corpus_names=("gaussian", "random_band_1"),
+                 triples=("constant",))
+    cfg = HarnessConfig(**small)
+    reports = run_experiments(("discrete-vs-continuous", "independence"), cfg)
+    next(reports)
+    setattr(cfg, name, value)
+    fresh = run_experiment("independence", HarnessConfig(**{**small, name: value}))
+    assert next(reports).to_json() == fresh.to_json()
+
+
 def test_norms_do_not_depend_on_call_pattern():
     """One run of the four norm experiments, four runs of one each, and the
     one run with threads=4 give the same norm_a and norm_b to the bit,
@@ -301,17 +320,39 @@ def _count_continuous(monkeypatch) -> Counter:
     return calls
 
 
+def _count_builds(monkeypatch) -> Counter:
+    """Calls of the real build_corpus, make_triple and estimate_clog, by name."""
+    calls = Counter()
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+    for module, name in ((harness, "build_corpus"), (harness, "make_triple"),
+                         (exponent, "estimate_clog")):
+        counting(module, name)
+    return calls
+
+
 def test_shared_column_read_across_calls(monkeypatch):
     """discrete-vs-continuous and then independence, as two calls on one config,
-    evaluate their shared continuous column once, and their reports equal
-    those of runs on new configs, which evaluate afresh."""
-    calls, cfg = _count_continuous(monkeypatch), HarnessConfig(**SMALL)
+    evaluate their shared continuous column once and build the corpus, each
+    triple and the c_log of each exponent field (alpha and 1/q) once; their
+    reports equal those of runs on new configs, which build afresh."""
+    config = {**SMALL, "triples": ("constant", "sine-q")}
+    calls, cfg = _count_continuous(monkeypatch), HarnessConfig(**config)
+    builds = _count_builds(monkeypatch)
     reports = [run_experiment(name, cfg) for name in ("discrete-vs-continuous", "independence")]
     assert calls == {"mollifier": 6, "mu-eta": 6}  # 2 triples x 3 entries per column
+    assert builds == {"build_corpus": 1, "make_triple": 2, "estimate_clog": 4}
     for rep in reports:
-        fresh = run_experiment(rep.experiment, HarnessConfig(**SMALL))
+        fresh = run_experiment(rep.experiment, HarnessConfig(**config))
         assert rep.to_json() == fresh.to_json() and rep.to_csv() == fresh.to_csv()
     assert calls == {"mollifier": 18, "mu-eta": 12}
+    assert builds == {"build_corpus": 3, "make_triple": 6, "estimate_clog": 12}
 
 
 def test_rebound_evaluator_misses_the_kept_columns(monkeypatch):
@@ -334,7 +375,7 @@ def test_failed_column_fill_stores_nothing(monkeypatch):
             run_experiment("local-means-vs-discrete", cfg)
     run_experiment("discrete-vs-continuous", cfg)
     assert calls == {"mollifier": 6}
-    kept = cfg._norm_columns()
+    kept = {key[1:]: values for key, values in cfg._memo.items() if key[0] is harness._column}
     assert sorted(col for col, _ in kept) == ["continuous", "discrete"]
     for values in kept.values():
         assert type(values) is tuple and {type(v) for v in values} == {float}
@@ -349,9 +390,10 @@ CHANGED = dict(n=2, N=128, L=6.0, K=3, J=1, seed=1, threads=2, out="elsewhere",
 
 @pytest.mark.parametrize("name", [f.name for f in fields(HarnessConfig)])
 def test_changed_field_refills_the_columns(monkeypatch, name):
-    """The kept columns are read while the config is unchanged; a changed
-    value of any field, set on the same config, refills them."""
-    calls = []
+    """The kept columns, corpus and triples are read while the config is
+    unchanged; a changed value of any field, set on the same config, builds
+    them again."""
+    calls, builds = [], _count_builds(monkeypatch)
 
     def counting(f, P):
         calls.append(f)
@@ -363,9 +405,12 @@ def test_changed_field_refills_the_columns(monkeypatch, name):
     filled = len(calls)
     run_experiment("discrete-vs-continuous", cfg)
     assert len(calls) == filled
+    assert builds == {"build_corpus": 1, "make_triple": 2, "estimate_clog": 4}
     setattr(cfg, name, CHANGED[name])
     run_experiment("discrete-vs-continuous", cfg)
     assert len(calls) - filled == 2 * len(cfg.triples) * len(cfg.corpus_names)  # two columns
+    assert builds == {"build_corpus": 2, "make_triple": 2 + len(cfg.triples),
+                      "estimate_clog": 4 + 2 * len(cfg.triples)}
 
 
 def test_scaling_invariance_of_ratios():
