@@ -1,7 +1,7 @@
 """Command-line interface.
 
     varbesov run <experiment|all> [--config file] [--seed S] [--grid N,L]
-                 [--scales K,J] [--threads T] [--threshold X] [--out DIR]
+                 [--scales K,J] [--threshold X] [--out DIR]
     varbesov kernels export [--config file] [--grid N,L] [--scales K,J]
                             [--out DIR]
     varbesov corpus list [--config file] [--grid N,L] [--seed S]
@@ -21,11 +21,10 @@ import sys
 
 import numpy as np
 
-from .calderon import (build_continuous_pair, build_dyadic, build_local_means,
-                       export_radial_table, max_dyadic_level)
+from .calderon import export_radial_table
 from .corpus import boundary_mass, build_corpus
-from .harness import (ConfigError, EXPERIMENTS, HarnessConfig, _summary, emit_report,
-                      run_experiments, threshold_key)
+from .harness import (ConfigError, EXPERIMENTS, HarnessConfig, _kernel, _summary,
+                      emit_report, run_experiments, threshold_key)
 
 
 _FLAGS = {
@@ -33,7 +32,6 @@ _FLAGS = {
     "seed": dict(type=int, help="corpus RNG seed"),
     "grid": dict(help="N,L   (points per axis, half-period)"),
     "scales": dict(help="K,J   (scales per octave, octaves)"),
-    "threads": dict(type=int, help="parallel corpus workers"),
     "out": dict(help="output directory"),
 }
 
@@ -53,15 +51,13 @@ def _parse_pair(text, name, types):
 
 def _config_from_args(args) -> HarnessConfig:
     flags = vars(args)  # holds only the flags of the subcommand run
-    cfg = HarnessConfig.from_ini(args.config) if args.config else HarnessConfig()
+    cfg = HarnessConfig.from_ini(args.config) if args.config is not None else HarnessConfig()
     if flags.get("seed") is not None:
         cfg.seed = args.seed
-    if flags.get("grid"):
+    if flags.get("grid") is not None:
         cfg.N, cfg.L = _parse_pair(args.grid, "grid", (int, float))
-    if flags.get("scales"):
+    if flags.get("scales") is not None:
         cfg.K, cfg.J = _parse_pair(args.scales, "scales", (int, int))
-    if flags.get("threads") is not None:
-        cfg.threads = args.threads
     if flags.get("out"):
         cfg.out = args.out
     return cfg
@@ -98,19 +94,17 @@ def cmd_run(args) -> int:
 
 def cmd_kernels_export(args) -> int:
     cfg = _config_from_args(args)
-    spec = cfg.spec()
-    scales = cfg.scales()
     os.makedirs(cfg.out, exist_ok=True)
-    rmax = spec.xi_max
-    for profile in (cfg.profile_a, cfg.profile_b):
-        pair = build_continuous_pair(spec, scales, profile=profile)
+    rmax = cfg.spec().xi_max
+    for kernel in ("profile_a", "profile_b"):
+        pair, profile = _kernel(cfg, kernel), getattr(cfg, kernel)
         export_radial_table(pair.phi0_hat, os.path.join(cfg.out, f"Phi_{profile}.csv"), 2.5)
         export_radial_table(pair.phi_hat, os.path.join(cfg.out, f"phi_{profile}.csv"), 2.5)
-    dyad = build_dyadic(spec, max_dyadic_level(spec))
+    dyad = _kernel(cfg, "dyadic")
     for v in range(dyad.v_max + 1):
         export_radial_table(dyad.psi_hat(v), os.path.join(cfg.out, f"psi_{v}.csv"),
                             min(2.0 ** (v + 1) * 1.25, rmax))
-    kern = build_local_means(cfg.S, cfg.eps, spec)
+    kern = _kernel(cfg, "local-means")
     export_radial_table(kern.k0_hat, os.path.join(cfg.out, "k0.csv"), 4.0 * cfg.eps)
     export_radial_table(kern.k_hat, os.path.join(cfg.out, "k.csv"), 4.0 * cfg.eps)
     print(f"wrote kernel tables to {cfg.out}")
@@ -137,7 +131,7 @@ def main(argv=None) -> int:
     p_run.add_argument("experiment",
                        help=f"one of: {', '.join(EXPERIMENTS)}; or all")
     p_run.add_argument("--threshold", type=float, help="threshold of the experiment's rule")
-    _add_flags(p_run, "config", "seed", "grid", "scales", "threads", "out")
+    _add_flags(p_run, "config", "seed", "grid", "scales", "out")
     p_run.set_defaults(fn=cmd_run, parser=p_run)
 
     p_k = sub.add_parser("kernels", help="kernel table utilities")

@@ -24,8 +24,7 @@ import math
 import os
 import warnings
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
 
 import numpy as np
 
@@ -80,7 +79,7 @@ def _csv(text: str) -> tuple:
 _INI_FIELDS = {
     "grid": {"n": ("n", int), "N": ("N", int), "L": ("L", float)},
     "scales": {"K": ("K", int), "J": ("J", int)},
-    "run": {"seed": ("seed", int), "threads": ("threads", int), "out": ("out", str)},
+    "run": {"seed": ("seed", int), "out": ("out", str)},
     "corpus": {"names": ("corpus_names", lambda v: _csv(v) if v else None)},
     "experiment:independence": {"triples": ("triples", _csv),
                                 "profile_a": ("profile_a", str),
@@ -96,10 +95,10 @@ _INI_FIELDS = {
 @dataclass
 class HarnessConfig:
     """Defaults for the desk-scale runs; every field can come from the INI
-    config file or a CLI flag (flags win).  A config keeps what its runs
-    build (`_kept`: the corpus and triples, the kernels, the norm columns),
-    so running its experiments one call at a time builds each once, as one
-    `run_experiments` call does."""
+    config file, and grid, scales, seed and out from a CLI flag (flags win).
+    A config keeps what its runs build (`_kept`: the corpus and triples, the
+    kernels, the norm columns), so running its experiments one call at a
+    time builds each once, as one `run_experiments` call does."""
 
     n: int = 1
     N: int = 1024
@@ -107,7 +106,7 @@ class HarnessConfig:
     K: int = 8
     J: int = 5
     seed: int = 0
-    threads: int = 1
+    threads: InitVar[int] = 1  # 1 only: each norm column is one ordered loop
     out: str = "reports"
     corpus_names: tuple = None  # None -> default corpus
     triples: tuple = ("constant", "sine-alpha", "sine-p")
@@ -122,6 +121,10 @@ class HarnessConfig:
     lemma_L: float = 8.0
     lemma_K: int = 4
     lemma_J: int = 3
+
+    def __post_init__(self, threads):
+        if threads != 1:
+            raise ConfigError(f"threads must be 1, got {threads!r}")
 
     def spec(self) -> GridSpec:
         return GridSpec(self.n, self.N, self.L)
@@ -346,15 +349,11 @@ def _kernel(cfg: HarnessConfig, kernel: str):
 
 def _column(cfg: HarnessConfig, col: str, norm) -> tuple:
     """The column's norms by its evaluator `norm` over every (triple, corpus
-    entry), optionally threaded.  Kept under the evaluator object, a rebound
+    entry), in that order.  Kept under the evaluator object, a rebound
     evaluator name misses; another rebound name needs a new config."""
-    (corpus, triples), values = cfg._kept(_inputs), []
-    with ThreadPoolExecutor(max_workers=max(1, cfg.threads)) as pool:  # unused at 1 thread
-        each = pool.map if cfg.threads > 1 else map
-        for triple, _ in triples.values():
-            P = BesovParams(*triple, cfg.scales(), cfg._kept(_kernel, _COLUMNS[col][1]))
-            values += each(lambda f: norm(f, P), [f for _, f in corpus])
-    return tuple(values)
+    (corpus, triples), kernel = cfg._kept(_inputs), cfg._kept(_kernel, _COLUMNS[col][1])
+    params = [BesovParams(*triple, cfg.scales(), kernel) for triple, _ in triples.values()]
+    return tuple(norm(f, P) for P in params for _, f in corpus)
 
 
 def _entries(name: str, row, cfg: HarnessConfig) -> tuple:

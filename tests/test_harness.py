@@ -262,18 +262,17 @@ def test_field_set_between_reports_holds_for_the_next(name, value):
 
 
 def test_norms_do_not_depend_on_call_pattern():
-    """One run of the four norm experiments, four runs of one each, and the
-    one run with threads=4 give the same norm_a and norm_b to the bit,
-    whichever column first built a function's moduli on a shared kernel.
-    Each run has a new config, so that it evaluates its columns itself."""
+    """One run of the four norm experiments and four runs of one each give
+    the same norm_a and norm_b to the bit, whichever column first built a
+    function's moduli on a shared kernel.  Each run has a new config, so
+    that it evaluates its columns itself."""
     def norms(reports):
         return {r.experiment: [(e.norm_a, e.norm_b) for e in r.entries] for r in reports}
 
     shared = norms(run_experiments(NORM_EXPERIMENTS, HarnessConfig(**SMALL)))
     alone = norms(run_experiment(name, HarnessConfig(**SMALL)) for name in NORM_EXPERIMENTS)
-    threaded = norms(run_experiments(NORM_EXPERIMENTS, HarnessConfig(**{**SMALL, "threads": 4})))
     assert list(shared) == list(NORM_EXPERIMENTS)
-    assert shared == alone == threaded
+    assert shared == alone
 
 
 def test_each_column_value_evaluated_once(monkeypatch):
@@ -382,7 +381,7 @@ def test_failed_column_fill_stores_nothing(monkeypatch):
 
 
 # a changed value of every HarnessConfig field, valid on the N = 64 grid of the test below
-CHANGED = dict(n=2, N=128, L=6.0, K=3, J=1, seed=1, threads=2, out="elsewhere",
+CHANGED = dict(n=2, N=128, L=6.0, K=3, J=1, seed=1, out="elsewhere",
                corpus_names=("gaussian", "bump"), triples=("constant",),
                thresholds={"lemma": 2.0}, a_offset=2.0, S=5, eps=0.5,
                profile_a="gauss", profile_b="mollifier", lemma_L=4.0, lemma_K=3, lemma_J=2)
@@ -556,10 +555,14 @@ def test_dzw_scaling_clears_hypothesis_in_one_step(monkeypatch, scale):
     (["lemma:transfer", "--grid", "1024,-4"], "L must be finite and positive, got -4"),
     (["lemma:hardy", "--scales", "0,0"], "ScaleGrid needs K >= 1"),
     (["lemma:hardy", "--grid", "256"], "--grid expects two comma-separated values, got '256'"),
-], ids=["L-inf", "L-negative", "scales-0", "grid-one-value"])
+    (["lemma:hardy", "--grid", ""], "--grid expects two comma-separated values, got ''"),
+    (["lemma:hardy", "--scales", ""], "--scales expects two comma-separated values, got ''"),
+    (["lemma:hardy", "--config", ""], "cannot read config file"),
+], ids=["L-inf", "L-negative", "scales-0", "grid-one-value", "grid-empty", "scales-empty",
+        "config-empty"])
 def test_config_validated_for_every_experiment(tmp_path, capsys, args, message):
-    """The lemma sweeps read neither --grid's L nor --scales, but a bad
-    value is still a configuration error, and no report is written."""
+    """The lemma sweeps read neither --grid's L nor --scales, but a bad or
+    empty value is still a configuration error, and no report is written."""
     out = tmp_path / "out"
     assert cli_main(["run", *args, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
@@ -595,7 +598,6 @@ J = 3
 
 [run]
 seed = 9
-threads = 1
 
 [corpus]
 names = gaussian, bump
@@ -663,6 +665,7 @@ def test_readme_config_sample_loads_as_defaults(tmp_path):
      "unknown config section \\[experiment:lemma:hardy\\]"),
     ("[experiment:discrete-vs-continuous]\nS = 3\n",
      "unknown config key 'S' in \\[experiment:discrete-vs-continuous\\]"),
+    ("[run]\nthreads = 1\n", "unknown config key 'threads' in \\[run\\]"),
 ])
 def test_config_rejects_unknown_keys(tmp_path, capsys, text, match):
     path = tmp_path / "bad.ini"
@@ -903,10 +906,17 @@ def test_cli_rejects_flags_the_subcommand_ignores(argv, capsys):
     assert err.startswith(f"usage: varbesov {argv[0]} {argv[1]} ")  # the subcommand's own
 
 
-def test_threads_do_not_change_results():
-    cfg1 = HarnessConfig(**SMALL)
-    cfg2 = HarnessConfig(**{**SMALL, "threads": 4})
-    r1 = run_experiment("discrete-vs-continuous", cfg1)
-    r2 = run_experiment("discrete-vs-continuous", cfg2)
-    assert [e.ratio for e in r1.entries if not e.vacuous] == \
-        [e.ratio for e in r2.entries if not e.vacuous]
+def test_cli_run_takes_no_threads(tmp_path, capsys):
+    """Each norm column is one ordered loop, so `run` has no --threads."""
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "all", "--threads", "2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: varbesov run ")
+
+
+def test_threads_only_at_one_and_not_a_field():
+    """HarnessConfig(threads=1) builds, with no threads in its fields; any
+    other value is a configuration error."""
+    assert "threads" not in asdict(HarnessConfig(threads=1))
+    with pytest.raises(ConfigError, match="threads must be 1, got 2"):
+        HarnessConfig(threads=2)
