@@ -7,13 +7,9 @@ from .grid import (
     GridFunction,
     ScaleGrid,
     fourier,
-    inverse_fourier,
-    convolve_kernel,
-    integrate,
 )
 from .exponent import ExponentField, estimate_clog
 from .modular_norms import (
-    modular_lp,
     luxemburg_norm,
     mixed_norm_discrete,
     mixed_norm_continuous,
@@ -33,7 +29,6 @@ from .besov import (
     besov_discrete,
     besov_peetre,
     besov_local_means,
-    peetre_maximal,
 )
 
 __version__ = "0.1.0"

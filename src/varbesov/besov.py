@@ -53,7 +53,6 @@ __all__ = [
     "besov_discrete",
     "besov_peetre",
     "besov_local_means",
-    "peetre_maximal",
 ]
 
 
@@ -154,22 +153,6 @@ def besov_discrete(f: GridFunction, P: BesovParams) -> float:
 
 
 # --- Peetre maximal functions --------------------------------------------------
-
-
-def peetre_maximal(f: GridFunction, t: float, a: float, alpha: ExponentField,
-                   kernel: RadialProfile) -> GridFunction:
-    """max over grid y of t^(-alpha(y)) |k_t * f(y)| / (1 + d(x,y)/t)^a.
-
-    d is the periodic distance; the maximum is exact over all grid points.  f's
-    stack of moduli, which the norms share, is left as it was."""
-    if not a > 0:
-        raise ValueError("Peetre exponent a must be positive")
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"scale t must be finite and positive, got {t}")
-    alpha.require_grid(f.spec, "alpha")
-    k_t = kernel(t * f.spec.xi_radius())[None]
-    G = _family(np.abs(dft(fourier(f).values * k_t, f.spec, inverse=True)), (t,), alpha)
-    return GridFunction(f.spec, _weighted_sup(G, (t,), a, f.spec)[0])
 
 
 _TILE = 32  # 1-D tile edge of the x grid

@@ -44,7 +44,6 @@ __all__ = [
     "build_dyadic",
     "build_local_means",
     "multiplier_bank",
-    "reproducing_residual",
     "export_radial_table",
 ]
 
@@ -206,20 +205,6 @@ def _normalised_bump_pair(profile: str) -> KernelPair:
     return pair
 
 
-def reproducing_residual(pair: KernelPair, radii) -> float:
-    """Max over the given |xi| samples of |Phi_hat + sum_j w_j phi_hat(t_j .) - 1|,
-    with the dt/t quadrature at the construction rate, over enough octaves
-    to cover the full annulus of every sample."""
-    radii = np.asarray(radii, dtype=float).ravel()
-    rmax = float(radii.max())
-    J = max(1, int(math.ceil(math.log2(max(2.0 * rmax, 2.0)))))
-    s = ScaleGrid(_CONSTRUCTION_K, J)
-    acc = pair.phi0_hat(radii)
-    for t, w in zip(s.t, s.weights):
-        acc = acc + w * pair.phi_hat(t * radii)
-    return float(np.abs(acc - 1.0).max())
-
-
 def build_continuous_pair(spec: GridSpec, s: ScaleGrid,
                           profile: str = "mollifier") -> KernelPair:
     """Construct and verify a resolution-of-unity pair usable on `spec`.
@@ -268,19 +253,6 @@ class DyadicFamily:
             return self.psi0_hat
         return RadialProfile(lambda r: self.band(np.asarray(r) * 2.0**-v), f"psi_{v}")
 
-    @property
-    def coverage_radius(self) -> float:
-        """Partition sums to 1 exactly for |xi| <= 2^v_max."""
-        return 2.0**self.v_max
-
-    def partition_residual(self, radii) -> float:
-        radii = np.asarray(radii, dtype=float).ravel()
-        radii = radii[radii <= self.coverage_radius]
-        acc = np.zeros_like(radii)
-        for v in range(self.v_max + 1):
-            acc += self.psi_hat(v)(radii)
-        return float(np.abs(acc - 1.0).max())
-
 
 def build_dyadic(spec: GridSpec, v_max: int) -> DyadicFamily:
     if v_max < 0:
@@ -314,27 +286,6 @@ class LocalMeansKernels:
     k_hat: RadialProfile
     S: int
     eps: float
-
-    def tauberian_margins(self) -> tuple:
-        """Smallest |k0_hat| on [0, 2 eps) and |k_hat| on (eps/2, 2 eps),
-        each over 4096 samples."""
-        r0 = np.linspace(0.0, 2.0 * self.eps, 4096, endpoint=False)
-        m0 = float(np.abs(self.k0_hat(r0)).min())
-        r1 = np.linspace(0.5 * self.eps, 2.0 * self.eps, 4098)[1:-1]
-        m1 = float(np.abs(self.k_hat(r1)).min())
-        return m0, m1
-
-    def moment_slope(self) -> float:
-        """Fitted log-log exponent of |k_hat| as r -> 0; >= S+1 certifies
-        the vanishing moments."""
-        r = self.eps * np.logspace(-3, -1.5, 40)
-        v = np.abs(self.k_hat(r))
-        if np.all(v == 0):
-            return math.inf
-        if self.S == -1:
-            return 0.0  # profile tends to the positive constant e at 0
-        coef = np.polyfit(np.log(r), np.log(v), 1)
-        return float(coef[0])
 
 
 def build_local_means(S: int, eps: float, spec: GridSpec) -> LocalMeansKernels:

@@ -58,8 +58,10 @@ def _config_from_args(args) -> HarnessConfig:
         cfg.N, cfg.L = _parse_pair(args.grid, "grid", (int, float))
     if flags.get("scales") is not None:
         cfg.K, cfg.J = _parse_pair(args.scales, "scales", (int, int))
-    if flags.get("out"):
+    if flags.get("out") is not None:
         cfg.out = args.out
+    if not cfg.out:
+        raise ConfigError("the output directory is empty: give --out or [run] out a path")
     return cfg
 
 

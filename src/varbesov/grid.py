@@ -28,13 +28,9 @@ __all__ = [
     "GridFunction",
     "ScaleGrid",
     "fourier",
-    "inverse_fourier",
     "dft",
-    "convolve_kernel",
     "eta_pointwise",
     "eta_periodized",
-    "integrate",
-    "norm_l2",
 ]
 
 
@@ -83,9 +79,6 @@ class GridSpec:
         """Meshgrid of spatial coordinates, one array per axis."""
         return tuple(np.meshgrid(*(self.axis(),) * self.n, indexing="ij"))
 
-    def freq_coords(self) -> tuple:
-        return tuple(np.meshgrid(*(self.freq_axis(),) * self.n, indexing="ij"))
-
     def xi_radius(self) -> np.ndarray:
         """|xi| at every grid frequency."""
         return _euclidean(np.abs(self.freq_axis()), self.n)
@@ -124,39 +117,19 @@ class GridFunction:
         object.__setattr__(self, "values", v)
 
     @classmethod
-    def from_callable(cls, spec: GridSpec, fn) -> "GridFunction":
-        return cls(spec, fn(*spec.coords()))
-
-    @classmethod
     def zeros(cls, spec: GridSpec) -> "GridFunction":
         return cls(spec, np.zeros(spec.shape))
-
-    def with_values(self, values) -> "GridFunction":
-        return GridFunction(self.spec, values)
 
     def __mul__(self, c):
         return GridFunction(self.spec, self.values * c)
 
     __rmul__ = __mul__
 
-    def __add__(self, other):
-        _require_same_spec(self, other)
-        return GridFunction(self.spec, self.values + other.values)
-
-    def __sub__(self, other):
-        _require_same_spec(self, other)
-        return GridFunction(self.spec, self.values - other.values)
-
-
-def _require_same_spec(f: GridFunction, g: GridFunction):
-    if f.spec != g.spec:
-        raise ValueError(f"grid spec mismatch: {f.spec} vs {g.spec}")
-
 
 def dft(values: np.ndarray, spec: GridSpec, inverse: bool = False) -> np.ndarray:
     """Transform over the last n axes of a (..., *spec.shape) array, each
-    leading index on its own: the array form of `fourier` (or, with
-    inverse=True, of `inverse_fourier`), with the same scaling and
+    leading index on its own: the array form of `fourier` or, with
+    inverse=True, of its exact inverse, with the same scaling and
     ascending-frequency layout."""
     axes = tuple(range(-spec.n, 0))
     if inverse:
@@ -173,13 +146,9 @@ def fourier(f: GridFunction) -> GridFunction:
     """Forward transform; output samples approximate F(f) at grid frequencies.
 
     Output is ordered by ascending frequency along each axis.  Exact
-    inverse is `inverse_fourier`.
+    inverse is `dft(..., inverse=True)`.
     """
     return GridFunction(f.spec, dft(f.values, f.spec))
-
-
-def inverse_fourier(g: GridFunction) -> GridFunction:
-    return GridFunction(g.spec, dft(g.values, g.spec, inverse=True))
 
 
 def _circulant(w: np.ndarray) -> np.ndarray:
@@ -187,29 +156,6 @@ def _circulant(w: np.ndarray) -> np.ndarray:
     w unrolled once per axis, windowed, and reversed along the y axes."""
     view = sliding_window_view(np.tile(w, (2,) * w.ndim), w.shape)
     return view[(slice(w.shape[0], 0, -1),) * w.ndim]
-
-
-def convolve_kernel(f: GridFunction, khat: GridFunction) -> GridFunction:
-    """Convolution realised in frequency: inverse of (2pi)^(n/2) * fhat * khat.
-
-    `khat` is the frequency-side kernel (same layout as `fourier` output);
-    with the symmetric transform convention this matches the continuous
-    convolution theorem F(f*k) = (2pi)^(n/2) F(f) F(k).
-    """
-    _require_same_spec(f, khat)
-    n = f.spec.n
-    fhat = fourier(f)
-    prod = (2.0 * np.pi) ** (n / 2.0) * fhat.values * khat.values
-    return inverse_fourier(GridFunction(f.spec, prod))
-
-
-def integrate(f: GridFunction) -> complex:
-    """Torus quadrature h^n * sum(values); exact for band-limited integrands."""
-    return complex(f.spec.cell_volume * f.values.sum())
-
-
-def norm_l2(f: GridFunction) -> float:
-    return float(np.sqrt(f.spec.cell_volume * np.sum(np.abs(f.values) ** 2)))
 
 
 # --- the kernels eta_{t,m}(x) = t^-n (1 + |x|/t)^-m --------------------------

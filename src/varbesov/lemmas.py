@@ -66,7 +66,8 @@ _RYCHKOV_SCALES = ScaleGrid(4, 6)  # t = 2^(-j/4) down to 2^-6, before the fit's
 def _eta_convolve(F: np.ndarray, t, m: float, spec: GridSpec) -> np.ndarray:
     """Row j is eta_{t_j,m} * F_j on the torus (true convolution, mass c(m));
     t is one scale for every row or one scale per row.  The product is
-    formed as in `convolve_kernel`, so each row equals
+    formed as in the tests' reference `convolve_kernel` (tests/oracles.py),
+    so each row equals
     convolve_kernel(F_j, fourier(GridFunction(spec, eta_periodized(t_j, m, spec))))."""
     kernels = eta_periodized(np.atleast_1d(t), m, spec)
     prod = (2.0 * np.pi) ** (spec.n / 2.0) * dft(F.astype(complex), spec) * dft(kernels, spec)

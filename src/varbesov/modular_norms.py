@@ -49,7 +49,6 @@ from .exponent import ExponentField
 from .grid import GridFunction, ScaleGrid
 
 __all__ = [
-    "modular_lp",
     "luxemburg_norm",
     "power_quotient_norm",
     "mixed_norm_discrete",
@@ -59,27 +58,6 @@ __all__ = [
 _REL_TOL = 1e-10  # relative offset of the result above the root
 _F_TOL = 1e-12    # the Newton step taken at |log-modular| <= _F_TOL is the last
 _MAX_STEPS = 100
-
-
-def _omega_sum(a: np.ndarray, p: np.ndarray, cell: float) -> float:
-    """Quadrature of omega_{p(x)}(a(x)); a nonnegative, p in (0, inf]."""
-    out = np.zeros_like(a)
-    pinf = np.isinf(p)
-    if pinf.any():
-        if np.any(a[pinf] > 1.0):
-            return math.inf
-    pos = (a > 0) & ~pinf
-    with np.errstate(over="ignore"):
-        out[pos] = np.exp(p[pos] * np.log(a[pos]))
-    s = cell * out.sum()
-    return float(s)
-
-
-def modular_lp(f: GridFunction, p: ExponentField) -> float:
-    """Variable exponent modular; +inf propagates (p = inf and |f| > 1)."""
-    p.require_grid(f.spec, "p").require_p0("p")
-    a = np.abs(f.values).ravel()
-    return _omega_sum(a, p.samples.ravel(), f.spec.cell_volume)
 
 
 # --- the solver ------------------------------------------------------------------

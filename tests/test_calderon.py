@@ -17,10 +17,12 @@ from varbesov.calderon import (
     build_local_means,
     export_radial_table,
     max_dyadic_level,
-    reproducing_residual,
 )
 from varbesov.exponent import ExponentField
-from varbesov.grid import GridFunction, GridSpec, ScaleGrid, fourier, inverse_fourier, norm_l2
+from varbesov.grid import GridFunction, GridSpec, ScaleGrid, fourier
+
+from oracles import (classical_lp, inverse_fourier, moment_slope, partition_residual,
+                     reproducing_residual, tauberian_margins)
 
 
 # --- continuous pair -----------------------------------------------------------
@@ -114,7 +116,8 @@ def test_calderon_reconstruction(spec, profile):
     for t, w in zip(s64.t, s64.weights):
         acc = acc + w * fhat * p.phi_hat(t * rr)
     rec = inverse_fourier(GridFunction(spec, acc))
-    assert norm_l2(rec - f) / norm_l2(f) < 1e-4
+    err = GridFunction(spec, rec.values - f.values)
+    assert classical_lp(err, 2.0) / classical_lp(f, 2.0) < 1e-4
 
 
 def _reference_bump_pair(bump, label):
@@ -213,10 +216,13 @@ def test_lattice_residual_certifies_every_grid(profile):
 
 
 def test_build_evaluates_nothing_on_grid_radii(monkeypatch, scales):
-    """The residual is read from the pair, not measured on the grid."""
-    def grid_residual(*args, **kwargs):
-        raise AssertionError("reproducing residual evaluated on a grid")
-    monkeypatch.setattr(calderon, "reproducing_residual", grid_residual)
+    """The residual is read from the pair, not measured on the grid: once the
+    pair is built, building it for two grids evaluates no radial profile."""
+    calderon._normalised_bump_pair("mollifier")
+
+    def evaluated(self, r):
+        raise AssertionError(f"radial profile {self.label} evaluated while building a pair")
+    monkeypatch.setattr(RadialProfile, "__call__", evaluated)
     a = build_continuous_pair(GridSpec(1, 1024, 16.0), scales)
     b = build_continuous_pair(GridSpec(2, 64, 8.0), ScaleGrid(4, 2))
     assert a is b and a.residual < 1e-9
@@ -237,7 +243,7 @@ def test_shared_tables_read_only(pair):
 
 
 def test_dyadic_partition_residual(spec, dyadic):
-    assert dyadic.partition_residual(spec.xi_radius().ravel()) < 1e-10
+    assert partition_residual(dyadic, spec.xi_radius().ravel()) < 1e-10
 
 
 def test_dyadic_telescoping_exact(dyadic):
@@ -283,7 +289,8 @@ def test_dyadic_reconstruction(spec, dyadic):
     for v in range(dyadic.v_max + 1):
         acc = acc + fhat * dyadic.psi_hat(v)(rr)
     rec = inverse_fourier(GridFunction(spec, acc))
-    assert norm_l2(rec - f) / norm_l2(f) < 1e-8
+    err = GridFunction(spec, rec.values - f.values)
+    assert classical_lp(err, 2.0) / classical_lp(f, 2.0) < 1e-8
 
 
 def _reference_psi_hat(fam, v):
@@ -328,7 +335,7 @@ def test_dyadic_bank_built_once_across_builds(monkeypatch):
     monkeypatch.setattr(RadialProfile, "__call__", counting)
     calderon.multiplier_bank.cache_clear()
     spec = GridSpec(1, 256, 16.0)
-    f = GridFunction.from_callable(spec, lambda x: np.exp(-x**2 / 2.0))
+    f = GridFunction(spec, np.exp(-spec.axis()**2 / 2.0))
     alpha, p = ExponentField.from_constant(spec, 0.5), ExponentField.from_constant(spec, 2.0)
     for first in (True, False):
         fam = build_dyadic(spec, 3)
@@ -346,20 +353,20 @@ def test_local_means_values(local_means):
 
 
 def test_local_means_tauberian(local_means):
-    m0, m1 = local_means.tauberian_margins()
+    m0, m1 = tauberian_margins(local_means)
     assert m0 > 0 and m1 > 0
 
 
 @pytest.mark.parametrize("S", [-1, 0, 1, 3])
 def test_local_means_moment_slope(spec, S):
     k = build_local_means(S, 1.0, spec)
-    assert k.moment_slope() >= S + 1 - 0.1
+    assert moment_slope(k) >= S + 1 - 0.1
 
 
 def test_local_means_moment_slope_infinite_when_profile_underflows(spec):
     """At S = 250 every |k_hat| sample near 0 underflows to 0: no slope can
     be fitted, and the moments count as infinitely many."""
-    assert build_local_means(250, 1.0, spec).moment_slope() == math.inf
+    assert moment_slope(build_local_means(250, 1.0, spec)) == math.inf
 
 
 def test_local_means_rejects_bad_inputs(spec):

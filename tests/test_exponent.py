@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from varbesov.exponent import ExponentField
 from varbesov.grid import GridFunction, GridSpec, ScaleGrid
 from varbesov.modular_norms import (luxemburg_norm, mixed_norm_continuous, mixed_norm_discrete,
-                                   modular_lp, power_quotient_norm)
+                                   power_quotient_norm)
+
+from oracles import modular_lp
 
 
 # --- the modular kernel omega_p(t) ------------------------------------------------

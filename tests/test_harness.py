@@ -827,6 +827,23 @@ def test_cli_unwritable_out_is_an_error(tmp_path, capsys):
     assert out.read_text() == ""
 
 
+@pytest.mark.parametrize("command", [["run", "lemma:hardy"], ["run", "all"], ["kernels", "export"]],
+                         ids=["run", "run-all", "kernels-export"])
+@pytest.mark.parametrize("source", ["flag", "ini"])
+def test_cli_empty_out_is_an_error(tmp_path, monkeypatch, capsys, command, source):
+    """An empty --out or [run] out ends in exit 2 before anything is written,
+    not in ./reports or in the working directory itself."""
+    monkeypatch.chdir(tmp_path)
+    if source == "flag":
+        given = ["--out", ""]
+    else:
+        (tmp_path / "cfg.ini").write_text("[run]\nout =\n")
+        given = ["--config", "cfg.ini"]
+    assert cli_main([*command, "--grid", "256,16", "--scales", "4,3", *given]) == 2
+    assert "output directory is empty" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == (["cfg.ini"] if source == "ini" else [])
+
+
 def test_cli_config_error(capsys):
     assert cli_main(["run", "no-such-experiment"]) == 2
     assert "error:" in capsys.readouterr().err

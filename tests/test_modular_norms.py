@@ -11,17 +11,13 @@ from varbesov import modular_norms
 from varbesov.grid import GridFunction, GridSpec, ScaleGrid
 from varbesov.modular_norms import (
     _newton,
-    _omega_sum,
     luxemburg_norm,
     mixed_norm_continuous,
     mixed_norm_discrete,
-    modular_lp,
     power_quotient_norm,
 )
 
-
-def classical_lp(f, p):
-    return float((f.spec.cell_volume * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
+from oracles import classical_lp, modular_lp, omega_sum, pointwise_sum
 
 
 # --- bisection reference solvers ----------------------------------------------
@@ -47,18 +43,18 @@ def _reference_luxemburg_norm(f: GridFunction, p: ExponentField, rel_tol: float 
     lo = _TINY
     hi = box ** (1.0 / pmin) + 1.0
     for _ in range(200):
-        if _omega_sum(g / hi, ps, cell) <= 1.0:
+        if omega_sum(g / hi, ps, cell) <= 1.0:
             break
         hi *= 2.0
     else:
         raise ArithmeticError("could not bracket the Luxemburg norm from above")
     for _ in range(200):
-        if _omega_sum(g / lo, ps, cell) > 1.0:
+        if omega_sum(g / lo, ps, cell) > 1.0:
             break
         lo *= 1e-2
     while hi / lo - 1.0 > rel_tol:
         mid = math.sqrt(lo * hi)
-        if _omega_sum(g / mid, ps, cell) <= 1.0:
+        if omega_sum(g / mid, ps, cell) <= 1.0:
             hi = mid
         else:
             lo = mid
@@ -679,11 +675,6 @@ def test_solver_fails_loudly(monkeypatch):
 # --- B = F at q = p: one Luxemburg norm of the pointwise sum -------------------------
 
 
-def _pointwise_sum(A: np.ndarray, w: np.ndarray, p: ExponentField) -> GridFunction:
-    """(sum_v w_v A_v(x)^p(x))^(1/p(x)) for a (T, *shape) stack A of moduli."""
-    return GridFunction(p.spec, np.einsum("v,v...->...", w, A ** p.samples) ** (1.0 / p.samples))
-
-
 @pytest.mark.parametrize("base,amp", [(2.0, 0.5), (0.6, 0.3), (1.3, 0.9)])
 def test_mixed_norms_at_q_equal_p_match_pointwise_sum(base, amp):
     """At q = p the mixed modular sum_v w_v int |f_v / mu|^p(x) dx is the
@@ -699,4 +690,4 @@ def test_mixed_norms_at_q_equal_p_match_pointwise_sum(base, amp):
     A = np.abs(fam)
     for got, w in ((mixed_norm_discrete(fam, p, p), np.ones(len(fam))),
                    (mixed_norm_continuous(fam, p, p, s), s.weights)):
-        assert got == pytest.approx(luxemburg_norm(_pointwise_sum(A, w, p), p), rel=1e-13)
+        assert got == pytest.approx(luxemburg_norm(pointwise_sum(A, w, p), p), rel=1e-13)
